@@ -37,6 +37,8 @@ def uniform01(seed, start, count):
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     if start < 0 or count < 0:
         raise ValueError("start and count must be nonnegative")
+    if start >= _MAX_UINT64 or start + count > _MAX_UINT64:
+        raise ValueError("stream indices must fit in an unsigned 64-bit integer")
     out = np.empty(count, dtype=np.float64)
     _impl.fill_uniform01(out, seed, start)
     return out

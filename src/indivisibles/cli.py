@@ -234,12 +234,9 @@ def cmd_guldin(args) -> int:
         c_curve = centroid_curve(ring)
         vol = guldin_volume(profile)
         surf = guldin_surface(ring, rho_axis())
-    except GeometryError as exc:
+    except (GeometryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GEOMETRY
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     pairs = [
         ("command", "guldin"),
         ("profile", args.profile),
@@ -380,14 +377,15 @@ def cmd_svg(args) -> int:
     else:  # guldin
         try:
             _, points = read_profile_file(args.profile)
-            polygon = Polygon(points)
         except OSError as exc:
             print(f"error: cannot read {args.profile}: {exc.strerror}", file=sys.stderr)
             return EXIT_IO
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_IO
-        except GeometryError as exc:
+        try:
+            polygon = Polygon(points)
+        except (GeometryError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_GEOMETRY
         content = render_guldin(polygon)

@@ -178,6 +178,13 @@ class TestGuldin:
         assert code == 3
         assert "axis" in err
 
+    def test_self_intersecting_profile_exits_three(self, capsys, tmp_path):
+        bowtie = tmp_path / "bowtie.profile"
+        bowtie.write_text("point 1 0\npoint 2 1\npoint 2 0\npoint 1 1\n")
+        code, _, err = run_main(capsys, "guldin", str(bowtie))
+        assert code == 3
+        assert "self-intersecting" in err
+
     def test_malformed_file_exits_four(self, capsys, tmp_path):
         bad = tmp_path / "broken.profile"
         bad.write_text("point 1\npoint 2 0\npoint 2 1\n")
@@ -258,6 +265,16 @@ class TestSvg:
         assert 'class="axis"' in svg
         assert 'class="profile"' in svg
         assert 'class="centroid"' in svg
+
+    def test_guldin_self_intersecting_profile_exits_three(self, tmp_path, capsys):
+        bowtie = tmp_path / "bowtie.profile"
+        bowtie.write_text("point 1 0\npoint 2 1\npoint 2 0\npoint 1 1\n")
+        out_path = tmp_path / "bowtie.svg"
+        code, _, err = run_main(capsys, "svg", "--construction", "guldin", "--profile",
+                                str(bowtie), "--out", str(out_path))
+        assert code == 3
+        assert "self-intersecting" in err
+        assert not out_path.exists()
 
     def test_unwritable_path_exits_four(self, capsys):
         code, _, _ = run_main(capsys, "svg", "--construction", "unroll", "--out",

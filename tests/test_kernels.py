@@ -5,6 +5,9 @@ values below were computed with arbitrary-precision integer arithmetic,
 independent of both lanes.
 """
 
+import struct
+import warnings
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,17 @@ def test_stream_matches_bigint_oracle():
         assert got.tolist() == expected
 
 
+def test_pure_stream_matches_bigint_oracle_across_blocks():
+    block = _pure._BLOCK
+    for seed in (42, 2**64 - 1):
+        for start in (0, 3, block - 1, 2**64 - 3 * block - 7):
+            n = 2 * block + 5
+            got = np.empty(n)
+            _pure.fill_uniform01(got, seed, start)
+            for j in (0, block - 2, block - 1, block, block + 1, 2 * block - 1, 2 * block, n - 1):
+                assert got[j] == _bigint_reference(seed, start + j), (seed, start, j)
+
+
 def test_stream_is_counter_based():
     whole = _kernels.uniform01(7, 0, 100)
     part = _kernels.uniform01(7, 37, 21)
@@ -67,6 +81,38 @@ def test_ordered_sum_is_sequential():
     assert _pure.ordered_sum(vals) == 1.0
 
 
+def _loop_sum(values, init):
+    acc = float(init)
+    for v in values.tolist():
+        acc = acc + v
+    return acc
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+def test_pure_ordered_sum_matches_the_loop_across_blocks():
+    block = _pure._BLOCK
+    rng = np.random.default_rng(11)
+    cases = [
+        (np.empty(0), 0.0),
+        (np.empty(0), -0.0),
+        (np.array([0.0]), -0.0),
+        (np.array([np.inf, -np.inf]), 0.0),
+        (np.array([1.0, np.nan, 2.0]), 0.5),
+        (np.array([1.7e308, 1.7e308, -1.0]), 0.0),
+    ]
+    for n in (1, block - 1, block, block + 1, 3 * block + 5):
+        vals = rng.standard_normal(n) * 10.0 ** rng.uniform(-12, 12, n)
+        for init in (0.0, -0.0, 1e12):
+            cases.append((vals, init))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for vals, init in cases:
+            assert _bits(_pure.ordered_sum(vals, init)) == _bits(_loop_sum(vals, init))
+
+
 def test_ordered_sum_init_chains_chunks():
     vals = _kernels.uniform01(3, 0, 1000)
     whole = _kernels.ordered_sum(vals)
@@ -79,6 +125,17 @@ def test_seed_validation():
         _kernels.uniform01(-1, 0, 1)
     with pytest.raises(ValueError):
         _kernels.uniform01(2**64, 0, 1)
+
+
+def test_stream_index_range_validation():
+    # indices past 2^64 - 1 would wrap onto the start of the stream
+    with pytest.raises(ValueError):
+        _kernels.uniform01(1, 2**64 - 1, 3)
+    for count in (0, 2):
+        with pytest.raises(ValueError):
+            _kernels.uniform01(1, 2**64, count)
+    last = _kernels.uniform01(1, 2**64 - 2, 2)
+    assert last.tolist() == [_bigint_reference(1, 2**64 - 2), _bigint_reference(1, 2**64 - 1)]
 
 
 def test_empty_inputs():

@@ -100,6 +100,25 @@ class TestMonteCarlo:
                 est = run(seed)
                 assert abs(est.mean - truth) <= 5 * est.stderr, f"{name} seed {seed}"
 
+    def test_chunk_edges_match_a_single_stream_call(self):
+        from indivisibles import _kernels
+        from indivisibles.oracle import _CHUNK
+
+        samples = 3 * _CHUNK + 1
+        box = ((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0))
+
+        def ball(x, y, z):
+            return x * x + y * y + z * z <= 1.0
+
+        lows = np.array([lo for lo, _ in box])
+        spans = np.array([hi - lo for lo, hi in box])
+        coords = lows + spans * _kernels.uniform01(5, 0, 3 * samples).reshape(samples, 3)
+        hits = int(np.count_nonzero(ball(coords[:, 0], coords[:, 1], coords[:, 2])))
+        mean = 8.0 * hits / samples
+        est = iv.mc_volume(ball, box, samples, seed=5)
+        assert est.mean == mean
+        assert est.samples == samples
+
     def test_single_sample_has_zero_stderr(self):
         est = iv.mc_area(lambda x, y: x > 0, ((-1, 1), (-1, 1)), 1, seed=9)
         assert est.stderr == 0.0
@@ -152,9 +171,9 @@ class TestRiemann:
         import indivisibles.oracle as oracle
 
         sec = self.sphere_sections()
-        whole = iv.riemann_volume(sec, 3_000_000)
-        monkeypatch.setattr(oracle, "_CHUNK", 1 << 14)
         chunked = iv.riemann_volume(sec, 3_000_000)
+        monkeypatch.setattr(oracle, "_CHUNK", 1 << 22)
+        whole = iv.riemann_volume(sec, 3_000_000)
         assert whole == chunked
 
 
