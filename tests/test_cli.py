@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import indivisibles
 from indivisibles.cli import main
 
 from conftest import SCRIPTS_DIR
@@ -27,6 +28,16 @@ def _report_dict(text):
             continue
         pairs[key] = value
     return pairs
+
+
+def test_version_reports_the_constant_backend(capsys):
+    # BACKEND is the constant "pure" (one kernel implementation); the
+    # --version bytes and benchmark environment records depend on it
+    assert indivisibles.BACKEND == "pure"
+    with pytest.raises(SystemExit) as err:
+        main(["--version"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out == "indivisibles 0.1.0 (pure)\n"
 
 
 class TestCheck:

@@ -1,8 +1,8 @@
-"""Kernel lane parity and determinism.
+"""Kernel exactness and determinism.
 
-The compiled and pure lanes must agree bit for bit; the stream reference
-values below were computed with arbitrary-precision integer arithmetic,
-independent of both lanes.
+The stream must equal its arbitrary-precision integer reference bit for bit,
+and the ordered sum must equal the plain left-to-right loop bit for bit, on
+both sides of every block edge.
 """
 
 import struct
@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from indivisibles import _kernels
-from indivisibles._kernels import _pure
 
 # splitmix64 stream for seed 42, indices 0..3 (big-int oracle, frozen)
 SEED42_FIRST4 = (
@@ -41,12 +40,11 @@ def test_stream_matches_bigint_oracle():
 
 
 def test_pure_stream_matches_bigint_oracle_across_blocks():
-    block = _pure._BLOCK
+    block = _kernels._BLOCK
     for seed in (42, 2**64 - 1):
         for start in (0, 3, block - 1, 2**64 - 3 * block - 7):
             n = 2 * block + 5
-            got = np.empty(n)
-            _pure.fill_uniform01(got, seed, start)
+            got = _kernels.uniform01(seed, start, n)
             for j in (0, block - 2, block - 1, block, block + 1, 2 * block - 1, 2 * block, n - 1):
                 assert got[j] == _bigint_reference(seed, start + j), (seed, start, j)
 
@@ -62,23 +60,10 @@ def test_stream_values_in_unit_interval():
     assert np.all(u >= 0.0) and np.all(u < 1.0)
 
 
-def test_lanes_bit_identical():
-    if _kernels.BACKEND != "compiled":
-        pytest.skip("compiled lane not built")
-    for seed in (0, 42, 987654321):
-        active = _kernels.uniform01(seed, 5, 4096)
-        pure = np.empty(4096)
-        _pure.fill_uniform01(pure, seed, 5)
-        assert np.array_equal(active, pure)
-    vals = _kernels.uniform01(1, 0, 50000) - 0.5
-    assert _kernels.ordered_sum(vals, 0.25) == _pure.ordered_sum(vals, 0.25)
-
-
 def test_ordered_sum_is_sequential():
     vals = np.array([1e16, 1.0, -1e16, 1.0])
     # left-to-right: (1e16 + 1) loses the 1, so the result is exactly 1.0
     assert _kernels.ordered_sum(vals) == 1.0
-    assert _pure.ordered_sum(vals) == 1.0
 
 
 def _loop_sum(values, init):
@@ -93,7 +78,7 @@ def _bits(x):
 
 
 def test_pure_ordered_sum_matches_the_loop_across_blocks():
-    block = _pure._BLOCK
+    block = _kernels._BLOCK
     rng = np.random.default_rng(11)
     cases = [
         (np.empty(0), 0.0),
@@ -110,7 +95,7 @@ def test_pure_ordered_sum_matches_the_loop_across_blocks():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for vals, init in cases:
-            assert _bits(_pure.ordered_sum(vals, init)) == _bits(_loop_sum(vals, init))
+            assert _bits(_kernels.ordered_sum(vals, init)) == _bits(_loop_sum(vals, init))
 
 
 def test_ordered_sum_init_chains_chunks():
@@ -125,6 +110,23 @@ def test_seed_validation():
         _kernels.uniform01(-1, 0, 1)
     with pytest.raises(ValueError):
         _kernels.uniform01(2**64, 0, 1)
+
+
+def test_numpy_integer_arguments_match_int_and_floats_raise():
+    block = _kernels._BLOCK
+    expected = _kernels.uniform01(42, block - 3, block + 6)
+    for int_type in (np.int64, np.uint64):
+        got = _kernels.uniform01(int_type(42), int_type(block - 3), int_type(block + 6))
+        assert got.tobytes() == expected.tobytes()
+    top = _kernels.uniform01(np.uint64(2**64 - 1), 0, 4)
+    assert top.tolist() == [_bigint_reference(2**64 - 1, i) for i in range(4)]
+    # a float would pass the range checks and corrupt the per-block offsets
+    with pytest.raises(TypeError):
+        _kernels.uniform01(42.0, 0, 3)
+    with pytest.raises(TypeError):
+        _kernels.uniform01(42, 1.5, 3)
+    with pytest.raises(TypeError):
+        _kernels.uniform01(42, 0, 3.0)
 
 
 def test_stream_index_range_validation():

@@ -8,7 +8,6 @@ import pytest
 
 import indivisibles as iv
 from indivisibles import EmptyBox, SectionFunction
-from indivisibles._kernels import _pure
 
 from conftest import DATA_DIR
 
@@ -54,14 +53,6 @@ class TestMonteCarlo:
         entry = GOLDEN[name]
         err = abs(float(entry["mean"]) - float(entry["closed_form"]))
         assert err <= 5.0 * float(entry["stderr"])
-
-    def test_pure_lane_reproduces_golden(self, monkeypatch):
-        import indivisibles._kernels as kernels
-
-        monkeypatch.setattr(kernels, "_impl", _pure)
-        est = _golden_estimate("disk_r1_area")
-        assert repr(est.mean) == GOLDEN["disk_r1_area"]["mean"]
-        assert repr(est.stderr) == GOLDEN["disk_r1_area"]["stderr"]
 
     def test_determinism_bit_for_bit(self):
         a = _golden_estimate("disk_r1_area")
