@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -23,9 +24,8 @@ from .errors import (
 
 TWO_PI = 2.0 * math.pi
 
-# Polygons above this size skip the O(n^2) simplicity check unless the caller
-# asks for it explicitly (fine-grained sawtooth polygons would be quadratic).
-_SIMPLE_CHECK_LIMIT = 512
+# Candidate edge pairs tested per step of the polygon crossing check.
+_PAIR_CHUNK = 1 << 12
 
 
 def _require_finite(*values):
@@ -140,14 +140,17 @@ class WidthFunction:
 class Polygon:
     """Simple polygon, stored counterclockwise (clockwise input is reversed).
 
-    Weakly simple rings (boundary touching at isolated points, as in the
-    sawtooth construction) are allowed; proper edge crossings are rejected.
+    Every polygon is validated, at any size.  Proper edge crossings are
+    rejected, and so is a vertex visited twice when the two loops it splits
+    the ring into have opposite orientations (a figure-eight, whose lobes
+    would cancel in the shoelace sum).  Weakly simple rings, whose boundary
+    touches itself at isolated points without reversing orientation (as in
+    the sawtooth construction), are allowed.
     """
 
     vertices: tuple[Point2, ...]
-    check_simple: bool | None = field(default=None, compare=False, repr=False)
 
-    def __init__(self, vertices: Sequence, check_simple: bool | None = None):
+    def __init__(self, vertices: Sequence):
         pts = tuple(v if isinstance(v, Point2) else Point2(float(v[0]), float(v[1])) for v in vertices)
         if len(pts) < 3:
             raise ValueError("polygon needs at least 3 vertices")
@@ -156,14 +159,13 @@ class Polygon:
                 raise ValueError("polygon has a repeated consecutive vertex")
         if _signed_area(pts) < 0.0:
             pts = pts[::-1]
-        do_check = check_simple if check_simple is not None else len(pts) <= _SIMPLE_CHECK_LIMIT
-        if do_check and _has_proper_self_intersection(pts):
+        xy = _coords(pts)
+        if _has_proper_self_intersection(xy) or _has_opposite_loops(pts, xy):
             raise ValueError("polygon is self-intersecting")
         object.__setattr__(self, "vertices", pts)
-        object.__setattr__(self, "check_simple", check_simple)
 
     def xy(self) -> np.ndarray:
-        return np.array([(p.x, p.y) for p in self.vertices], dtype=np.float64)
+        return _coords(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -319,25 +321,91 @@ def _signed_area(pts: tuple[Point2, ...]) -> float:
     return 0.5 * s
 
 
-def _segments_properly_intersect(p1, p2, q1, q2) -> bool:
-    def orient(a, b, c):
-        return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
-
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0
+def _coords(pts: Sequence[Point2]) -> np.ndarray:
+    """(n, 2) float64 array of the vertex coordinates."""
+    flat = np.fromiter((c for p in pts for c in (p.x, p.y)), dtype=np.float64, count=2 * len(pts))
+    return flat.reshape(-1, 2)
 
 
-def _has_proper_self_intersection(pts: tuple[Point2, ...]) -> bool:
-    n = len(pts)
-    edges = [(pts[i], pts[(i + 1) % n]) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue  # adjacent edges share an endpoint
-            if _segments_properly_intersect(*edges[i], *edges[j]):
+def _orient(ax, ay, bx, by, cx, cy):
+    """Twice the signed area of triangle abc (positive when counterclockwise)."""
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+
+def _has_proper_self_intersection(xy: np.ndarray) -> bool:
+    """True when two non-adjacent edges of the ring cross at an interior point
+    of both (touching contacts and collinear overlaps do not count).
+
+    Edge k runs from vertex k to vertex k+1.  A sort-and-sweep broad phase
+    (Shamos & Hoey, FOCS 1976) pairs each edge, in order of lowest x, with the
+    later edges whose lowest x lies inside its own closed x range, so every
+    pair with overlapping x ranges is visited once.  Pairs whose y ranges are
+    disjoint, or that share a vertex, are dropped; the rest get the four
+    orientation tests.  Edges with disjoint bounding boxes cannot cross, so
+    pruning them changes no decision in exact arithmetic.
+    """
+    n = len(xy)
+    if n < 4:
+        return False  # no two edges of a triangle are non-adjacent
+    px, py = xy[:, 0], xy[:, 1]
+    qx, qy = np.roll(px, -1), np.roll(py, -1)
+    xlo = np.minimum(px, qx)
+    order = np.argsort(xlo, kind="stable")
+    # bounding boxes in sweep order; edge order[a] overlaps the edges
+    # order[a+1 : end[a]] in x
+    xlo, xhi = xlo[order], np.maximum(px, qx)[order]
+    ylo, yhi = np.minimum(py, qy)[order], np.maximum(py, qy)[order]
+    end = np.searchsorted(xlo, xhi, side="right")
+    counts = end - np.arange(1, n + 1)
+    last = np.cumsum(counts)
+    first = last - counts
+    # the candidate pairs, numbered flat in sweep order, are tested in fixed
+    # chunks (one long edge can own thousands of them)
+    total = int(last[-1])
+    for start in range(0, total, _PAIR_CHUNK):
+        stop = min(start + _PAIR_CHUNK, total)
+        a0, a1 = np.searchsorted(last, (start, stop - 1), side="right") + (0, 1)
+        owned = np.minimum(last[a0:a1], stop) - np.maximum(first[a0:a1], start)
+        a = np.repeat(np.arange(a0, a1), owned)
+        b = np.arange(start, stop) - first[a] + a + 1
+        near = (ylo[a] <= yhi[b]) & (ylo[b] <= yhi[a])
+        i, j = order[a[near]], order[b[near]]
+        gap = (i - j) % n
+        apart = (gap != 1) & (gap != n - 1)
+        if _properly_cross(px, py, qx, qy, i[apart], j[apart]):
+            return True
+    return False
+
+
+def _properly_cross(px, py, qx, qy, i, j) -> bool:
+    """True when some edge i[k] and edge j[k] cross at an interior point of both."""
+    p1x, p1y, p2x, p2y = px[i], py[i], qx[i], qy[i]
+    q1x, q1y, q2x, q2y = px[j], py[j], qx[j], qy[j]
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1 = _orient(q1x, q1y, q2x, q2y, p1x, p1y)
+        d2 = _orient(q1x, q1y, q2x, q2y, p2x, p2y)
+        d3 = _orient(p1x, p1y, p2x, p2y, q1x, q1y)
+        d4 = _orient(p1x, p1y, p2x, p2y, q2x, q2y)
+    proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) & (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0)
+    return bool(proper.any())
+
+
+def _has_opposite_loops(pts: tuple[Point2, ...], xy: np.ndarray) -> bool:
+    """True when some vertex occurs twice and splits the ring into two loops of
+    strictly opposite orientation (lobes that would cancel in the area)."""
+    order = np.lexsort((xy[:, 1], xy[:, 0]))
+    ranked = xy[order]
+    repeat = (ranked[1:] == ranked[:-1]).all(axis=1)  # ranked[k + 1] repeats ranked[k]
+    if not repeat.any():
+        return False
+    # the copies of one point are a run in lexicographic order, by ascending
+    # index since lexsort is stable
+    point = np.cumsum(np.concatenate(([0], ~repeat)))
+    copy = np.concatenate(([False], repeat)) | np.concatenate((repeat, [False]))
+    for copies in np.split(order[copy], np.flatnonzero(np.diff(point[copy])) + 1):
+        for i, j in combinations(copies.tolist(), 2):
+            inner, outer = _signed_area(pts[i:j]), _signed_area(pts[j:] + pts[:i])
+            if min(inner, outer) < 0.0 < max(inner, outer):
                 return True
     return False
 

@@ -57,7 +57,7 @@ def shear_region(region: PlanarRegion, base: Line2, shift_per_unit_distance: flo
     for p in region.vertices:
         d = base.signed_distance(p)
         moved.append(Point2(p.x + shift_per_unit_distance * d * dx, p.y + shift_per_unit_distance * d * dy))
-    return Polygon(moved, check_simple=region.check_simple)
+    return Polygon(moved)
 
 
 def move_apex(cone: Cone, new_apex: Point3) -> Cone:
@@ -91,8 +91,8 @@ def unroll_disk(disk: Disk, n: int) -> Polygon:
     for i in range(n):
         verts.append(Point2((i + 0.5) * chord, apothem))
         verts.append(Point2((i + 1.0) * chord, 0.0))
-    # teeth touch the baseline at interior vertices: weakly simple by design
-    return Polygon(verts, check_simple=False)
+    # teeth touch the closing edge at interior vertices: weakly simple by design
+    return Polygon(verts)
 
 
 def sawtooth_teeth(sawtooth: Polygon) -> list[Polygon]:

@@ -196,6 +196,18 @@ class TestGuldin:
         assert code == 3
         assert "self-intersecting" in err
 
+    def test_large_self_intersecting_profile_exits_three(self, capsys, tmp_path):
+        # 640-gon around (3, 0) with two neighbours swapped: one crossing,
+        # above the size at which the check used to be skipped
+        angles = [2 * math.pi * i / 640 for i in range(640)]
+        angles[300], angles[301] = angles[301], angles[300]
+        crossed = tmp_path / "crossed640.profile"
+        crossed.write_text("".join(f"point {3 + math.cos(a)!r} {math.sin(a)!r}\n" for a in angles))
+        code, out, err = run_main(capsys, "guldin", str(crossed))
+        assert code == 3
+        assert "self-intersecting" in err
+        assert out == ""
+
     def test_malformed_file_exits_four(self, capsys, tmp_path):
         bad = tmp_path / "broken.profile"
         bad.write_text("point 1\npoint 2 0\npoint 2 1\n")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import indivisibles as iv
+from indivisibles import geometry
 from indivisibles import (
     CircleArc,
     DegenerateCurve,
@@ -62,6 +63,32 @@ class TestArea:
     def test_self_intersecting_polygon_rejected(self):
         with pytest.raises(ValueError):
             Polygon([(0, 0), (2, 2), (2, 0), (0, 2)])
+
+    def test_figure_eight_rejected(self):
+        # two triangular lobes of opposite orientation through (0, 0): the
+        # shoelace sum cancels to 0 although no two edges cross properly
+        with pytest.raises(ValueError, match="self-intersecting"):
+            Polygon([(0, 0), (1, -1), (1, 1), (0, 0), (-1, -1), (-1, 1)])
+
+    def test_large_figure_eight_rejected(self):
+        m = 300
+        angles = math.pi + 2.0 * math.pi * np.arange(1, m) / m
+        right = [(1.0 + math.cos(a), math.sin(a)) for a in angles]
+        eight = [(0.0, 0.0)] + right + [(0.0, 0.0)] + [(-x, y) for x, y in right]
+        assert len(eight) == 600
+        with pytest.raises(ValueError, match="self-intersecting"):
+            Polygon(eight)
+
+    def test_reversed_loop_between_outer_copies_of_a_vertex_rejected(self):
+        # (0, 0) is visited three times; the loops between neighbouring copies
+        # agree in sign with their complements (2 vs 1), only the first and
+        # last copies split the ring into opposite loops (4 vs -1)
+        with pytest.raises(ValueError, match="self-intersecting"):
+            Polygon([(0, 0), (2, -1), (2, 1), (0, 0), (1, 2), (-1, 2), (0, 0), (-1, -1), (-1, 1)])
+
+    def test_same_orientation_loops_sharing_a_corner_accepted(self):
+        poly = Polygon([(0, 0), (1, -1), (1, 1), (0, 0), (-1, 1), (-1, -1)])
+        assert iv.area(poly) == 2.0
 
     def test_polygon_additivity_shared_edge(self, rng):
         # convex polygons, so any diagonal splits them into two simple pieces
@@ -274,3 +301,99 @@ class TestWidthFunction:
 def test_nonfinite_point_rejected():
     with pytest.raises(ValueError):
         Point2(float("nan"), 0.0)
+
+
+def _reference_orient(a, b, c):
+    return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+
+
+def _reference_has_proper_self_intersection(pts):
+    """The former O(n^2) all-pairs loop, kept as the decision oracle."""
+    n = len(pts)
+    edges = [(pts[i], pts[(i + 1) % n]) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (j + 1) % n == i or (i + 1) % n == j:
+                continue  # adjacent edges share an endpoint
+            (p1, p2), (q1, q2) = edges[i], edges[j]
+            d1 = _reference_orient(q1, q2, p1)
+            d2 = _reference_orient(q1, q2, p2)
+            d3 = _reference_orient(p1, p2, q1)
+            d4 = _reference_orient(p1, p2, q2)
+            if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:
+                return True
+    return False
+
+
+def _star_points(rng, n, r_min=0.5, r_max=2.0):
+    jitter = rng.uniform(0.1, 0.9, n)
+    angles = 2.0 * math.pi * (np.arange(n) + jitter) / n
+    radii = rng.uniform(r_min, r_max, n)
+    return np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
+
+
+class TestSimplicityCheck:
+    def test_sweep_decides_like_the_all_pairs_loop(self):
+        rng = np.random.default_rng(20261018)
+        crossing = 0
+        for trial in range(3000):
+            n = int(rng.integers(3, 41))
+            kind = trial % 3
+            if kind == 0:
+                xy = rng.uniform(-1.0, 1.0, (n, 2))
+            elif kind == 1:
+                # a star with two adjacent vertices swapped usually crosses
+                xy = _star_points(rng, n)
+                k = int(rng.integers(0, n))
+                xy[[k, (k + 1) % n]] = xy[[(k + 1) % n, k]]
+            else:
+                # collinear, touching and overlapping edges on a 5x5 grid
+                xy = rng.integers(0, 5, (n, 2)).astype(np.float64)
+            pts = tuple(Point2(float(x), float(y)) for x, y in xy)
+            want = _reference_has_proper_self_intersection(pts)
+            assert geometry._has_proper_self_intersection(geometry._coords(pts)) == want, pts
+            crossing += want
+        assert 1000 < crossing < 2500  # both decisions are well represented
+
+    def test_crossing_in_a_late_chunk_is_found(self, monkeypatch):
+        # the closing edge of the 4096-tooth sawtooth overlaps every tooth in
+        # x, so the candidates fill several chunks; the only crossing (the last
+        # apex lowered onto the previous tooth) sorts into the last of them
+        verts = [(p.x, p.y) for p in iv.unroll_disk(Disk(Point2(0, 0), 1.0), 4096).vertices]
+        # stored counterclockwise: the right end of the baseline, the last apex,
+        # the base vertex before it
+        (end_x, _), (apex_x, apex_y), (base_x, _) = verts[:3]
+        verts[1] = (apex_x - (end_x - base_x), 0.5 * apex_y)
+        seen = []
+        properly_cross = geometry._properly_cross
+
+        def spy(*args):
+            seen.append(properly_cross(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(geometry, "_properly_cross", spy)
+        with pytest.raises(ValueError, match="self-intersecting"):
+            Polygon(verts)
+        assert len(seen) > 1 and seen[-1] and not any(seen[:-1])
+
+    def test_large_star_with_swapped_vertices_rejected(self):
+        # unit-radius star: swapping two neighbours makes two chords whose
+        # endpoints interleave on the circle, a proper crossing
+        rng = np.random.default_rng(2048)
+        xy = _star_points(rng, 2048, r_min=1.0, r_max=1.0)
+        xy[[700, 701]] = xy[[701, 700]]
+        with pytest.raises(ValueError, match="self-intersecting"):
+            Polygon(xy.tolist())
+
+    def test_very_large_star_validates(self):
+        # quadratic-regression guard: the all-pairs loop would take minutes
+        xy = _star_points(np.random.default_rng(20000), 20_000)
+        poly = Polygon(xy.tolist())
+        assert len(poly.vertices) == 20_000
+
+    def test_xy_matches_the_vertex_coordinates(self, rng):
+        poly = star_polygon(rng, n_min=40, n_max=40)
+        expected = np.array([(p.x, p.y) for p in poly.vertices], dtype=np.float64)
+        got = poly.xy()
+        assert got.dtype == np.float64 and got.shape == (40, 2)
+        assert got.tobytes() == expected.tobytes()

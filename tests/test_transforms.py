@@ -94,6 +94,13 @@ class TestUnrollDisk:
         assert len(saw.vertices) == 2 * n + 1
         assert len(iv.sawtooth_teeth(saw)) == n
 
+    def test_structure_n4096_is_validated(self):
+        # the teeth touch the closing edge at its interior vertices only, so
+        # the full simplicity check accepts the sawtooth at any size
+        saw = iv.unroll_disk(Disk(Point2(0, 0), 1.0), 4096)
+        assert len(saw.vertices) == 8193
+        assert len(iv.sawtooth_teeth(saw)) == 4096
+
     def test_area_error_bound_n8_to_4096(self):
         # |pi r^2 - area(n)| <= pi r^2 * (3/2) * (pi/n)^2, every n in [8, 4096]
         ns = np.arange(8, 4097)
