@@ -9,10 +9,15 @@ Both kernels walk their data in blocks of ``_BLOCK`` (2^14) elements, so the
 working set of every numpy call stays in cache (a block of float64 or uint64
 is 128 KiB).  Blocking changes no bit of the output:
 
-- ``uniform01`` computes value i from (seed, i) alone.  A block starting at
-  index b adds the per-block offset ``seed + (start + b) * GAMMA`` (mod 2^64,
-  in Python integers) to the fixed steps ``(j + 1) * GAMMA``, which is the same
-  uint64 state ``seed + (start + b + j + 1) * GAMMA`` the unblocked formula gives.
+- ``uniform01`` computes value i from (seed, i) alone, as the uint64 state
+  ``seed + (i + 1) * GAMMA`` mixed.  With ``dims`` rows, row d, column c holds
+  value ``start + c * dims + d``: the interleaved run ``start ..
+  start + count*dims - 1`` split into one contiguous row per axis.  Row d's
+  block starting at column b adds the offset
+  ``seed + (start + b * dims + d + 1) * GAMMA`` (mod 2^64, in Python integers)
+  to the fixed steps ``j * dims * GAMMA``, which is the same state the
+  unblocked formula gives for column b + j, so every value is kept and only
+  its place in memory moves.
 - ``ordered_sum`` runs ``np.add.accumulate`` over ``[acc, *block]``.
   ``accumulate`` adds strictly left to right, one rounding per element (unlike
   ``np.sum``, which sums pairwise), and the last element carries the running
@@ -37,40 +42,48 @@ _BLOCK = 1 << 14
 _MAX_UINT64 = 2**64
 
 
-def uniform01(seed, start, count):
-    """Values start .. start+count-1 of the uniform [0,1) stream for ``seed``.
+def uniform01(seed, start, count, dims=1):
+    """Values start .. start+count*dims-1 of the uniform [0,1) stream for ``seed``.
 
-    The stream is counter-based: value i depends only on (seed, i), so any
-    chunking or parallel split of the index range reproduces the same floats.
-    ``seed``, ``start`` and ``count`` must be integers (numpy integers too);
-    floats raise ``TypeError``.
+    With ``dims`` 1 this is the flat run of ``count`` values.  Otherwise it is
+    a ``(dims, count)`` array whose row d, column i is value
+    ``start + i*dims + d``: ``count`` samples of ``dims`` coordinates each, one
+    contiguous row per axis.  The stream is counter-based: value i depends
+    only on (seed, i), so any chunking or parallel split of the index range
+    reproduces the same floats.  ``seed``, ``start``, ``count`` and ``dims``
+    must be integers (numpy integers too); floats raise ``TypeError``.
     """
-    seed, start, count = operator.index(seed), operator.index(start), operator.index(count)
+    seed, start = operator.index(seed), operator.index(start)
+    count, dims = operator.index(count), operator.index(dims)
     if not 0 <= seed < _MAX_UINT64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     if start < 0 or count < 0:
         raise ValueError("start and count must be nonnegative")
-    if start >= _MAX_UINT64 or start + count > _MAX_UINT64:
+    if dims < 1:
+        raise ValueError("dims must be at least 1")
+    if start >= _MAX_UINT64 or start + count * dims > _MAX_UINT64:
         raise ValueError("stream indices must fit in an unsigned 64-bit integer")
-    out = np.empty(count, dtype=np.float64)
+    out = np.empty(dims * count, dtype=np.float64)
+    rows = out.reshape(dims, count)
     size = min(count, _BLOCK)
-    steps = np.arange(1, size + 1, dtype=np.uint64) * _GAMMA
+    steps = np.arange(size, dtype=np.uint64) * np.uint64(dims * _GAMMA_INT % _MAX_UINT64)
     z = np.empty(size, dtype=np.uint64)
     t = np.empty(size, dtype=np.uint64)
-    for b in range(0, count, _BLOCK):
-        k = min(_BLOCK, count - b)
-        zk, tk = z[:k], t[:k]
-        offset = np.uint64((seed + (start + b) * _GAMMA_INT) % 2**64)
-        np.add(steps[:k], offset, out=zk)
-        for shift, mix in ((30, _MIX1), (27, _MIX2)):
-            np.right_shift(zk, np.uint64(shift), out=tk)
+    for d in range(dims):
+        for b in range(0, count, _BLOCK):
+            k = min(_BLOCK, count - b)
+            zk, tk = z[:k], t[:k]
+            offset = np.uint64((seed + (start + b * dims + d + 1) * _GAMMA_INT) % _MAX_UINT64)
+            np.add(steps[:k], offset, out=zk)
+            for shift, mix in ((30, _MIX1), (27, _MIX2)):
+                np.right_shift(zk, np.uint64(shift), out=tk)
+                np.bitwise_xor(zk, tk, out=zk)
+                np.multiply(zk, mix, out=zk)
+            np.right_shift(zk, np.uint64(31), out=tk)
             np.bitwise_xor(zk, tk, out=zk)
-            np.multiply(zk, mix, out=zk)
-        np.right_shift(zk, np.uint64(31), out=tk)
-        np.bitwise_xor(zk, tk, out=zk)
-        np.right_shift(zk, np.uint64(11), out=zk)
-        np.multiply(zk, _SCALE, out=out[b:b + k])
-    return out
+            np.right_shift(zk, np.uint64(11), out=zk)
+            np.multiply(zk, _SCALE, out=rows[d, b:b + k])
+    return out if dims == 1 else rows
 
 
 def ordered_sum(values, init=0.0):

@@ -92,7 +92,8 @@ class WidthFunction:
 
     ``breakpoints`` are the interior piece boundaries; ``monotonicity`` gives
     one of "increasing"/"decreasing" per piece (a constant piece may declare
-    either).  The evaluator must accept numpy arrays.
+    either).  The evaluator must accept numpy arrays; a constant profile may
+    return one value, which is broadcast to the shape of its input.
     """
 
     fn: Callable[[np.ndarray], np.ndarray] = field(compare=False)
@@ -126,7 +127,12 @@ class WidthFunction:
             yield t0, t1, flag
 
     def __call__(self, t):
-        return self.fn(np.asarray(t, dtype=np.float64))
+        t = np.asarray(t, dtype=np.float64)
+        vals = self.fn(t)
+        if np.shape(vals) != t.shape:
+            # a constant profile may return one value for the whole array
+            vals = np.array(np.broadcast_to(vals, t.shape))
+        return vals
 
     def total_variation(self) -> float:
         """Sum over pieces of |w(end) - w(start)|, from endpoint values."""

@@ -19,9 +19,12 @@ from .errors import DegenerateCurve, EmptyBox
 from .geometry import CircleArc, Curve, Polyline
 
 # Samples (or cells) per chunk: at 2^14 the chunk's coordinates, membership
-# mask and midpoints stay in cache.  Chunking moves no bit of any result: the
-# stream is indexed by sample, hits are counted exactly, and ordered_sum chains
-# its running value from chunk to chunk.
+# mask and midpoints stay in cache.  A chunk's coordinates come from the stream
+# as one contiguous row per axis (sample i, axis d is stream value i*dims + d)
+# and are mapped into the box in place, so predicates get contiguous arrays.
+# Chunking moves no bit of any result: the stream is indexed by sample, hits
+# are counted exactly, and ordered_sum chains its running value from chunk to
+# chunk.
 _CHUNK = 1 << 14
 
 
@@ -46,6 +49,8 @@ class Estimate:
 
 
 def _check_box(bounds):
+    if not bounds:
+        raise EmptyBox("box needs at least one side")
     for lo, hi in bounds:
         if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
             raise EmptyBox(f"box side [{lo!r}, {hi!r}] has nonpositive extent")
@@ -74,9 +79,15 @@ def _mc_membership(membership, bounds, samples: int, seed: int) -> Estimate:
     done = 0
     while done < samples:
         m = min(_CHUNK, samples - done)
-        u = uniform01(seed, done * dims, m * dims).reshape(m, dims)
-        coords = lows + spans * u
-        inside = membership(*(coords[:, d] for d in range(dims)))
+        coords = uniform01(seed, done * dims, m, dims).reshape(dims, m)
+        coords *= spans[:, None]
+        coords += lows[:, None]
+        inside = membership(*coords)
+        if np.shape(inside) != (m,):
+            raise ValueError(
+                f"membership must return one value per sample: expected shape {(m,)}, "
+                f"got {np.shape(inside)}"
+            )
         hits += int(np.count_nonzero(inside))
         done += m
     return _indicator_estimate(hits, samples, box_measure, seed)
@@ -111,7 +122,7 @@ def riemann_volume(section, n: int) -> float:
     while done < n:
         m = min(_CHUNK, n - done)
         mids = a + (np.arange(done, done + m, dtype=np.float64) + 0.5) * h
-        vals = np.asarray(section.fn(mids), dtype=np.float64)
+        vals = np.asarray(section(mids), dtype=np.float64)
         total = ordered_sum(vals, total)
         done += m
     return total * h
@@ -128,12 +139,12 @@ def boundary_integral(curve: Curve, integrand, n: int) -> float:
     if isinstance(curve, Polyline):
         total = 0.0
         any_length = False
+        ts = (np.arange(n, dtype=np.float64) + 0.5) / n
         for p, q in curve.edges():
             seg = math.hypot(q.x - p.x, q.y - p.y)
             if seg == 0.0:
                 continue
             any_length = True
-            ts = (np.arange(n, dtype=np.float64) + 0.5) / n
             xs = p.x + (q.x - p.x) * ts
             ys = p.y + (q.y - p.y) * ts
             vals = np.asarray(integrand(xs, ys), dtype=np.float64)

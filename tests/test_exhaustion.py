@@ -73,6 +73,15 @@ class TestAreaBounds:
         assert b.hi == pytest.approx(1.0, abs=1e-11)
         assert b.lo <= 1.0 <= b.hi
 
+    def test_constant_profile_returning_one_value(self):
+        # the profile's single value is broadcast to every slab edge
+        w = WidthFunction(lambda t: 0.1, domain=(0.0, 1.0))
+        assert w(np.linspace(0.0, 1.0, 5)).shape == (5,)
+        assert w(0.5) == 0.1
+        b = area_bounds(w, 1000)
+        assert b.lo <= 0.1 <= b.hi
+        assert b.width <= 1e-12
+
     def test_identity_width_hand_computed_riemann_sums(self):
         w = WidthFunction(lambda t: np.asarray(t, dtype=float), domain=(0.0, 1.0))
         b = area_bounds(w, 4)

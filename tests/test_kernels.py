@@ -40,13 +40,44 @@ def test_stream_matches_bigint_oracle():
 
 
 def test_pure_stream_matches_bigint_oracle_across_blocks():
+    # row d, column i of a dims-row call is stream value start + i*dims + d
     block = _kernels._BLOCK
-    for seed in (42, 2**64 - 1):
-        for start in (0, 3, block - 1, 2**64 - 3 * block - 7):
-            n = 2 * block + 5
-            got = _kernels.uniform01(seed, start, n)
-            for j in (0, block - 2, block - 1, block, block + 1, 2 * block - 1, 2 * block, n - 1):
-                assert got[j] == _bigint_reference(seed, start + j), (seed, start, j)
+    n = 2 * block + 5
+    cols = (0, block - 2, block - 1, block, block + 1, 2 * block - 1, 2 * block, n - 1)
+    for dims in (1, 2, 3):
+        for seed in (42, 2**64 - 1):
+            for start in (0, 3, block - 1, 2**64 - dims * n - 7, 2**64 - dims * n):
+                got = _kernels.uniform01(seed, start, n, dims).reshape(dims, n)
+                for d in range(dims):
+                    for j in cols:
+                        want = _bigint_reference(seed, start + j * dims + d)
+                        assert got[d, j] == want, (dims, seed, start, d, j)
+
+
+def test_rows_are_the_interleaved_run_transposed():
+    block = _kernels._BLOCK
+    for dims in (1, 2, 3):
+        for start in (0, 5):
+            for count in (0, 1, block + 3):
+                rows = _kernels.uniform01(9, start, count, dims)
+                flat = _kernels.uniform01(9, start, count * dims)
+                assert rows.shape == ((count,) if dims == 1 else (dims, count))
+                assert rows.dtype == np.float64 and rows.flags.c_contiguous
+                assert rows.tobytes() == flat.reshape(count, dims).T.tobytes()
+
+
+def test_row_layout_validation():
+    # the last index is start + count*dims - 1, which must stay below 2^64
+    with pytest.raises(ValueError):
+        _kernels.uniform01(1, 2**64 - 5, 3, 2)
+    last = _kernels.uniform01(1, 2**64 - 6, 3, 2)
+    assert last[1, 2] == _bigint_reference(1, 2**64 - 1)
+    for dims in (0, -1):
+        with pytest.raises(ValueError):
+            _kernels.uniform01(1, 0, 3, dims)
+    with pytest.raises(TypeError):
+        _kernels.uniform01(1, 0, 3, 2.0)
+    assert _kernels.uniform01(1, 0, 3, np.int64(2)).tobytes() == _kernels.uniform01(1, 0, 3, 2).tobytes()
 
 
 def test_stream_is_counter_based():

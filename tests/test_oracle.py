@@ -71,6 +71,8 @@ class TestMonteCarlo:
     def test_empty_box_rejected(self):
         with pytest.raises(EmptyBox):
             iv.mc_area(lambda x, y: x > 0, ((1, 1), (0, 1)), 10, seed=1)
+        with pytest.raises(EmptyBox):
+            iv.mc_area(lambda: True, (), 10, seed=1)
 
     def test_seed_independence_of_truth(self):
         # ten seeds, all estimates land within 5 stderr of the closed forms
@@ -96,19 +98,37 @@ class TestMonteCarlo:
         from indivisibles.oracle import _CHUNK
 
         samples = 3 * _CHUNK + 1
-        box = ((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0))
+        box = ((-1.0, 1.0), (0.0, 2.0), (-3.0, 1.0))
+        calls = []
 
         def ball(x, y, z):
+            for axis in (x, y, z):
+                assert axis.dtype == np.float64
+                assert axis.ndim == 1 and axis.flags.c_contiguous
+                assert axis.shape == x.shape
+            calls.append((x.copy(), y.copy(), z.copy()))
             return x * x + y * y + z * z <= 1.0
 
-        lows = np.array([lo for lo, _ in box])
-        spans = np.array([hi - lo for lo, hi in box])
-        coords = lows + spans * _kernels.uniform01(5, 0, 3 * samples).reshape(samples, 3)
-        hits = int(np.count_nonzero(ball(coords[:, 0], coords[:, 1], coords[:, 2])))
-        mean = 8.0 * hits / samples
         est = iv.mc_volume(ball, box, samples, seed=5)
-        assert est.mean == mean
+        assert [len(x) for x, _, _ in calls] == [_CHUNK, _CHUNK, _CHUNK, 1]
+        # sample i, axis d is lo_d + span_d * (stream value 3*i + d), bit for bit
+        u = _kernels.uniform01(5, 0, 3 * samples).reshape(samples, 3)
+        coords = [lo + (hi - lo) * u[:, d] for d, (lo, hi) in enumerate(box)]
+        for d in range(3):
+            got = np.concatenate([call[d] for call in calls])
+            assert got.tobytes() == coords[d].tobytes()
+        hits = int(np.count_nonzero(ball(*coords)))
+        assert est.mean == 16.0 * hits / samples
         assert est.samples == samples
+
+    def test_membership_must_return_one_value_per_sample(self):
+        box = ((0, 1), (0, 1))
+        # a scalar used to count as one hit per chunk (mean 7e-05, not 1.0)
+        with pytest.raises(ValueError, match=r"expected shape \(16384,\), got \(\)"):
+            iv.mc_area(lambda x, y: True, box, 100_000)
+        # a short mask used to count only its own hits (mean 0.00038)
+        with pytest.raises(ValueError, match=r"expected shape \(16384,\), got \(10,\)"):
+            iv.mc_area(lambda x, y: (x * x + y * y <= 1.0)[:10], box, 100_000)
 
     def test_single_sample_has_zero_stderr(self):
         est = iv.mc_area(lambda x, y: x > 0, ((-1, 1), (-1, 1)), 1, seed=9)
@@ -135,6 +155,11 @@ class TestRiemann:
             monotonicity=("increasing",),
         )
         assert iv.riemann_volume(sec, 1) == pytest.approx(2 * math.pi, rel=1e-15)
+
+    def test_constant_profile_returning_one_value(self):
+        # riemann_volume evaluates through the profile, which broadcasts 0.1
+        sec = SectionFunction(lambda t: 0.1, domain=(0.0, 1.0))
+        assert iv.riemann_volume(sec, 1000) == pytest.approx(0.1, rel=1e-12)
 
     def test_hoof_one_million_cells(self):
         sec = SectionFunction(
