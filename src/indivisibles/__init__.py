@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedRegion,
     UnsupportedSolid,
 )
-from .exhaustion import MeasureInterval, SectionFunction, area_bounds, refine_until, volume_bounds
+from .exhaustion import MeasureInterval, area_bounds, refine_until, volume_bounds
 from .geometry import (
     CircleArc,
     Curve,
@@ -35,6 +35,7 @@ from .geometry import (
     Polygon,
     Polyline,
     Profile,
+    SectionFunction,
     SlabRegion,
     WidthFunction,
     area,

@@ -10,30 +10,26 @@ fixed inputs and seeds.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-
-import numpy as np
 
 from . import __version__
 from ._kernels import BACKEND
 from .dsl import ParseError, RunReport, ScriptError, run_script
 from .errors import GeometryError
-from .exhaustion import MeasureInterval, SectionFunction, area_bounds, volume_bounds
+from .exhaustion import area_bounds, volume_bounds
 from .geometry import (
+    Disk,
+    Point2,
     Polygon,
     Profile,
-    WidthFunction,
     area,
     boundary,
-    bounding_box,
     centroid_curve,
     centroid_region,
-    contains,
     perimeter,
 )
 from .oracle import mc_area, mc_volume, riemann_volume
-from .solids import guldin_surface, guldin_volume, rho_axis
+from .solids import Cone, Hoof, Point3, SolidOfRevolution, Sphere, volume
 from .svg import render_bounds, render_guldin, render_unroll
 
 SCHEMA_VERSION = 1
@@ -43,6 +39,28 @@ EXIT_ASSERTION = 1
 EXIT_PARSE = 2
 EXIT_GEOMETRY = 3
 EXIT_IO = 4
+
+# Each --shape/--target name: its measure and the library object it stands for
+# at --r, --h and --R, which gives the closed form, section, membership and box.
+SHAPES = {
+    "disk": ("area", lambda args: Disk(Point2(0.0, 0.0), args.r)),
+    "sphere": ("volume", lambda args: Sphere(args.r)),
+    "cone": ("volume", lambda args: Cone(Disk(Point2(0.0, 0.0), args.r), Point3(0.0, 0.0, args.h))),
+    "hoof": ("volume", lambda args: Hoof(args.r, args.h)),
+    "torus": ("volume", lambda args: SolidOfRevolution(Profile(Disk(Point2(args.R, 0.0), args.r)))),
+}
+
+# closed form, certified enclosure and Monte Carlo estimate of each measure
+MEASURES = {
+    "area": (area, area_bounds, mc_area),
+    "volume": (volume, volume_bounds, mc_volume),
+}
+
+
+def _error(code: int, message: str) -> int:
+    """Report ``message`` on stderr and give back the exit ``code``."""
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def _emit(pairs) -> str:
@@ -93,16 +111,14 @@ def cmd_check(args) -> int:
         with open(args.script, "r", encoding="utf-8") as fh:
             source = fh.read()
     except OSError as exc:
-        print(f"error: cannot read {args.script}: {exc.strerror}", file=sys.stderr)
-        return EXIT_IO
+        return _error(EXIT_IO, f"cannot read {args.script}: {exc.strerror}")
     try:
         report = run_script(source)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ScriptError, GeometryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GEOMETRY
+        return _error(EXIT_GEOMETRY, str(exc))
     out = _check_report(args.script, report) if args.format == "report" else _check_human(args.script, report)
     sys.stdout.write(out)
     return EXIT_OK if report.overall_pass else EXIT_ASSERTION
@@ -111,56 +127,37 @@ def cmd_check(args) -> int:
 # --- bounds -----------------------------------------------------------------
 
 
-def _bounds_profile(shape: str, r: float, h: float):
-    """Width/section profile, closed form and kind for a named shape."""
-    if shape == "disk":
-        fn = WidthFunction(
-            lambda y: 2.0 * np.sqrt(np.maximum(r * r - y * y, 0.0)),
-            domain=(-r, r),
-            breakpoints=(0.0,),
-            monotonicity=("increasing", "decreasing"),
-        )
-        return fn, math.pi * r * r, "area"
-    if shape == "sphere":
-        fn = SectionFunction(
-            lambda z: math.pi * np.maximum(r * r - z * z, 0.0),
-            domain=(-r, r),
-            breakpoints=(0.0,),
-            monotonicity=("increasing", "decreasing"),
-        )
-        return fn, 4.0 * math.pi * r**3 / 3.0, "volume"
-    if shape == "cone":
-        fn = SectionFunction(
-            lambda z: math.pi * r * r * (1.0 - z / h) ** 2,
-            domain=(0.0, h),
-            monotonicity=("decreasing",),
-        )
-        return fn, math.pi * r * r * h / 3.0, "volume"
-    if shape == "hoof":
-        slope = h / r
-        fn = SectionFunction(
-            lambda y: 2.0 * slope * y * np.sqrt(np.maximum(r * r - y * y, 0.0)),
-            domain=(0.0, r),
-            breakpoints=(r / math.sqrt(2.0),),
-            monotonicity=("increasing", "decreasing"),
-        )
-        return fn, 2.0 * r * r * h / 3.0, "volume"
-    raise ValueError(shape)
+def _usage_error(message: str):
+    print(f"usage error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_PARSE)
 
 
 def _require_positive(parser_hint: str, **values) -> None:
     for name, value in values.items():
         if not (value > 0):
-            print(f"usage error: --{name} must be positive for {parser_hint}", file=sys.stderr)
-            raise SystemExit(EXIT_PARSE)
+            _usage_error(f"--{name} must be positive for {parser_hint}")
+
+
+def _require_seed(parser_hint: str, seed: int) -> None:
+    if not 0 <= seed < 2**64:
+        _usage_error(f"--seed must lie in [0, 2**64) for {parser_hint}")
+
+
+def _named_shape(name: str, args):
+    """The measure and the library object that a --shape/--target name stands for."""
+    kind, build = SHAPES[name]
+    try:
+        return kind, build(args)
+    except (GeometryError, ValueError) as exc:
+        raise SystemExit(_error(EXIT_GEOMETRY, str(exc))) from None
 
 
 def cmd_bounds(args) -> int:
     _require_positive("bounds", r=args.r, h=args.h, slices=args.slices)
-    fn, closed, kind = _bounds_profile(args.shape, args.r, args.h)
-    interval: MeasureInterval = (
-        volume_bounds(fn, args.slices) if isinstance(fn, SectionFunction) else area_bounds(fn, args.slices)
-    )
+    kind, shape = _named_shape(args.shape, args)
+    closed_form, bounds, _ = MEASURES[kind]
+    interval = bounds(shape.section(), args.slices)
+    closed = closed_form(shape)
     pairs = [
         ("command", "bounds"),
         ("shape", args.shape),
@@ -218,25 +215,25 @@ def read_profile_file(path: str) -> tuple[str, list[tuple[float, float]]]:
 
 
 def cmd_guldin(args) -> int:
+    if args.verify:
+        _require_positive("guldin --verify", samples=args.samples)
+        _require_seed("guldin --verify", args.seed)
     try:
         name, points = read_profile_file(args.profile)
     except OSError as exc:
-        print(f"error: cannot read {args.profile}: {exc.strerror}", file=sys.stderr)
-        return EXIT_IO
+        return _error(EXIT_IO, f"cannot read {args.profile}: {exc.strerror}")
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _error(EXIT_IO, str(exc))
     try:
         polygon = Polygon(points)
-        profile = Profile(polygon)
+        solid = SolidOfRevolution(Profile(polygon))
         ring = boundary(polygon)
         c_region = centroid_region(polygon)
         c_curve = centroid_curve(ring)
-        vol = guldin_volume(profile)
-        surf = guldin_surface(ring, rho_axis())
+        vol = solid.volume()
+        surf = solid.lateral_area()
     except (GeometryError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GEOMETRY
+        return _error(EXIT_GEOMETRY, str(exc))
     pairs = [
         ("command", "guldin"),
         ("profile", args.profile),
@@ -252,18 +249,7 @@ def cmd_guldin(args) -> int:
         ("surface", surf),
     ]
     if args.verify:
-        (rho0, rho1), (z0, z1) = bounding_box(polygon)
-        rmax = max(rho1, 0.0)
-
-        def membership(xs, ys, zs):
-            return contains(polygon, np.hypot(xs, ys), zs)
-
-        est = mc_volume(
-            membership,
-            ((-rmax, rmax), (-rmax, rmax), (z0, z1)),
-            samples=args.samples,
-            seed=args.seed,
-        )
+        est = mc_volume(solid.contains, solid.box(), samples=args.samples, seed=args.seed)
         err = abs(est.mean - vol)
         pairs += [
             ("verify_samples", est.samples),
@@ -280,51 +266,19 @@ def cmd_guldin(args) -> int:
 # --- oracle -----------------------------------------------------------------
 
 
-def _oracle_closed_form(target: str, r: float, big_r: float, h: float) -> float:
-    return {
-        "disk": math.pi * r * r,
-        "sphere": 4.0 * math.pi * r**3 / 3.0,
-        "hoof": 2.0 * r * r * h / 3.0,
-        "torus": 2.0 * math.pi**2 * big_r * r * r,
-    }[target]
-
-
 def cmd_oracle(args) -> int:
     _require_positive("oracle", r=args.r, R=args.R, h=args.h, samples=args.samples, cells=args.cells)
-    r, big_r, h = args.r, args.R, args.h
-    closed = _oracle_closed_form(args.target, r, big_r, h)
+    _require_seed("oracle", args.seed)
+    kind, shape = _named_shape(args.target, args)
+    closed_form, _, mc = MEASURES[kind]
+    closed = closed_form(shape)
     pairs = [
         ("command", "oracle"),
         ("target", args.target),
         ("method", args.method),
     ]
     if args.method == "mc":
-        if args.target == "disk":
-            est = mc_area(
-                lambda x, y: x * x + y * y <= r * r, ((-r, r), (-r, r)), args.samples, args.seed
-            )
-        elif args.target == "sphere":
-            est = mc_volume(
-                lambda x, y, z: x * x + y * y + z * z <= r * r,
-                ((-r, r), (-r, r), (-r, r)),
-                args.samples,
-                args.seed,
-            )
-        elif args.target == "hoof":
-            slope = h / r
-            est = mc_volume(
-                lambda x, y, z: (x * x + y * y <= r * r) & (y >= 0.0) & (z <= slope * y),
-                ((-r, r), (0.0, r), (0.0, h)),
-                args.samples,
-                args.seed,
-            )
-        else:  # torus
-            est = mc_volume(
-                lambda x, y, z: (np.hypot(x, y) - big_r) ** 2 + z * z <= r * r,
-                ((-big_r - r, big_r + r), (-big_r - r, big_r + r), (-r, r)),
-                args.samples,
-                args.seed,
-            )
+        est = mc(shape.contains, shape.box(), args.samples, args.seed)
         pairs += [
             ("samples", est.samples),
             ("seed", est.seed),
@@ -335,21 +289,7 @@ def cmd_oracle(args) -> int:
             ("within_5_stderr", "true" if abs(est.mean - closed) <= 5.0 * est.stderr else "false"),
         ]
     else:  # riemann
-        fn, _, _ = (
-            _bounds_profile(args.target, r, h)
-            if args.target != "torus"
-            else (
-                SectionFunction(
-                    lambda z: 4.0 * math.pi * big_r * np.sqrt(np.maximum(r * r - z * z, 0.0)),
-                    domain=(-r, r),
-                    breakpoints=(0.0,),
-                    monotonicity=("increasing", "decreasing"),
-                ),
-                closed,
-                "volume",
-            )
-        )
-        value = riemann_volume(fn, args.cells)
+        value = riemann_volume(shape.section(), args.cells)
         pairs += [
             ("cells", args.cells),
             ("value", value),
@@ -367,34 +307,29 @@ def cmd_svg(args) -> int:
     if args.construction == "unroll":
         _require_positive("svg", r=args.r)
         if args.n < 3:
-            print("usage error: --n must be at least 3 for svg --construction unroll", file=sys.stderr)
-            raise SystemExit(EXIT_PARSE)
+            _usage_error("--n must be at least 3 for svg --construction unroll")
         content = render_unroll(args.r, args.n)
     elif args.construction == "bounds":
         _require_positive("svg", r=args.r, h=args.h, slices=args.slices)
-        fn, _, _ = _bounds_profile(args.shape, args.r, args.h)
-        content = render_bounds(fn, args.slices)
+        _, shape = _named_shape(args.shape, args)
+        content = render_bounds(shape.section(), args.slices)
     else:  # guldin
         try:
             _, points = read_profile_file(args.profile)
         except OSError as exc:
-            print(f"error: cannot read {args.profile}: {exc.strerror}", file=sys.stderr)
-            return EXIT_IO
+            return _error(EXIT_IO, f"cannot read {args.profile}: {exc.strerror}")
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+            return _error(EXIT_IO, str(exc))
         try:
             polygon = Polygon(points)
         except (GeometryError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_GEOMETRY
+            return _error(EXIT_GEOMETRY, str(exc))
         content = render_guldin(polygon)
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(content)
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
-        return EXIT_IO
+        return _error(EXIT_IO, f"cannot write {args.out}: {exc.strerror}")
     return EXIT_OK
 
 

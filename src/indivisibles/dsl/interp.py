@@ -13,13 +13,11 @@ from dataclasses import dataclass
 from ..errors import GeometryError
 from ..geometry import (
     Disk,
-    HalfDisk,
     Line2,
     PlanarRegion,
     Point2,
     Polygon,
     Profile,
-    SlabRegion,
     area,
     boundary,
     centroid_region,
@@ -30,6 +28,7 @@ from ..solids import (
     Cylinder,
     Hoof,
     Point3,
+    Solid,
     SolidOfRevolution,
     Sphere,
     TangentPolyhedron,
@@ -59,9 +58,6 @@ from .parser import (
     Span,
     parse,
 )
-
-_REGION_KINDS = (Polygon, Disk, HalfDisk, SlabRegion)
-
 
 class ScriptError(Exception):
     """Evaluation error with a source position."""
@@ -108,6 +104,17 @@ def _kind_name(value) -> str:
     return type(value).__name__
 
 
+# Each measure: the kinds it applies to, as its type error names them, and its rule.
+_MEASURES = {
+    "area": (PlanarRegion, "a region", area),
+    "perimeter": (PlanarRegion, "a region", lambda region: perimeter(boundary(region))),
+    "centroid_rho": (PlanarRegion, "a region or profile", lambda region: centroid_region(region).x),
+    "volume": (Solid, "a solid", volume),
+    "surface": (Solid, "a solid", surface_area),
+    "lateral_area": (Solid, "a solid", lateral_area),
+}
+
+
 def _named(args, span, *, required=(), optional=()):
     """Split call args into positional values and a validated kwargs dict."""
     positional = []
@@ -131,10 +138,24 @@ def _named(args, span, *, required=(), optional=()):
     return positional, named
 
 
+def _named_only(call, *, required=(), optional=()) -> dict:
+    positional, named = _named(call.args, call.span, required=required, optional=optional)
+    if positional:
+        raise ScriptTypeError(f"{call.name} takes named arguments only", call.span)
+    return named
+
+
 def _number(value, span, what) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ScriptTypeError(f"{what} must be a number", span)
     return float(value)
+
+
+def _count(value, span, what) -> int:
+    n = _number(value, span, what)
+    if not n.is_integer():
+        raise ScriptTypeError(f"{what} must be an integer, got {n!r}", span)
+    return int(n)
 
 
 def _point(value, span, what) -> Point2:
@@ -158,11 +179,9 @@ class _Evaluator:
             return self.eval_call(expr)
         raise ScriptTypeError(f"cannot evaluate {_kind_name(expr)}", getattr(expr, "span", Span()))
 
-    def _eval_positional(self, values, span):
-        out = []
-        for v in values:
-            out.append(self.eval_expr(v) if isinstance(v, (Reference, Call)) else v)
-        return out
+    def _value(self, value):
+        """A positional argument, evaluated when it names or builds a figure."""
+        return self.eval_expr(value) if isinstance(value, (Reference, Call)) else value
 
     def eval_call(self, call: Call):
         handler = getattr(self, f"_build_{call.name}", None)
@@ -177,13 +196,27 @@ class _Evaluator:
         except (ValueError, TypeError) as exc:
             raise ScriptTypeError(str(exc), call.span) from exc
 
-    def _region_arg(self, call: Call, positional, what="first argument") -> PlanarRegion:
+    def _first_arg(self, call: Call, positional, kind, what: str):
         if not positional:
-            raise ScriptTypeError(f"{call.name} needs a region as its {what}", call.span)
-        value = positional[0]
-        value = self.eval_expr(value) if isinstance(value, (Reference, Call)) else value
-        if not isinstance(value, _REGION_KINDS):
-            raise ScriptTypeError(f"{call.name} needs a region, got {_kind_name(value)}", call.span)
+            raise ScriptTypeError(f"{call.name} needs {what} as its first argument", call.span)
+        value = self._value(positional[0])
+        if not isinstance(value, kind):
+            raise ScriptTypeError(f"{call.name} needs {what}, got {_kind_name(value)}", call.span)
+        return value
+
+    def _region_arg(self, call: Call, positional) -> PlanarRegion:
+        return self._first_arg(call, positional, PlanarRegion, "a region")
+
+    def _profile_arg(self, call: Call) -> Profile:
+        """The one argument of a revolution: a profile, or a region taken as one."""
+        positional, _ = _named(call.args, call.span)
+        if len(positional) != 1:
+            raise ScriptTypeError(f"{call.name} takes one profile or region", call.span)
+        value = self._value(positional[0])
+        if isinstance(value, PlanarRegion):
+            value = Profile(value)
+        if not isinstance(value, Profile):
+            raise ScriptTypeError(f"{call.name} needs a profile or region, got {_kind_name(value)}", call.span)
         return value
 
     # constructors
@@ -204,18 +237,14 @@ class _Evaluator:
         return Polygon(self._points(call, 3))
 
     def _build_disk(self, call: Call):
-        positional, named = _named(call.args, call.span, required=("r",), optional=("cx", "cy"))
-        if positional:
-            raise ScriptTypeError("disk takes named arguments only", call.span)
+        named = _named_only(call, required=("r",), optional=("cx", "cy"))
         r = _number(named["r"], call.span, "r")
         cx = _number(named.get("cx", 0.0), call.span, "cx")
         cy = _number(named.get("cy", 0.0), call.span, "cy")
         return Disk(Point2(cx, cy), r)
 
     def _build_rect(self, call: Call):
-        positional, named = _named(call.args, call.span, required=("x0", "x1", "y0", "y1"))
-        if positional:
-            raise ScriptTypeError("rect takes named arguments only", call.span)
+        named = _named_only(call, required=("x0", "x1", "y0", "y1"))
         x0 = _number(named["x0"], call.span, "x0")
         x1 = _number(named["x1"], call.span, "x1")
         y0 = _number(named["y0"], call.span, "y0")
@@ -230,9 +259,7 @@ class _Evaluator:
         return Profile(Polygon(self._points(call, 3)))
 
     def _build_sphere(self, call: Call):
-        positional, named = _named(call.args, call.span, required=("r",))
-        if positional:
-            raise ScriptTypeError("sphere takes named arguments only", call.span)
+        named = _named_only(call, required=("r",))
         return Sphere(_number(named["r"], call.span, "r"))
 
     def _build_cylinder(self, call: Call):
@@ -260,27 +287,14 @@ class _Evaluator:
         return Cone(Disk(Point2(cx, cy), _number(named["r"], call.span, "r")), Point3(cx, cy, h))
 
     def _build_hoof(self, call: Call):
-        positional, named = _named(call.args, call.span, required=("r", "h"))
-        if positional:
-            raise ScriptTypeError("hoof takes named arguments only", call.span)
+        named = _named_only(call, required=("r", "h"))
         return Hoof(_number(named["r"], call.span, "r"), _number(named["h"], call.span, "h"))
 
     def _build_revolve(self, call: Call):
-        positional, _ = _named(call.args, call.span)
-        if len(positional) != 1:
-            raise ScriptTypeError("revolve takes one profile or region", call.span)
-        value = positional[0]
-        value = self.eval_expr(value) if isinstance(value, (Reference, Call)) else value
-        if isinstance(value, Profile):
-            return SolidOfRevolution(value)
-        if isinstance(value, _REGION_KINDS):
-            return SolidOfRevolution(Profile(value))
-        raise ScriptTypeError(f"revolve needs a profile or region, got {_kind_name(value)}", call.span)
+        return SolidOfRevolution(self._profile_arg(call))
 
     def _build_tangent_polyhedron(self, call: Call):
-        positional, named = _named(call.args, call.span, required=("faces", "r"))
-        if positional:
-            raise ScriptTypeError("tangent_polyhedron takes named arguments only", call.span)
+        named = _named_only(call, required=("faces", "r"))
         faces = named["faces"]
         if not isinstance(faces, tuple):
             raise ScriptTypeError("faces must be a tuple of areas", call.span)
@@ -297,11 +311,7 @@ class _Evaluator:
 
     def _build_move_apex(self, call: Call):
         positional, named = _named(call.args, call.span, required=("x", "y", "z"))
-        if not positional:
-            raise ScriptTypeError("move_apex needs a cone as its first argument", call.span)
-        cone = self.eval_expr(positional[0]) if isinstance(positional[0], (Reference, Call)) else positional[0]
-        if not isinstance(cone, Cone):
-            raise ScriptTypeError(f"move_apex needs a cone, got {_kind_name(cone)}", call.span)
+        cone = self._first_arg(call, positional, Cone, "a cone")
         apex = Point3(
             _number(named["x"], call.span, "x"),
             _number(named["y"], call.span, "y"),
@@ -311,42 +321,21 @@ class _Evaluator:
 
     def _build_unroll(self, call: Call):
         positional, named = _named(call.args, call.span, required=("n",))
-        disk = self._region_arg(call, positional)
-        if not isinstance(disk, Disk):
-            raise ScriptTypeError(f"unroll needs a disk, got {_kind_name(disk)}", call.span)
-        return unroll_disk(disk, int(_number(named["n"], call.span, "n")))
+        disk = self._first_arg(call, positional, Disk, "a disk")
+        return unroll_disk(disk, _count(named["n"], call.span, "n"))
 
     def _build_twist(self, call: Call):
         positional, named = _named(call.args, call.span, required=("rate",))
-        if not positional:
-            raise ScriptTypeError("twist needs a cylinder as its first argument", call.span)
-        cyl = self.eval_expr(positional[0]) if isinstance(positional[0], (Reference, Call)) else positional[0]
-        if not isinstance(cyl, Cylinder):
-            raise ScriptTypeError(f"twist needs a cylinder, got {_kind_name(cyl)}", call.span)
+        cyl = self._first_arg(call, positional, Cylinder, "a cylinder")
         return twist_column(cyl, _number(named["rate"], call.span, "rate"))
 
     def _build_meridian_unfold(self, call: Call):
         positional, named = _named(call.args, call.span, required=("n",))
-        if not positional:
-            raise ScriptTypeError("meridian_unfold needs a sphere as its first argument", call.span)
-        sphere = self.eval_expr(positional[0]) if isinstance(positional[0], (Reference, Call)) else positional[0]
-        if not isinstance(sphere, Sphere):
-            raise ScriptTypeError(f"meridian_unfold needs a sphere, got {_kind_name(sphere)}", call.span)
-        return meridian_unfold(sphere, int(_number(named["n"], call.span, "n")))
+        sphere = self._first_arg(call, positional, Sphere, "a sphere")
+        return meridian_unfold(sphere, _count(named["n"], call.span, "n"))
 
     def _build_unfold_revolution(self, call: Call):
-        positional, _ = _named(call.args, call.span)
-        if len(positional) != 1:
-            raise ScriptTypeError("unfold_revolution takes one profile or region", call.span)
-        value = positional[0]
-        value = self.eval_expr(value) if isinstance(value, (Reference, Call)) else value
-        if isinstance(value, _REGION_KINDS):
-            value = Profile(value)
-        if not isinstance(value, Profile):
-            raise ScriptTypeError(
-                f"unfold_revolution needs a profile or region, got {_kind_name(value)}", call.span
-            )
-        return unfold_revolution(value)
+        return unfold_revolution(self._profile_arg(call))
 
     # measure expressions --------------------------------------------------
 
@@ -375,38 +364,17 @@ class _Evaluator:
 
     def eval_measure(self, node: Measure) -> float:
         value = self.eval_expr(node.target)
+        if node.kind not in _MEASURES:
+            raise ScriptTypeError(f"unknown measure {node.kind!r}", node.span)
+        kind, what, rule = _MEASURES[node.kind]
+        if node.kind == "centroid_rho" and isinstance(value, Profile):
+            value = value.region
+        if not isinstance(value, kind):
+            raise ScriptTypeError(f"{node.kind}() needs {what}, got {_kind_name(value)}", node.span)
         try:
-            if node.kind == "area":
-                if not isinstance(value, _REGION_KINDS):
-                    raise ScriptTypeError(f"area() needs a region, got {_kind_name(value)}", node.span)
-                return area(value)
-            if node.kind == "perimeter":
-                if not isinstance(value, _REGION_KINDS):
-                    raise ScriptTypeError(f"perimeter() needs a region, got {_kind_name(value)}", node.span)
-                return perimeter(boundary(value))
-            if node.kind == "centroid_rho":
-                if isinstance(value, Profile):
-                    value = value.region
-                if not isinstance(value, _REGION_KINDS):
-                    raise ScriptTypeError(
-                        f"centroid_rho() needs a region or profile, got {_kind_name(value)}", node.span
-                    )
-                return centroid_region(value).x
-            if node.kind in ("volume", "surface", "lateral_area"):
-                if isinstance(value, _REGION_KINDS + (Profile,)):
-                    raise ScriptTypeError(
-                        f"{node.kind}() needs a solid, got {_kind_name(value)}", node.span
-                    )
-                if node.kind == "volume":
-                    return volume(value)
-                if node.kind == "surface":
-                    return surface_area(value)
-                return lateral_area(value)
-        except ScriptError:
-            raise
+            return rule(value)
         except GeometryError as exc:
             raise ScriptGeometryError(str(exc), node.span) from exc
-        raise ScriptTypeError(f"unknown measure {node.kind!r}", node.span)
 
     # statements -------------------------------------------------------------
 

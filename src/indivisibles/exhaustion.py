@@ -18,7 +18,7 @@ import numpy as np
 
 from ._kernels import ordered_sum
 from .errors import InvalidMonotonicity, ToleranceNotReached
-from .geometry import WidthFunction
+from .geometry import SectionFunction, WidthFunction
 
 METHOD_AREA = "inner-outer-rectangles"
 METHOD_VOLUME = "inner-outer-disks"
@@ -50,10 +50,6 @@ class MeasureInterval:
 
     def __contains__(self, value: float) -> bool:
         return self.lo <= value <= self.hi
-
-
-class SectionFunction(WidthFunction):
-    """Cross-section area profile A(t) of a solid, sliced along [a, b]."""
 
 
 def _check_declared_shape(f: WidthFunction):

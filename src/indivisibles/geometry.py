@@ -1,9 +1,10 @@
 """Exact planar primitives: regions, curves, areas, lengths, centroids, moments.
 
-Regions are immutable value types.  Polygons and disks (and half-disks) carry
-exact closed-form measures; slab regions carry a width profile and a declared
-quadrature resolution, since no exact form exists for them.  First moments
-about a line use the left-of-direction sign convention throughout.
+Regions and curves are immutable value types; each kind holds its own facts
+as methods, and the module-level functions defer to them.  Polygons and disks
+(and half-disks) carry exact closed-form measures; slab regions carry a width
+profile and a declared quadrature resolution, since no exact form exists for
+them.  First moments about a line use the left-of-direction sign convention.
 """
 
 from __future__ import annotations
@@ -11,11 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
+from ._kernels import ordered_sum
 from .errors import (
+    AxisCrossing,
     DegenerateCurve,
     DegenerateRegion,
     UnsupportedExact,
@@ -142,8 +145,172 @@ class WidthFunction:
         return tv
 
 
+class SectionFunction(WidthFunction):
+    """Cross-section area profile A(t) of a solid, sliced along [a, b]."""
+
+
+def _rise_fall(cls, fn, lo: float, peak: float, hi: float):
+    """A ``cls`` profile ``fn`` on [lo, hi], increasing up to ``peak``, then decreasing."""
+    return cls(fn, domain=(lo, hi), breakpoints=(peak,), monotonicity=("increasing", "decreasing"))
+
+
+# ---------------------------------------------------------------------------
+# curves
+
+
+class Curve:
+    """Base of the curve kinds, which give ``measures()`` (length, integral
+    x ds, integral y ds), ``side_moments(line)`` (the integrals of the
+    positive and negative parts of the signed distance to ``line``) and
+    ``min_distance(line)`` (its least value on the curve)."""
+
+
 @dataclass(frozen=True)
-class Polygon:
+class Polyline(Curve):
+    points: tuple[Point2, ...]
+    closed: bool = False
+
+    def __init__(self, points: Sequence, closed: bool = False):
+        pts = tuple(p if isinstance(p, Point2) else Point2(float(p[0]), float(p[1])) for p in points)
+        if len(pts) < 2:
+            raise ValueError("polyline needs at least 2 points")
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "closed", bool(closed))
+
+    def edges(self):
+        pts = self.points + (self.points[0],) if self.closed else self.points
+        yield from zip(pts, pts[1:])
+
+    def measures(self) -> tuple[float, float, float]:
+        length = mx = my = 0.0
+        for p, q in self.edges():
+            seg = math.hypot(q.x - p.x, q.y - p.y)
+            length += seg
+            mx += seg * 0.5 * (p.x + q.x)
+            my += seg * 0.5 * (p.y + q.y)
+        return length, mx, my
+
+    def side_moments(self, line: Line2) -> tuple[float, float]:
+        seg = np.fromiter((math.hypot(q.x - p.x, q.y - p.y) for p, q in self.edges()), dtype=np.float64)
+        xy = _coords(self.points)
+        nx, ny = line.normal()
+        f = nx * (xy[:, 0] - line.point.x) + ny * (xy[:, 1] - line.point.y)
+        fa, fb = (f, np.roll(f, -1)) if self.closed else (f[:-1], f[1:])
+        keep = seg != 0.0
+        fa, fb, seg = fa[keep], fb[keep], seg[keep]
+        return _segment_side_moments(0.5 * (fa + fb), (fb - fa) / seg, seg / 2.0)
+
+    def min_distance(self, line: Line2) -> float:
+        return min(line.signed_distance(p) for p in self.points)
+
+
+@dataclass(frozen=True)
+class CircleArc(Curve):
+    """Arc of angle ``span`` starting at ``start_angle`` (counterclockwise)."""
+
+    center: Point2
+    radius: float
+    start_angle: float = 0.0
+    span: float = TWO_PI
+
+    def __post_init__(self):
+        _require_finite(self.radius, self.start_angle, self.span)
+        if self.radius <= 0.0:
+            raise ValueError("arc radius must be positive")
+        if not 0.0 < self.span <= TWO_PI:
+            raise ValueError("arc span must lie in (0, 2*pi]")
+
+    @property
+    def closed(self) -> bool:
+        return self.span == TWO_PI
+
+    def measures(self) -> tuple[float, float, float]:
+        length = self.radius * self.span
+        half = 0.5 * self.span
+        mid = self.start_angle + half
+        # centroid of an arc sits at distance r*sin(half)/half along the bisector
+        d = self.radius * math.sin(half) / half
+        cx = self.center.x + d * math.cos(mid)
+        cy = self.center.y + d * math.sin(mid)
+        return length, length * cx, length * cy
+
+    def _angles(self, line: Line2) -> tuple[float, float, float]:
+        """(s0, u0, u1): the signed distance along the arc is s0 + r*cos(u)
+        for u from u0 to u1 (u = theta - phi, phi the angle of the normal)."""
+        nx, ny = line.normal()
+        u0 = self.start_angle - math.atan2(ny, nx)
+        return line.signed_distance(self.center), u0, u0 + self.span
+
+    def side_moments(self, line: Line2) -> tuple[float, float]:
+        # integrate the two signs of s0 + r*cos(u) exactly
+        r = self.radius
+        s0, u0, u1 = self._angles(line)
+
+        def antiderivative(u):
+            return s0 * u + r * math.sin(u)
+
+        def positive_part(u0, u1):
+            # integral over [u0, u1] of max(s0 + r cos u, 0) du  (u = theta-phi)
+            if s0 >= r:
+                return antiderivative(u1) - antiderivative(u0)
+            if s0 <= -r:
+                return 0.0
+            uc = math.acos(-s0 / r)  # f > 0 on (-uc, uc) mod 2*pi
+            total = 0.0
+            k_lo = math.floor((u0 - uc) / TWO_PI) - 1
+            k_hi = math.ceil((u1 + uc) / TWO_PI) + 1
+            for k in range(k_lo, k_hi + 1):
+                lo = max(u0, -uc + TWO_PI * k)
+                hi = min(u1, uc + TWO_PI * k)
+                if lo < hi:
+                    total += antiderivative(hi) - antiderivative(lo)
+            return total
+
+        full = antiderivative(u1) - antiderivative(u0)
+        pos = positive_part(u0, u1) * r
+        neg = pos - full * r
+        return max(pos, 0.0), max(neg, 0.0)
+
+    def min_distance(self, line: Line2) -> float:
+        # the ends, or the first u = pi (mod 2*pi) in the range; the span is at most 2*pi
+        s0, u0, u1 = self._angles(line)
+        bottom = math.pi + TWO_PI * math.ceil((u0 - math.pi) / TWO_PI)
+        return min(s0 + self.radius * math.cos(u) for u in (u0, u1, min(bottom, u1)))
+
+
+# ---------------------------------------------------------------------------
+# regions
+
+
+class PlanarRegion:
+    """Base of the planar region kinds, which give ``measures()`` (area,
+    integral x dA, integral y dA), ``box()`` ((xlo, xhi), (ylo, yhi)),
+    ``contains(xs, ys)`` on float64 arrays, ``min_rho()`` (the least x) and
+    ``side_moments(line)`` (the positive-side first moment about ``line`` and
+    the size of the negative-side one).  The rules below are those some kind
+    lacks, which raise UnsupportedRegion."""
+
+    def area(self) -> float:
+        return self.measures()[0]
+
+    def boundary(self) -> Curve:
+        raise UnsupportedRegion(f"no boundary curve for {type(self).__name__}")
+
+    def revolving_boundary(self) -> Curve:
+        """Boundary pieces that sweep surface when revolved about the rho=0 axis."""
+        return self.boundary()
+
+    def section(self) -> WidthFunction:
+        """Width profile w(y) of the horizontal chords."""
+        raise UnsupportedRegion(f"no width profile for {type(self).__name__}")
+
+    def revolved_section(self) -> SectionFunction:
+        """Section areas A(z) of the solid swept about the rho=0 axis."""
+        raise UnsupportedRegion(f"no revolved section for {type(self).__name__}")
+
+
+@dataclass(frozen=True)
+class Polygon(PlanarRegion):
     """Simple polygon, stored counterclockwise (clockwise input is reversed).
 
     Every polygon is validated, at any size.  Proper edge crossings are
@@ -163,19 +330,54 @@ class Polygon:
         for p, q in zip(pts, pts[1:] + pts[:1]):
             if p.x == q.x and p.y == q.y:
                 raise ValueError("polygon has a repeated consecutive vertex")
-        if _signed_area(pts) < 0.0:
-            pts = pts[::-1]
         xy = _coords(pts)
-        if _has_proper_self_intersection(xy) or _has_opposite_loops(pts, xy):
+        if _shoelace(xy)[0] < 0.0:
+            pts, xy = pts[::-1], xy[::-1]
+        if _has_proper_self_intersection(xy) or _has_opposite_loops(xy):
             raise ValueError("polygon is self-intersecting")
         object.__setattr__(self, "vertices", pts)
 
     def xy(self) -> np.ndarray:
         return _coords(self.vertices)
 
+    def measures(self) -> tuple[float, float, float]:
+        return _shoelace(self.xy())
+
+    def box(self):
+        xs = [p.x for p in self.vertices]
+        ys = [p.y for p in self.vertices]
+        return (min(xs), max(xs)), (min(ys), max(ys))
+
+    def contains(self, xs, ys) -> np.ndarray:
+        pts = self.xy()
+        inside = np.zeros(np.broadcast(xs, ys).shape, dtype=bool)
+        n = len(pts)
+        j = n - 1
+        for i in range(n):
+            xi, yi = pts[i]
+            xj, yj = pts[j]
+            crosses = (yi > ys) != (yj > ys)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xcross = (xj - xi) * (ys - yi) / (yj - yi) + xi
+            inside ^= crosses & (xs < xcross)
+            j = i
+        return inside
+
+    def min_rho(self) -> float:
+        return min(p.x for p in self.vertices)
+
+    def boundary(self) -> Curve:
+        return Polyline(self.vertices, closed=True)
+
+    def side_moments(self, line: Line2) -> tuple[float, float]:
+        pts = [(p.x, p.y) for p in self.vertices]
+        pos = _ring_moment(_clip_polygon(pts, line, True), line)
+        neg = _ring_moment(_clip_polygon(pts, line, False), line)
+        return max(pos, 0.0), max(-neg, 0.0)
+
 
 @dataclass(frozen=True)
-class Disk:
+class Disk(PlanarRegion):
     center: Point2
     radius: float
 
@@ -184,9 +386,59 @@ class Disk:
         if self.radius <= 0.0:
             raise ValueError("disk radius must be positive")
 
+    def measures(self) -> tuple[float, float, float]:
+        a = math.pi * self.radius**2
+        return a, a * self.center.x, a * self.center.y
+
+    def box(self):
+        c, r = self.center, self.radius
+        return (c.x - r, c.x + r), (c.y - r, c.y + r)
+
+    def contains(self, xs, ys) -> np.ndarray:
+        r = self.radius
+        dx, dy = xs - self.center.x, ys - self.center.y
+        return dx * dx + dy * dy <= r * r
+
+    def min_rho(self) -> float:
+        return self.center.x - self.radius
+
+    def boundary(self) -> Curve:
+        return CircleArc(self.center, self.radius)
+
+    def side_moments(self, line: Line2) -> tuple[float, float]:
+        r = self.radius
+        s = line.signed_distance(self.center)
+        if s >= r:  # whole disk on the positive side
+            return math.pi * r * r * s, 0.0
+        if s <= -r:
+            return 0.0, math.pi * r * r * (-s)
+        # moment of the circular segment u > d (d = -s) about the cut chord:
+        # integral over [d, r] of (u - d) * 2*sqrt(r^2 - u^2) du
+        d = -s
+        seg_area = r * r * math.acos(d / r) - d * math.sqrt(r * r - d * d)
+        pos = (2.0 / 3.0) * (r * r - d * d) ** 1.5 - d * seg_area
+        total = math.pi * r * r * s
+        return pos, pos - total
+
+    def section(self) -> WidthFunction:
+        r, cy = self.radius, self.center.y
+
+        def width(y):
+            return 2.0 * np.sqrt(np.maximum(r * r - (y - cy) ** 2, 0.0))
+
+        return _rise_fall(WidthFunction, width, cy - r, cy, cy + r)
+
+    def revolved_section(self) -> SectionFunction:
+        r, cx, cz = self.radius, self.center.x, self.center.y
+
+        def annulus(z):  # between rho = cx -/+ sqrt(r^2 - dz^2)
+            return 4.0 * math.pi * cx * np.sqrt(np.maximum(r * r - (z - cz) ** 2, 0.0))
+
+        return _rise_fall(SectionFunction, annulus, cz - r, cz, cz + r)
+
 
 @dataclass(frozen=True)
-class HalfDisk:
+class HalfDisk(PlanarRegion):
     """Half-disk: the part of a disk on the ``bulge`` side of its diameter.
 
     ``center`` is the midpoint of the flat edge; ``bulge`` is the outward unit
@@ -209,9 +461,53 @@ class HalfDisk:
         if abs(norm - 1.0) > 1e-12:
             object.__setattr__(self, "bulge", (bx / norm, by / norm))
 
+    def measures(self) -> tuple[float, float, float]:
+        a = 0.5 * math.pi * self.radius**2
+        d = 4.0 * self.radius / (3.0 * math.pi)
+        cx = self.center.x + d * self.bulge[0]
+        cy = self.center.y + d * self.bulge[1]
+        return a, a * cx, a * cy
+
+    def box(self):
+        return Disk(self.center, self.radius).box()  # a valid (slightly loose) cover
+
+    def contains(self, xs, ys) -> np.ndarray:
+        dx, dy = xs - self.center.x, ys - self.center.y
+        inside = dx**2 + dy**2 <= self.radius**2
+        return inside & (dx * self.bulge[0] + dy * self.bulge[1] >= 0.0)
+
+    def min_rho(self) -> float:
+        bx, by = self.bulge
+        # Extremes occur at flat-edge endpoints or at the leftmost arc point.
+        ex, ey = -by, bx
+        cands = [self.center.x + self.radius * ex, self.center.x - self.radius * ex]
+        if bx < 0.0:
+            cands.append(self.center.x + self.radius * bx)
+        return min(cands)
+
+    def revolving_boundary(self) -> Curve:
+        """The semicircular arc alone, for a half-disk whose flat edge lies on
+        the axis (edges on the axis sweep nothing: rho = 0 there)."""
+        bx, by = self.bulge
+        if not (abs(self.center.x) <= 1e-12 and abs(by) <= 1e-12 and bx > 0.0):
+            raise UnsupportedRegion("half-disk profiles are supported only with the flat edge on the axis")
+        return CircleArc(self.center, self.radius, start_angle=-0.5 * math.pi, span=math.pi)
+
+    def side_moments(self, line: Line2) -> tuple[float, float]:
+        # 4096 slabs parallel to the flat edge, at distance t from it
+        nx, ny = line.normal()
+        bx, by = self.bulge
+        h = self.radius / 4096
+        ts = (np.arange(4096, dtype=np.float64) + 0.5) * h
+        half_lens = np.sqrt(np.maximum(self.radius**2 - ts**2, 0.0))
+        cx = self.center.x + bx * ts
+        cy = self.center.y + by * ts
+        f_mid = nx * (cx - line.point.x) + ny * (cy - line.point.y)
+        return _segment_side_moments(f_mid, nx * -by + ny * bx, half_lens, h)
+
 
 @dataclass(frozen=True)
-class SlabRegion:
+class SlabRegion(PlanarRegion):
     """Region built from horizontal slabs: |x| <= w(y)/2 for y in [a, b].
 
     Slabs are stacked along the y axis and centered on x = 0.  There is no
@@ -226,49 +522,50 @@ class SlabRegion:
         if self.quadrature_slabs < 1:
             raise ValueError("quadrature resolution must be positive")
 
+    def _grid(self) -> tuple[np.ndarray, float]:
+        a, b = self.width.domain
+        n = self.quadrature_slabs
+        h = (b - a) / n
+        mids = a + (np.arange(n, dtype=np.float64) + 0.5) * h
+        return mids, h
 
-PlanarRegion = Union[Polygon, Disk, HalfDisk, SlabRegion]
+    def area(self) -> float:
+        raise UnsupportedExact("slab regions have no exact area; use exhaustion.area_bounds")
 
+    def measures(self) -> tuple[float, float, float]:
+        """Midpoint-quadrature (area, Sx, Sy) at the declared resolution."""
+        mids, h = self._grid()
+        w = np.asarray(self.width(mids), dtype=np.float64)
+        area = float(np.sum(w) * h)
+        # Slabs are centered on x = 0, so Sx vanishes identically.
+        sy = float(np.sum(mids * w) * h)
+        return area, 0.0, sy
 
-@dataclass(frozen=True)
-class Polyline:
-    points: tuple[Point2, ...]
-    closed: bool = False
+    def box(self):
+        # a grid plus the knots, where a piecewise-monotone width peaks
+        a, b = self.width.domain
+        ts = np.concatenate((np.linspace(a, b, 1025), (a, *self.width.breakpoints, b)))
+        half = float(np.max(self.width(ts))) / 2.0
+        return (-half, half), (a, b)
 
-    def __init__(self, points: Sequence, closed: bool = False):
-        pts = tuple(p if isinstance(p, Point2) else Point2(float(p[0]), float(p[1])) for p in points)
-        if len(pts) < 2:
-            raise ValueError("polyline needs at least 2 points")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "closed", bool(closed))
+    def contains(self, xs, ys) -> np.ndarray:
+        a, b = self.width.domain
+        band = (ys >= a) & (ys <= b)
+        half = np.zeros_like(ys)
+        if np.any(band):
+            half[band] = np.asarray(self.width(ys[band]), dtype=np.float64) / 2.0
+        return band & (np.abs(xs) <= half)
 
-    def edges(self):
-        pts = self.points + (self.points[0],) if self.closed else self.points
-        yield from zip(pts, pts[1:])
+    def min_rho(self) -> float:
+        return self.box()[0][0]
 
-
-@dataclass(frozen=True)
-class CircleArc:
-    """Arc of angle ``span`` starting at ``start_angle`` (counterclockwise)."""
-
-    center: Point2
-    radius: float
-    start_angle: float = 0.0
-    span: float = TWO_PI
-
-    def __post_init__(self):
-        _require_finite(self.radius, self.start_angle, self.span)
-        if self.radius <= 0.0:
-            raise ValueError("arc radius must be positive")
-        if not 0.0 < self.span <= TWO_PI:
-            raise ValueError("arc span must lie in (0, 2*pi]")
-
-    @property
-    def closed(self) -> bool:
-        return self.span == TWO_PI
-
-
-Curve = Union[Polyline, CircleArc]
+    def side_moments(self, line: Line2) -> tuple[float, float]:
+        nx, ny = line.normal()
+        mids, h = self._grid()
+        half_lens = np.asarray(self.width(mids), dtype=np.float64) / 2.0
+        # slab midline at height y runs along +x from (0, y)
+        f_mid = nx * (0.0 - line.point.x) + ny * (mids - line.point.y)
+        return _segment_side_moments(f_mid, nx, half_lens, h)
 
 
 @dataclass(frozen=True)
@@ -287,44 +584,17 @@ class Profile:
 
 def check_profile_region(region: PlanarRegion, tol: float = 1e-12):
     """Raise AxisCrossing when any point of the region has rho < -tol."""
-    from .errors import AxisCrossing
-
-    rho_min = min_rho(region)
+    rho_min = region.min_rho()
     if rho_min < -tol:
         raise AxisCrossing(f"profile reaches rho = {rho_min!r} past the revolution axis")
 
 
 def min_rho(region: PlanarRegion) -> float:
-    if isinstance(region, Polygon):
-        return min(p.x for p in region.vertices)
-    if isinstance(region, Disk):
-        return region.center.x - region.radius
-    if isinstance(region, HalfDisk):
-        bx, by = region.bulge
-        # Extremes occur at flat-edge endpoints or at the leftmost arc point.
-        ex, ey = -by, bx
-        cands = [region.center.x + region.radius * ex, region.center.x - region.radius * ex]
-        if bx < 0.0:
-            cands.append(region.center.x + region.radius * bx)
-        return min(cands)
-    if isinstance(region, SlabRegion):
-        a, b = region.width.domain
-        ts = np.linspace(a, b, 257)
-        return float(-np.max(region.width(ts)) / 2.0)
-    raise UnsupportedRegion(f"unknown region kind {type(region).__name__}")
+    return region.min_rho()
 
 
 # ---------------------------------------------------------------------------
 # internal exact measure helpers
-
-
-def _signed_area(pts: tuple[Point2, ...]) -> float:
-    s = 0.0
-    n = len(pts)
-    for i in range(n):
-        p, q = pts[i], pts[(i + 1) % n]
-        s += p.x * q.y - q.x * p.y
-    return 0.5 * s
 
 
 def _coords(pts: Sequence[Point2]) -> np.ndarray:
@@ -396,7 +666,7 @@ def _properly_cross(px, py, qx, qy, i, j) -> bool:
     return bool(proper.any())
 
 
-def _has_opposite_loops(pts: tuple[Point2, ...], xy: np.ndarray) -> bool:
+def _has_opposite_loops(xy: np.ndarray) -> bool:
     """True when some vertex occurs twice and splits the ring into two loops of
     strictly opposite orientation (lobes that would cancel in the area)."""
     order = np.lexsort((xy[:, 1], xy[:, 0]))
@@ -410,121 +680,121 @@ def _has_opposite_loops(pts: tuple[Point2, ...], xy: np.ndarray) -> bool:
     copy = np.concatenate(([False], repeat)) | np.concatenate((repeat, [False]))
     for copies in np.split(order[copy], np.flatnonzero(np.diff(point[copy])) + 1):
         for i, j in combinations(copies.tolist(), 2):
-            inner, outer = _signed_area(pts[i:j]), _signed_area(pts[j:] + pts[:i])
+            inner, outer = _shoelace(xy[i:j])[0], _shoelace(np.concatenate((xy[j:], xy[:i])))[0]
             if min(inner, outer) < 0.0 < max(inner, outer):
                 return True
     return False
 
 
-def _polygon_measures(poly: Polygon) -> tuple[float, float, float]:
-    """(area, integral of x dA, integral of y dA) by the shoelace formulas."""
-    a = sx = sy = 0.0
-    pts = poly.vertices
+def _shoelace(xy: np.ndarray) -> tuple[float, float, float]:
+    """(area, integral of x dA, integral of y dA) of the ring whose vertices
+    are the rows of ``xy``, each sum taken in vertex order."""
+    x0, y0 = xy[:, 0], xy[:, 1]
+    x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
+    cross = x0 * y1 - x1 * y0
+    return 0.5 * ordered_sum(cross), ordered_sum((x0 + x1) * cross) / 6.0, ordered_sum((y0 + y1) * cross) / 6.0
+
+
+# ---------------------------------------------------------------------------
+# oblique-cut side moments (the moment lemma behind Guldin's theorems)
+
+
+def _clip_polygon(pts: list[tuple[float, float]], line: Line2, keep_positive: bool):
+    """Sutherland-Hodgman clip to one side of ``line`` (boundary included)."""
+    nx, ny = line.normal()
+    px, py = line.point.x, line.point.y
+    sign = 1.0 if keep_positive else -1.0
+
+    def dist(p):
+        return sign * (nx * (p[0] - px) + ny * (p[1] - py))
+
+    out = []
     n = len(pts)
     for i in range(n):
-        p, q = pts[i], pts[(i + 1) % n]
-        cross = p.x * q.y - q.x * p.y
-        a += cross
-        sx += (p.x + q.x) * cross
-        sy += (p.y + q.y) * cross
-    return 0.5 * a, sx / 6.0, sy / 6.0
+        cur, nxt = pts[i], pts[(i + 1) % n]
+        d0, d1 = dist(cur), dist(nxt)
+        if d0 >= 0.0:
+            out.append(cur)
+        if (d0 > 0.0) != (d1 > 0.0) and d0 != d1:
+            t = d0 / (d0 - d1)
+            out.append((cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1])))
+    return out
 
 
-def _slab_grid(region: SlabRegion) -> tuple[np.ndarray, float]:
-    a, b = region.width.domain
-    n = region.quadrature_slabs
-    h = (b - a) / n
-    mids = a + (np.arange(n, dtype=np.float64) + 0.5) * h
-    return mids, h
+def _ring_moment(pts, line: Line2) -> float:
+    """Integral of the signed distance over the (weakly simple) ring."""
+    if len(pts) < 3:
+        return 0.0
+    a, sx, sy = _shoelace(np.array(pts))
+    nx, ny = line.normal()
+    return nx * (sx - line.point.x * a) + ny * (sy - line.point.y * a)
 
 
-def _slab_measures(region: SlabRegion) -> tuple[float, float, float]:
-    """Midpoint-quadrature (area, Sx, Sy) at the declared resolution."""
-    mids, h = _slab_grid(region)
-    w = np.asarray(region.width(mids), dtype=np.float64)
-    area = float(np.sum(w) * h)
-    # Slabs are centered on x = 0, so Sx vanishes identically.
-    sy = float(np.sum(mids * w) * h)
-    return area, 0.0, sy
+def _segment_side_moments(f_center, f_slope, half_len, weight: float = 1.0) -> tuple[float, float]:
+    """Positive and negative parts of the integral of an affine f over segments,
+    each segment weighted (a slab's thickness), summed in segment order.
 
-
-def region_measures(region: PlanarRegion) -> tuple[float, float, float]:
-    """(area, Sx, Sy) with Sx = integral x dA, Sy = integral y dA.
-
-    Exact for polygons, disks and half-disks; midpoint quadrature at the
-    declared resolution for slab regions.
+    Segment k is parametrized by t in [-half_len[k], half_len[k]] with
+    f(t) = f_center[k] + f_slope[k] * t; a segment of no length gives 0.
     """
-    if isinstance(region, Polygon):
-        return _polygon_measures(region)
-    if isinstance(region, Disk):
-        a = math.pi * region.radius**2
-        return a, a * region.center.x, a * region.center.y
-    if isinstance(region, HalfDisk):
-        a = 0.5 * math.pi * region.radius**2
-        d = 4.0 * region.radius / (3.0 * math.pi)
-        cx = region.center.x + d * region.bulge[0]
-        cy = region.center.y + d * region.bulge[1]
-        return a, a * cx, a * cy
-    if isinstance(region, SlabRegion):
-        return _slab_measures(region)
-    raise UnsupportedRegion(f"unknown region kind {type(region).__name__}")
+    a, b = -half_len, half_len
+    fa = f_center + f_slope * a
+    fb = f_center + f_slope * b
+    empty = half_len <= 0.0
+    pos = np.where(empty, 0.0, _ramp_integral(a, b, fa, fb))
+    neg = np.where(empty, 0.0, _ramp_integral(a, b, -fa, -fb))
+    return ordered_sum(pos * weight, 0.0), ordered_sum(neg * weight, 0.0)
 
 
-def _region_scale(region: PlanarRegion) -> float:
-    (x0, x1), (y0, y1) = bounding_box(region)
-    return max(x1 - x0, y1 - y0, 1e-300)
+def _ramp_integral(a, b, fa, fb):
+    """Integral of max(f, 0) over [a, b] for affine f, elementwise."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = a + (b - a) * fa / (fa - fb)  # the zero, where the signs differ
+        crossing = np.where(fa > 0.0, fa * 0.5 * (t - a), fb * 0.5 * (b - t))
+    above = (fa >= 0.0) & (fb >= 0.0)
+    below = (fa <= 0.0) & (fb <= 0.0)
+    return np.where(above, (fa + fb) * 0.5 * (b - a), np.where(below, 0.0, crossing))
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
 
+def region_measures(region: PlanarRegion) -> tuple[float, float, float]:
+    """(area, Sx, Sy) with Sx = integral x dA, Sy = integral y dA."""
+    return region.measures()
+
+
 def area(region: PlanarRegion) -> float:
     """Exact area.  Slab regions have no closed form; use exhaustion instead."""
-    if isinstance(region, SlabRegion):
-        raise UnsupportedExact("slab regions have no exact area; use exhaustion.area_bounds")
-    return region_measures(region)[0]
+    return region.area()
 
 
 def perimeter(curve: Curve) -> float:
-    if isinstance(curve, Polyline):
-        return sum(math.hypot(q.x - p.x, q.y - p.y) for p, q in curve.edges())
-    if isinstance(curve, CircleArc):
-        return curve.radius * curve.span
-    raise UnsupportedRegion(f"unknown curve kind {type(curve).__name__}")
+    return curve.measures()[0]
+
+
+def _nonzero_measures(region: PlanarRegion, what: str = "region") -> tuple[float, float, float]:
+    """region.measures(), or DegenerateRegion when the area is negligible at the region's scale."""
+    a, sx, sy = region.measures()
+    (x0, x1), (y0, y1) = region.box()
+    if a <= 1e-12 * max(x1 - x0, y1 - y0, 1e-300) ** 2:
+        raise DegenerateRegion(f"{what} has zero area")
+    return a, sx, sy
 
 
 def centroid_region(region: PlanarRegion) -> Point2:
-    a, sx, sy = region_measures(region)
-    if a <= 1e-12 * _region_scale(region) ** 2:
-        raise DegenerateRegion("region has zero area")
+    a, sx, sy = _nonzero_measures(region)
     return Point2(sx / a, sy / a)
 
 
 def curve_measures(curve: Curve) -> tuple[float, float, float]:
     """(length, integral x ds, integral y ds)."""
-    if isinstance(curve, Polyline):
-        length = mx = my = 0.0
-        for p, q in curve.edges():
-            seg = math.hypot(q.x - p.x, q.y - p.y)
-            length += seg
-            mx += seg * 0.5 * (p.x + q.x)
-            my += seg * 0.5 * (p.y + q.y)
-        return length, mx, my
-    if isinstance(curve, CircleArc):
-        length = curve.radius * curve.span
-        half = 0.5 * curve.span
-        mid = curve.start_angle + half
-        # centroid of an arc sits at distance r*sin(half)/half along the bisector
-        d = curve.radius * math.sin(half) / half
-        cx = curve.center.x + d * math.cos(mid)
-        cy = curve.center.y + d * math.sin(mid)
-        return length, length * cx, length * cy
-    raise UnsupportedRegion(f"unknown curve kind {type(curve).__name__}")
+    return curve.measures()
 
 
 def centroid_curve(curve: Curve) -> Point2:
-    length, mx, my = curve_measures(curve)
+    length, mx, my = curve.measures()
     if length <= 0.0:
         raise DegenerateCurve("curve has zero length")
     return Point2(mx / length, my / length)
@@ -535,100 +805,34 @@ def first_moment(region: PlanarRegion, line: Line2) -> float:
 
     Zero exactly when the line passes through the region centroid.
     """
-    a, sx, sy = region_measures(region)
-    if a <= 1e-12 * _region_scale(region) ** 2:
-        raise DegenerateRegion("region has zero area")
+    a, sx, sy = _nonzero_measures(region)
     nx, ny = line.normal()
     return nx * (sx - line.point.x * a) + ny * (sy - line.point.y * a)
 
 
 def first_moment_curve(curve: Curve, line: Line2) -> float:
     """Integral of the signed distance to ``line`` over the curve (ds)."""
-    length, mx, my = curve_measures(curve)
+    length, mx, my = curve.measures()
     if length <= 0.0:
         raise DegenerateCurve("curve has zero length")
     nx, ny = line.normal()
     return nx * (mx - line.point.x * length) + ny * (my - line.point.y * length)
 
 
-# ---------------------------------------------------------------------------
-# membership, boundary and bounding box (shared by oracles, CLI and solids)
-
-
 def bounding_box(region: PlanarRegion) -> tuple[tuple[float, float], tuple[float, float]]:
-    if isinstance(region, Polygon):
-        xs = [p.x for p in region.vertices]
-        ys = [p.y for p in region.vertices]
-        return (min(xs), max(xs)), (min(ys), max(ys))
-    if isinstance(region, Disk):
-        c, r = region.center, region.radius
-        return (c.x - r, c.x + r), (c.y - r, c.y + r)
-    if isinstance(region, HalfDisk):
-        # bbox of the full disk is a valid (slightly loose) cover
-        c, r = region.center, region.radius
-        return (c.x - r, c.x + r), (c.y - r, c.y + r)
-    if isinstance(region, SlabRegion):
-        a, b = region.width.domain
-        ts = np.linspace(a, b, 1025)
-        half = float(np.max(region.width(ts))) / 2.0
-        return (-half, half), (a, b)
-    raise UnsupportedRegion(f"unknown region kind {type(region).__name__}")
+    return region.box()
 
 
 def contains(region: PlanarRegion, xs, ys) -> np.ndarray:
     """Vectorized membership test; accepts arrays, returns a boolean array."""
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    if isinstance(region, Disk):
-        return (xs - region.center.x) ** 2 + (ys - region.center.y) ** 2 <= region.radius**2
-    if isinstance(region, HalfDisk):
-        dx, dy = xs - region.center.x, ys - region.center.y
-        inside = dx**2 + dy**2 <= region.radius**2
-        return inside & (dx * region.bulge[0] + dy * region.bulge[1] >= 0.0)
-    if isinstance(region, SlabRegion):
-        a, b = region.width.domain
-        band = (ys >= a) & (ys <= b)
-        half = np.zeros_like(ys)
-        if np.any(band):
-            half[band] = np.asarray(region.width(ys[band]), dtype=np.float64) / 2.0
-        return band & (np.abs(xs) <= half)
-    if isinstance(region, Polygon):
-        pts = region.xy()
-        inside = np.zeros(np.broadcast(xs, ys).shape, dtype=bool)
-        n = len(pts)
-        j = n - 1
-        for i in range(n):
-            xi, yi = pts[i]
-            xj, yj = pts[j]
-            crosses = (yi > ys) != (yj > ys)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xcross = (xj - xi) * (ys - yi) / (yj - yi) + xi
-            inside ^= crosses & (xs < xcross)
-            j = i
-        return inside
-    raise UnsupportedRegion(f"unknown region kind {type(region).__name__}")
+    return region.contains(np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64))
 
 
 def boundary(region: PlanarRegion) -> Curve:
     """Boundary curve of a region (closed polyline or circle)."""
-    if isinstance(region, Polygon):
-        return Polyline(region.vertices, closed=True)
-    if isinstance(region, Disk):
-        return CircleArc(region.center, region.radius)
-    raise UnsupportedRegion(f"no boundary curve for {type(region).__name__}")
+    return region.boundary()
 
 
 def revolving_boundary(region: PlanarRegion) -> Curve:
-    """Boundary pieces that sweep surface when revolved about the rho=0 axis.
-
-    For a half-disk whose flat edge lies on the axis this is the semicircular
-    arc alone; edges on the axis sweep nothing either way (rho = 0 there).
-    """
-    if isinstance(region, HalfDisk):
-        bx, by = region.bulge
-        if not (abs(region.center.x) <= 1e-12 and abs(by) <= 1e-12 and bx > 0.0):
-            raise UnsupportedRegion(
-                "half-disk profiles are supported only with the flat edge on the axis"
-            )
-        return CircleArc(region.center, region.radius, start_angle=-0.5 * math.pi, span=math.pi)
-    return boundary(region)
+    """Boundary pieces that sweep surface when revolved about the rho=0 axis."""
+    return region.revolving_boundary()

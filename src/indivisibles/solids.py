@@ -1,9 +1,12 @@
 """Closed-form solids, the hat-box slab equality, oblique-cut moments and the
 two theorems of Pappus and Guldin.
 
-Every solid is an immutable value; measures dispatch on the solid kind.
-Cones and cylinders carry an arbitrary planar base (living in the z = 0
-plane); volumes depend on the base only through its area.
+Every solid is an immutable value, and each kind holds its own facts as
+methods: its volume, lateral and surface areas where the classical forms
+exist and, for the kinds the command line names, its section profile,
+membership and bounding box.  Cones and cylinders carry an arbitrary planar
+base (living in the z = 0 plane); volumes depend on the base only through its
+area.
 """
 
 from __future__ import annotations
@@ -16,38 +19,23 @@ import numpy as np
 from .errors import (
     AxisCrossing,
     DegenerateCurve,
-    DegenerateRegion,
     DegenerateSolid,
     SlabOutOfRange,
-    UnsupportedRegion,
     UnsupportedSolid,
 )
 from .geometry import (
     TWO_PI,
-    CircleArc,
     Curve,
-    Disk,
-    HalfDisk,
     Line2,
     PlanarRegion,
     Point2,
-    Polygon,
-    Polyline,
     Profile,
-    SlabRegion,
-    area,
-    bounding_box,
-    check_profile_region,
-    curve_measures,
+    SectionFunction,
     first_moment_curve,
-    min_rho,
-    perimeter,
-    region_measures,
-    revolving_boundary,
-    _region_scale,
-    _slab_grid,
+    _nonzero_measures,
+    _rise_fall,
+    _require_finite,
 )
-from .geometry import boundary as region_boundary
 
 
 @dataclass(frozen=True)
@@ -57,41 +45,134 @@ class Point3:
     z: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
-            raise ValueError("coordinates must be finite")
+        _require_finite(self.x, self.y, self.z)
+
+
+class Solid:
+    """Base of the solid kinds, which all give ``volume()``.  The rules below
+    are those some kind lacks, which raise UnsupportedSolid: the classical
+    lateral and surface areas, and the section profile (areas of parallel
+    slices), membership on float64 arrays and covering box ((xlo, xhi),
+    (ylo, yhi), (zlo, zhi)) that the kinds the command line names give."""
+
+    def _lacks(self, rule: str):
+        raise UnsupportedSolid(f"no {rule} rule for {type(self).__name__}")
+
+    def lateral_area(self) -> float:
+        self._lacks("lateral area")
+
+    def surface_area(self) -> float:
+        self._lacks("surface area")
+
+    def section(self) -> SectionFunction:
+        self._lacks("section")
+
+    def contains(self, xs, ys, zs) -> np.ndarray:
+        self._lacks("membership")
+
+    def box(self):
+        self._lacks("bounding box")
+
+
+def _base_area(region: PlanarRegion) -> float:
+    a = region.area()
+    if a <= 0.0:
+        raise DegenerateSolid("base region has zero area")
+    return a
 
 
 @dataclass(frozen=True)
-class Cone:
+class Cone(Solid):
     """Cone over ``base`` (in the z = 0 plane) with apex anywhere above it."""
 
     base: PlanarRegion
     apex: Point3
 
+    def _height(self) -> float:
+        h = abs(self.apex.z)
+        if h == 0.0:
+            raise DegenerateSolid("cone apex lies in the base plane")
+        return h
+
+    def volume(self) -> float:
+        h = self._height()
+        return _base_area(self.base) * h / 3.0
+
+    def section(self) -> SectionFunction:
+        # the slice at distance z from the base is the base scaled by 1 - z/h
+        h = self._height()
+        a = _base_area(self.base)
+        return SectionFunction(lambda z: a * (1.0 - z / h) ** 2, domain=(0.0, h), monotonicity=("decreasing",))
+
+    def contains(self, xs, ys, zs) -> np.ndarray:
+        self._height()
+        ax, ay, az = self.apex.x, self.apex.y, self.apex.z
+        t = zs / az  # 0 in the base plane, 1 at the apex
+        s = 1.0 - t
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inside = self.base.contains((xs - t * ax) / s, (ys - t * ay) / s)
+        return inside & (t >= 0.0) & (t <= 1.0)
+
+    def box(self):
+        (x0, x1), (y0, y1) = self.base.box()
+        ax, ay, az = self.apex.x, self.apex.y, self.apex.z
+        return (min(x0, ax), max(x1, ax)), (min(y0, ay), max(y1, ay)), (min(0.0, az), max(0.0, az))
+
 
 @dataclass(frozen=True)
-class Cylinder:
+class Cylinder(Solid):
     """Right cylinder over ``base`` with axis along z."""
 
     base: PlanarRegion
     height: float
 
     def __post_init__(self):
+        _require_finite(self.height)
         if self.height <= 0.0:
             raise ValueError("cylinder height must be positive")
 
+    def volume(self) -> float:
+        return _base_area(self.base) * self.height
+
+    def lateral_area(self) -> float:
+        return self.base.boundary().measures()[0] * self.height
+
+    def surface_area(self) -> float:
+        return self.lateral_area() + 2.0 * _base_area(self.base)
+
 
 @dataclass(frozen=True)
-class Sphere:
+class Sphere(Solid):
     radius: float
 
     def __post_init__(self):
+        _require_finite(self.radius)
         if self.radius <= 0.0:
             raise ValueError("sphere radius must be positive")
 
+    def volume(self) -> float:
+        # one third of the surface area times the radius
+        return self.surface_area() * self.radius / 3.0
+
+    def surface_area(self) -> float:
+        return 4.0 * math.pi * self.radius**2
+
+    lateral_area = surface_area
+
+    def section(self) -> SectionFunction:
+        r = self.radius
+        return _rise_fall(SectionFunction, lambda z: math.pi * np.maximum(r * r - z * z, 0.0), -r, 0.0, r)
+
+    def contains(self, xs, ys, zs) -> np.ndarray:
+        r = self.radius
+        return xs * xs + ys * ys + zs * zs <= r * r
+
+    def box(self):
+        return ((-self.radius, self.radius),) * 3
+
 
 @dataclass(frozen=True)
-class Hoof:
+class Hoof(Solid):
     """Cylindrical hoof: the part of the cylinder rho <= r, y >= 0 under the
     plane z = (height/r) * y through a base diameter."""
 
@@ -99,12 +180,43 @@ class Hoof:
     height: float
 
     def __post_init__(self):
+        _require_finite(self.radius, self.height)
         if self.radius <= 0.0 or self.height <= 0.0:
             raise ValueError("hoof dimensions must be positive")
 
+    def volume(self) -> float:
+        return (2.0 / 3.0) * self.radius**2 * self.height
+
+    def lateral_area(self) -> float:
+        return 2.0 * self.radius * self.height
+
+    def surface_area(self) -> float:
+        r, h = self.radius, self.height
+        # curved wall + half-disk base + half-ellipse cut face
+        return 2.0 * r * h + 0.5 * math.pi * r**2 + 0.5 * math.pi * r * math.hypot(r, h)
+
+    def section(self) -> SectionFunction:
+        # slices across y are rectangles of width 2*sqrt(r^2 - y^2), height slope*y
+        r = self.radius
+        slope = self.height / r
+
+        def area(y):
+            return 2.0 * slope * y * np.sqrt(np.maximum(r * r - y * y, 0.0))
+
+        return _rise_fall(SectionFunction, area, 0.0, r / math.sqrt(2.0), r)
+
+    def contains(self, xs, ys, zs) -> np.ndarray:
+        r = self.radius
+        slope = self.height / r
+        return (xs * xs + ys * ys <= r * r) & (ys >= 0.0) & (zs >= 0.0) & (zs <= slope * ys)
+
+    def box(self):
+        r = self.radius
+        return (-r, r), (0.0, r), (0.0, self.height)
+
 
 @dataclass(frozen=True)
-class DoubleHoof:
+class DoubleHoof(Solid):
     """Two hoofs glued base to base: |z| <= (apex_height/r) * y inside the
     cylinder.  ``wedges`` records the discretization that produced it."""
 
@@ -113,12 +225,20 @@ class DoubleHoof:
     wedges: int | None = None
 
     def __post_init__(self):
+        _require_finite(self.radius, self.apex_height)
         if self.radius <= 0.0 or self.apex_height <= 0.0:
             raise ValueError("double hoof dimensions must be positive")
 
+    def volume(self) -> float:
+        return 2.0 * Hoof(self.radius, self.apex_height).volume()
+
+    def lateral_area(self) -> float:
+        # only the cylindrical ruled wall counts; the flat cut faces do not
+        return 2.0 * Hoof(self.radius, self.apex_height).lateral_area()
+
 
 @dataclass(frozen=True)
-class TangentPolyhedron:
+class TangentPolyhedron(Solid):
     """Polyhedron whose faces are all tangent to its insphere.
 
     Only the face areas and the insphere radius matter for its volume, so
@@ -132,6 +252,7 @@ class TangentPolyhedron:
         areas = tuple(float(a) for a in face_areas)
         if len(areas) < 4:
             raise ValueError("a polyhedron needs at least 4 faces")
+        _require_finite(*areas, insphere_radius)
         if any(a <= 0.0 for a in areas):
             raise ValueError("face areas must be positive")
         if insphere_radius <= 0.0:
@@ -139,23 +260,76 @@ class TangentPolyhedron:
         object.__setattr__(self, "face_areas", areas)
         object.__setattr__(self, "insphere_radius", float(insphere_radius))
 
+    def volume(self) -> float:
+        return sum(self.face_areas) * self.insphere_radius / 3.0
+
+    def surface_area(self) -> float:
+        return sum(self.face_areas)
+
 
 @dataclass(frozen=True)
-class SolidOfRevolution:
+class SolidOfRevolution(Solid):
+    """The solid swept by a meridian profile about the rho = 0 axis (z up)."""
+
     profile: Profile
 
+    def volume(self) -> float:
+        return guldin_volume(self.profile)
+
+    def lateral_area(self) -> float:
+        return guldin_surface(self.profile.region.revolving_boundary(), _RHO_AXIS)
+
+    surface_area = lateral_area
+
+    def section(self) -> SectionFunction:
+        return self.profile.region.revolved_section()
+
+    def contains(self, xs, ys, zs) -> np.ndarray:
+        return self.profile.region.contains(np.hypot(xs, ys), zs)
+
+    def box(self):
+        (_, rho1), (z0, z1) = self.profile.region.box()
+        rmax = max(rho1, 0.0)
+        return (-rmax, rmax), (-rmax, rmax), (z0, z1)
+
 
 @dataclass(frozen=True)
-class HeightFieldCylinder:
+class HeightFieldCylinder(Solid):
     """Cylinder over ``base`` whose top is the graph of h(x, y) = a*x + b."""
 
     base: PlanarRegion
     rho_coeff: float
     offset: float = 0.0
 
+    def __post_init__(self):
+        _require_finite(self.rho_coeff, self.offset)
+
+    def volume(self) -> float:
+        a, sx, _ = self.base.measures()
+        if a <= 0.0:
+            raise DegenerateSolid("base region has zero area")
+        self._check_nonnegative()
+        return self.rho_coeff * sx + self.offset * a
+
+    def lateral_area(self) -> float:
+        length, mx, _ = self.base.boundary().measures()
+        if length <= 0.0:
+            raise DegenerateSolid("base boundary has zero length")
+        self._check_nonnegative()
+        return self.rho_coeff * mx + self.offset * length
+
+    def _check_nonnegative(self, tol: float = 1e-9):
+        """The affine height must not dip below zero anywhere over the base."""
+        (x0, x1), _ = self.base.box()
+        extreme_x = self.base.min_rho() if self.rho_coeff >= 0.0 else x1
+        h_min = self.rho_coeff * extreme_x + self.offset
+        scale = abs(self.rho_coeff) * max(abs(x0), abs(x1), 1.0) + abs(self.offset)
+        if h_min < -tol * max(scale, 1.0):
+            raise DegenerateSolid(f"height field reaches {h_min!r} below the base plane")
+
 
 @dataclass(frozen=True)
-class TwistedColumn:
+class TwistedColumn(Solid):
     """Column whose cross-section at height z is the base rotated by
     twist_rate * z; congruent sections, so the volume is that of the
     straight column."""
@@ -165,109 +339,27 @@ class TwistedColumn:
     twist_rate: float
 
     def __post_init__(self):
+        _require_finite(self.height, self.twist_rate)
         if self.height <= 0.0:
             raise ValueError("column height must be positive")
 
-
-Solid = (
-    Cone
-    | Cylinder
-    | Sphere
-    | Hoof
-    | DoubleHoof
-    | TangentPolyhedron
-    | SolidOfRevolution
-    | HeightFieldCylinder
-    | TwistedColumn
-)
-
-
-def _base_area(region: PlanarRegion) -> float:
-    a = area(region)
-    if a <= 0.0:
-        raise DegenerateSolid("base region has zero area")
-    return a
+    def volume(self) -> float:
+        return _base_area(self.base) * self.height
 
 
 def volume(solid: Solid) -> float:
     """Volume by the classical closed forms."""
-    if isinstance(solid, Cone):
-        h = abs(solid.apex.z)
-        if h == 0.0:
-            raise DegenerateSolid("cone apex lies in the base plane")
-        return _base_area(solid.base) * h / 3.0
-    if isinstance(solid, Cylinder):
-        return _base_area(solid.base) * solid.height
-    if isinstance(solid, Sphere):
-        # one third of the surface area times the radius
-        return surface_area(solid) * solid.radius / 3.0
-    if isinstance(solid, Hoof):
-        return (2.0 / 3.0) * solid.radius**2 * solid.height
-    if isinstance(solid, DoubleHoof):
-        return 2.0 * volume(Hoof(solid.radius, solid.apex_height))
-    if isinstance(solid, TangentPolyhedron):
-        return sum(solid.face_areas) * solid.insphere_radius / 3.0
-    if isinstance(solid, SolidOfRevolution):
-        return guldin_volume(solid.profile)
-    if isinstance(solid, HeightFieldCylinder):
-        a, sx, _ = region_measures(solid.base)
-        if a <= 0.0:
-            raise DegenerateSolid("base region has zero area")
-        _check_height_field_nonnegative(solid)
-        return solid.rho_coeff * sx + solid.offset * a
-    if isinstance(solid, TwistedColumn):
-        return _base_area(solid.base) * solid.height
-    raise UnsupportedSolid(f"unknown solid kind {type(solid).__name__}")
+    return solid.volume()
 
 
 def lateral_area(solid: Solid) -> float:
     """Lateral (curved / side) surface area where the classical forms exist."""
-    if isinstance(solid, Sphere):
-        return 4.0 * math.pi * solid.radius**2
-    if isinstance(solid, Cylinder):
-        return perimeter(region_boundary(solid.base)) * solid.height
-    if isinstance(solid, Hoof):
-        return 2.0 * solid.radius * solid.height
-    if isinstance(solid, DoubleHoof):
-        # only the cylindrical ruled wall counts; the flat cut faces do not
-        return 2.0 * lateral_area(Hoof(solid.radius, solid.apex_height))
-    if isinstance(solid, SolidOfRevolution):
-        curve = revolving_boundary(solid.profile.region)
-        return guldin_surface(curve, _RHO_AXIS)
-    if isinstance(solid, HeightFieldCylinder):
-        length, mx, _ = curve_measures(region_boundary(solid.base))
-        if length <= 0.0:
-            raise DegenerateSolid("base boundary has zero length")
-        _check_height_field_nonnegative(solid)
-        return solid.rho_coeff * mx + solid.offset * length
-    raise UnsupportedSolid(f"no lateral area rule for {type(solid).__name__}")
+    return solid.lateral_area()
 
 
 def surface_area(solid: Solid) -> float:
     """Total surface area where the classical forms exist."""
-    if isinstance(solid, Sphere):
-        return 4.0 * math.pi * solid.radius**2
-    if isinstance(solid, Cylinder):
-        return lateral_area(solid) + 2.0 * _base_area(solid.base)
-    if isinstance(solid, Hoof):
-        r, h = solid.radius, solid.height
-        # curved wall + half-disk base + half-ellipse cut face
-        return 2.0 * r * h + 0.5 * math.pi * r**2 + 0.5 * math.pi * r * math.hypot(r, h)
-    if isinstance(solid, TangentPolyhedron):
-        return sum(solid.face_areas)
-    if isinstance(solid, SolidOfRevolution):
-        return lateral_area(solid)
-    raise UnsupportedSolid(f"no surface area rule for {type(solid).__name__}")
-
-
-def _check_height_field_nonnegative(solid: HeightFieldCylinder, tol: float = 1e-9):
-    """The affine height must not dip below zero anywhere over the base."""
-    (x0, x1), _ = bounding_box(solid.base)
-    extreme_x = min_rho(solid.base) if solid.rho_coeff >= 0.0 else x1
-    h_min = solid.rho_coeff * extreme_x + solid.offset
-    scale = abs(solid.rho_coeff) * max(abs(x0), abs(x1), 1.0) + abs(solid.offset)
-    if h_min < -tol * max(scale, 1.0):
-        raise DegenerateSolid(f"height field reaches {h_min!r} below the base plane")
+    return solid.surface_area()
 
 
 # revolution axis: rho = 0, directed along +z; distances are positive on the
@@ -304,131 +396,6 @@ def sphere_zone_vs_band(r: float, z1: float, z2: float) -> tuple[float, float]:
 # oblique cuts (the moment lemma behind Guldin's theorems)
 
 
-def _clip_polygon(pts: list[tuple[float, float]], line: Line2, keep_positive: bool):
-    """Sutherland-Hodgman clip to one side of ``line`` (boundary included)."""
-    nx, ny = line.normal()
-    px, py = line.point.x, line.point.y
-    sign = 1.0 if keep_positive else -1.0
-
-    def dist(p):
-        return sign * (nx * (p[0] - px) + ny * (p[1] - py))
-
-    out = []
-    n = len(pts)
-    for i in range(n):
-        cur, nxt = pts[i], pts[(i + 1) % n]
-        d0, d1 = dist(cur), dist(nxt)
-        if d0 >= 0.0:
-            out.append(cur)
-        if (d0 > 0.0) != (d1 > 0.0) and d0 != d1:
-            t = d0 / (d0 - d1)
-            out.append((cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1])))
-    return out
-
-
-def _ring_moment(pts, line: Line2) -> float:
-    """Integral of the signed distance over the (weakly simple) ring."""
-    if len(pts) < 3:
-        return 0.0
-    a = sx = sy = 0.0
-    n = len(pts)
-    for i in range(n):
-        x0, y0 = pts[i]
-        x1, y1 = pts[(i + 1) % n]
-        cross = x0 * y1 - x1 * y0
-        a += cross
-        sx += (x0 + x1) * cross
-        sy += (y0 + y1) * cross
-    a *= 0.5
-    sx /= 6.0
-    sy /= 6.0
-    nx, ny = line.normal()
-    return nx * (sx - line.point.x * a) + ny * (sy - line.point.y * a)
-
-
-def _side_moments(base: PlanarRegion, line: Line2) -> tuple[float, float]:
-    """(positive-side moment, |negative-side moment|) of the region."""
-    if isinstance(base, Polygon):
-        pts = [(p.x, p.y) for p in base.vertices]
-        pos = _ring_moment(_clip_polygon(pts, line, True), line)
-        neg = _ring_moment(_clip_polygon(pts, line, False), line)
-        return max(pos, 0.0), max(-neg, 0.0)
-    if isinstance(base, Disk):
-        r = base.radius
-        s = line.signed_distance(base.center)
-        if s >= r:  # whole disk on the positive side
-            return math.pi * r * r * s, 0.0
-        if s <= -r:
-            return 0.0, math.pi * r * r * (-s)
-        # moment of the circular segment u > d (d = -s) about the cut chord:
-        # integral over [d, r] of (u - d) * 2*sqrt(r^2 - u^2) du
-        d = -s
-        seg_area = r * r * math.acos(d / r) - d * math.sqrt(r * r - d * d)
-        pos = (2.0 / 3.0) * (r * r - d * d) ** 1.5 - d * seg_area
-        total = math.pi * r * r * s
-        return pos, pos - total
-    if isinstance(base, HalfDisk):
-        # integrate over slabs parallel to the flat edge via 1D quadrature
-        return _quadrature_side_moments(base, line)
-    if isinstance(base, SlabRegion):
-        return _quadrature_side_moments(base, line)
-    raise UnsupportedRegion(f"no oblique-cut rule for {type(base).__name__}")
-
-
-def _quadrature_side_moments(base, line: Line2, slabs: int = 4096):
-    """Split each thin slab midline at the zero of the signed distance."""
-    nx, ny = line.normal()
-    if isinstance(base, SlabRegion):
-        mids, h = _slab_grid(base)
-        half_lens = np.asarray(base.width(mids), dtype=np.float64) / 2.0
-        # slab midline at height y runs along +x from (0, y)
-        f_mid = nx * (0.0 - line.point.x) + ny * (mids - line.point.y)
-        f_slope = np.full_like(f_mid, nx)
-    else:  # HalfDisk: slabs parallel to the flat edge, at distance t from it
-        bx, by = base.bulge
-        h = base.radius / slabs
-        ts = (np.arange(slabs, dtype=np.float64) + 0.5) * h
-        half_lens = np.sqrt(np.maximum(base.radius**2 - ts**2, 0.0))
-        cx = base.center.x + bx * ts
-        cy = base.center.y + by * ts
-        f_mid = nx * (cx - line.point.x) + ny * (cy - line.point.y)
-        f_slope = np.full_like(f_mid, nx * -by + ny * bx)
-    pos = neg = 0.0
-    for fm, fs, hl in zip(f_mid.tolist(), f_slope.tolist(), half_lens.tolist()):
-        p, q = _segment_side_moments(fm, fs, hl)
-        pos += p * h
-        neg += q * h
-    return pos, neg
-
-
-def _segment_side_moments(f_center: float, f_slope: float, half_len: float):
-    """Positive/negative parts of the integral of an affine f over a segment.
-
-    The segment is parametrized by t in [-half_len, half_len] with
-    f(t) = f_center + f_slope * t.
-    """
-    if half_len <= 0.0:
-        return 0.0, 0.0
-
-    def ramp_integral(a, b, fa, fb):
-        # integral of max(f, 0) over [a, b] for affine f
-        if fa >= 0.0 and fb >= 0.0:
-            return (fa + fb) * 0.5 * (b - a)
-        if fa <= 0.0 and fb <= 0.0:
-            return 0.0
-        t = a + (b - a) * fa / (fa - fb)
-        if fa > 0.0:
-            return fa * 0.5 * (t - a)
-        return fb * 0.5 * (b - t)
-
-    a, b = -half_len, half_len
-    fa = f_center + f_slope * a
-    fb = f_center + f_slope * b
-    pos = ramp_integral(a, b, fa, fb)
-    neg = ramp_integral(a, b, -fa, -fb)
-    return pos, neg
-
-
 def oblique_cut_volumes(base: PlanarRegion, cut_line: Line2, slope: float) -> tuple[float, float]:
     """Volumes of the two cylinder pieces cut off by the oblique plane.
 
@@ -440,62 +407,9 @@ def oblique_cut_volumes(base: PlanarRegion, cut_line: Line2, slope: float) -> tu
     """
     if slope <= 0.0:
         raise ValueError("cut slope must be positive")
-    a, _, _ = region_measures(base)
-    if a <= 1e-12 * _region_scale(base) ** 2:
-        raise DegenerateRegion("base region has zero area")
-    pos, neg = _side_moments(base, cut_line)
+    _nonzero_measures(base, "base region")
+    pos, neg = base.side_moments(cut_line)
     return slope * pos, slope * neg
-
-
-def _curve_side_moments(curve: Curve, line: Line2) -> tuple[float, float]:
-    nx, ny = line.normal()
-    if isinstance(curve, Polyline):
-        pos = neg = 0.0
-        for p, q in curve.edges():
-            seg = math.hypot(q.x - p.x, q.y - p.y)
-            if seg == 0.0:
-                continue
-            fa = nx * (p.x - line.point.x) + ny * (p.y - line.point.y)
-            fb = nx * (q.x - line.point.x) + ny * (q.y - line.point.y)
-            f_center = 0.5 * (fa + fb)
-            f_slope = (fb - fa) / seg
-            p_part, n_part = _segment_side_moments(f_center, f_slope, seg / 2.0)
-            pos += p_part
-            neg += n_part
-        return pos, neg
-    if isinstance(curve, CircleArc):
-        # f(theta) = s0 + r*cos(theta - phi); integrate the two signs exactly
-        r = curve.radius
-        s0 = line.signed_distance(curve.center)
-        phi = math.atan2(ny, nx)
-
-        def antiderivative(u):
-            return s0 * u + r * math.sin(u)
-
-        def positive_part(u0, u1):
-            # integral over [u0, u1] of max(s0 + r cos u, 0) du  (u = theta-phi)
-            if s0 >= r:
-                return antiderivative(u1) - antiderivative(u0)
-            if s0 <= -r:
-                return 0.0
-            uc = math.acos(-s0 / r)  # f > 0 on (-uc, uc) mod 2*pi
-            total = 0.0
-            k_lo = math.floor((u0 - uc) / TWO_PI) - 1
-            k_hi = math.ceil((u1 + uc) / TWO_PI) + 1
-            for k in range(k_lo, k_hi + 1):
-                lo = max(u0, -uc + TWO_PI * k)
-                hi = min(u1, uc + TWO_PI * k)
-                if lo < hi:
-                    total += antiderivative(hi) - antiderivative(lo)
-            return total
-
-        u0 = curve.start_angle - phi
-        u1 = u0 + curve.span
-        full = antiderivative(u1) - antiderivative(u0)
-        pos = positive_part(u0, u1) * r
-        neg = pos - full * r
-        return max(pos, 0.0), max(neg, 0.0)
-    raise UnsupportedRegion(f"unknown curve kind {type(curve).__name__}")
 
 
 def oblique_cut_lateral_areas(boundary: Curve, cut_line: Line2, slope: float) -> tuple[float, float]:
@@ -505,10 +419,10 @@ def oblique_cut_lateral_areas(boundary: Curve, cut_line: Line2, slope: float) ->
     """
     if slope <= 0.0:
         raise ValueError("cut slope must be positive")
-    length, _, _ = curve_measures(boundary)
+    length, _, _ = boundary.measures()
     if length <= 0.0:
         raise DegenerateCurve("boundary has zero length")
-    pos, neg = _curve_side_moments(boundary, cut_line)
+    pos, neg = boundary.side_moments(cut_line)
     return slope * pos, slope * neg
 
 
@@ -518,11 +432,7 @@ def oblique_cut_lateral_areas(boundary: Curve, cut_line: Line2, slope: float) ->
 
 def guldin_volume(profile: Profile) -> float:
     """Volume of revolution: section area times the centroid circumference."""
-    region = profile.region
-    check_profile_region(region)
-    a, sx, _ = region_measures(region)
-    if a <= 1e-12 * _region_scale(region) ** 2:
-        raise DegenerateRegion("profile region has zero area")
+    _, sx, _ = _nonzero_measures(profile.region, "profile region")
     return TWO_PI * sx  # = 2*pi * rho_bar * area
 
 
@@ -532,29 +442,11 @@ def guldin_surface(profile_boundary: Curve, axis: Line2) -> float:
     The axis is explicit so open arcs (sphere zones) work; every point of the
     curve must satisfy rho >= 0 (distance measured on the positive side).
     """
-    length, _, _ = curve_measures(profile_boundary)
+    length, _, _ = profile_boundary.measures()
     if length <= 0.0:
         raise DegenerateCurve("profile boundary has zero length")
-    _check_curve_on_positive_side(profile_boundary, axis)
+    rho_min = profile_boundary.min_distance(axis)
+    if rho_min < -1e-12:
+        raise AxisCrossing(f"curve reaches rho = {rho_min!r} past the revolution axis")
     moment = first_moment_curve(profile_boundary, axis)
     return TWO_PI * moment  # = 2*pi * rho_bar_curve * length
-
-
-def _check_curve_on_positive_side(curve: Curve, axis: Line2, tol: float = 1e-12):
-    if isinstance(curve, Polyline):
-        rho_min = min(axis.signed_distance(p) for p in curve.points)
-    else:
-        s0 = axis.signed_distance(curve.center)
-        nx, ny = axis.normal()
-        phi = math.atan2(ny, nx)
-        # min of s0 + r*cos(theta - phi) over the arc's angle range
-        u0 = curve.start_angle - phi
-        u1 = u0 + curve.span
-        cands = [u0, u1]
-        k0 = math.ceil((u0 - math.pi) / TWO_PI)
-        while math.pi + TWO_PI * k0 <= u1:
-            cands.append(math.pi + TWO_PI * k0)
-            k0 += 1
-        rho_min = min(s0 + curve.radius * math.cos(u) for u in cands)
-    if rho_min < -tol:
-        raise AxisCrossing(f"curve reaches rho = {rho_min!r} past the revolution axis")

@@ -1,15 +1,18 @@
 """Command-line interface: exit codes, report schema, SVG structure,
 byte-level determinism."""
 
+import argparse
 import math
 import re
 import subprocess
 import sys
+import types
 
 import pytest
 
 import indivisibles
-from indivisibles.cli import main
+from indivisibles import riemann_volume
+from indivisibles.cli import MEASURES, SHAPES, main
 
 from conftest import SCRIPTS_DIR
 
@@ -38,6 +41,55 @@ def test_version_reports_the_constant_backend(capsys):
         main(["--version"])
     assert err.value.code == 0
     assert capsys.readouterr().out == "indivisibles 0.1.0 (pure)\n"
+
+
+def test_public_names_are_pinned():
+    names = sorted(
+        name
+        for name, value in vars(indivisibles).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert names == [
+        "ApexHeightChanged", "AxisCrossing", "BACKEND", "CircleArc", "Cone", "Curve", "Cylinder",
+        "DegenerateCurve", "DegenerateRegion", "DegenerateSolid", "Disk", "DoubleHoof", "EmptyBox",
+        "Estimate", "GeometryError", "HalfDisk", "HeightFieldCylinder", "Hoof", "InvalidMonotonicity",
+        "Line2", "MeasureInterval", "PlanarRegion", "Point2", "Point3", "Polygon", "Polyline", "Profile",
+        "SectionFunction", "SlabOutOfRange", "SlabRegion", "Solid", "SolidOfRevolution", "Sphere",
+        "TangentPolyhedron", "ToleranceNotReached", "Transform", "TwistedColumn", "UnsupportedExact",
+        "UnsupportedRegion", "UnsupportedSolid", "WidthFunction", "area", "area_bounds", "boundary",
+        "boundary_integral", "bounding_box", "centroid_curve", "centroid_region", "contains",
+        "first_moment", "first_moment_curve", "guldin_surface", "guldin_volume", "lateral_area",
+        "mc_area", "mc_volume", "meridian_unfold", "move_apex", "oblique_cut_lateral_areas",
+        "oblique_cut_volumes", "perimeter", "refine_until", "rho_axis", "riemann_volume",
+        "sawtooth_teeth", "shear_region", "sphere_zone_vs_band", "surface_area", "twist_column",
+        "unfold_revolution", "unroll_disk", "volume", "volume_bounds",
+    ]
+
+
+class TestShapeTable:
+    """Each named shape's closed form against its own oracles: Monte Carlo on
+    the kind's membership and box, and the enclosure and Riemann sum of the
+    kind's section profile."""
+
+    @pytest.mark.parametrize("dims", [(1.0, 1.0, 3.0), (0.7, 2.3, 1.9)], ids=["unit", "odd"])
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_closed_form_agrees_with_the_kinds_oracles(self, name, dims):
+        r, h, big_r = dims
+        kind, build = SHAPES[name]
+        closed_form, bounds, mc = MEASURES[kind]
+        shape = build(argparse.Namespace(r=r, h=h, R=big_r))
+        closed = closed_form(shape)
+        est = mc(shape.contains, shape.box(), 200_000, 7)
+        assert abs(est.mean - closed) <= 5.0 * est.stderr
+        section = shape.section()
+        assert closed in bounds(section, 1000)
+        assert riemann_volume(section, 10**6) == pytest.approx(closed, rel=1e-6)
+
+    def test_torus_profile_past_the_axis_exits_three(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["oracle", "--target", "torus", "--r", "2", "--R", "1"])
+        assert err.value.code == 3
+        assert "axis" in capsys.readouterr().err
 
 
 class TestCheck:
@@ -129,6 +181,10 @@ class TestBounds:
             ["oracle", "--target", "sphere", "--r", "-1"],
             ["svg", "--construction", "unroll", "--n", "2", "--out", "x.svg"],
             ["svg", "--construction", "bounds", "--slices", "0", "--out", "x.svg"],
+            ["guldin", "x.profile", "--verify", "--samples", "0"],
+            ["guldin", "x.profile", "--verify", "--seed", "-1"],
+            ["oracle", "--target", "disk", "--seed", "-1"],
+            ["oracle", "--target", "disk", "--seed", str(2**64)],
         ],
     )
     def test_nonpositive_dimensions_are_usage_errors(self, argv, capsys):

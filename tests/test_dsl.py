@@ -132,6 +132,20 @@ class TestEvaluate:
         assert err.value.span.line == 1
         assert err.value.span.column >= 9
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "let d = disk(r=1);\nlet u = unroll(d, n=16.9);\n",
+            "let s = sphere(r=1);\nlet m = meridian_unfold(s, n=8.5);\n",
+        ],
+        ids=["unroll", "meridian_unfold"],
+    )
+    def test_non_integral_count_is_type_error(self, source):
+        # n used to be truncated silently: unroll(d, n=16.9) gave unroll(d, n=16)
+        with pytest.raises(dsl.ScriptTypeError, match="n must be an integer") as err:
+            dsl.run_script(source)
+        assert err.value.span.line == 2
+
     def test_unknown_constructor(self):
         with pytest.raises(dsl.ScriptNameError):
             dsl.run_script("let s = dodecahedron(r=1);")

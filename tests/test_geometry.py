@@ -270,6 +270,23 @@ class TestLine2:
             Line2(Point2(0, 0), (0, 0))
 
 
+class TestSlabRegionCover:
+    def test_box_and_min_rho_reach_a_peak_at_a_breakpoint(self):
+        # the width peaks at 2.0 on the breakpoint 0.3, which the evenly spaced
+        # grid on [0, 1] skips (its nearest point gives a half-width of 0.99935)
+        width = WidthFunction(
+            lambda y: np.where(y <= 0.3, 2.0 * y / 0.3, 2.0 * (1.0 - y) / 0.7),
+            domain=(0.0, 1.0),
+            breakpoints=(0.3,),
+            monotonicity=("increasing", "decreasing"),
+        )
+        slab = SlabRegion(width)
+        assert iv.bounding_box(slab) == ((-1.0, 1.0), (0.0, 1.0))
+        assert geometry.min_rho(slab) == -1.0
+        # the tip is inside the region, and so inside its box
+        assert iv.contains(slab, [0.9999], [0.3]).all()
+
+
 class TestWidthFunction:
     def test_breakpoints_must_be_interior_and_sorted(self):
         with pytest.raises(ValueError):

@@ -39,10 +39,28 @@ def _golden_estimate(name):
     raise KeyError(name)
 
 
+# The same pins through the library kinds' own membership and box.
+GOLDEN_KINDS = {
+    "disk_r1_area": (iv.mc_area, iv.Disk(iv.Point2(0, 0), 1.0), 10**6),
+    "sphere_r1_volume": (iv.mc_volume, iv.Sphere(1.0), 10**6),
+    "hoof_r1_h1_volume": (iv.mc_volume, iv.Hoof(1.0, 1.0), 10**6),
+    "torus_R3_r1_volume": (iv.mc_volume, iv.SolidOfRevolution(iv.Profile(iv.Disk(iv.Point2(3, 0), 1.0))), 10**7),
+}
+
+
 class TestMonteCarlo:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_golden_pins_bit_stability(self, name):
         est = _golden_estimate(name)
+        entry = GOLDEN[name]
+        assert repr(est.mean) == entry["mean"]
+        assert repr(est.stderr) == entry["stderr"]
+        assert est.samples == entry["samples"] and est.seed == entry["seed"]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_pins_through_library_kinds(self, name):
+        estimate, kind, samples = GOLDEN_KINDS[name]
+        est = estimate(kind.contains, kind.box(), samples, seed=42)
         entry = GOLDEN[name]
         assert repr(est.mean) == entry["mean"]
         assert repr(est.stderr) == entry["stderr"]

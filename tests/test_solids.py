@@ -15,6 +15,7 @@ from indivisibles import (
     Cylinder,
     DegenerateRegion,
     Disk,
+    DoubleHoof,
     HalfDisk,
     HeightFieldCylinder,
     Hoof,
@@ -25,9 +26,12 @@ from indivisibles import (
     Polyline,
     Profile,
     SlabOutOfRange,
+    SlabRegion,
     Sphere,
     TangentPolyhedron,
+    TwistedColumn,
     UnsupportedSolid,
+    WidthFunction,
 )
 
 from conftest import star_polygon
@@ -119,6 +123,28 @@ class TestVolumes:
         col = iv.twist_column(Cylinder(Disk(Point2(0, 0), 1.0), 1.0), 1.0)
         with pytest.raises(UnsupportedSolid):
             iv.lateral_area(col)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Sphere(math.nan),
+            lambda: Sphere(math.inf),
+            lambda: Cylinder(Disk(Point2(0, 0), 1.0), math.nan),
+            lambda: Hoof(math.nan, 1.0),
+            lambda: DoubleHoof(1.0, math.inf),
+            lambda: HeightFieldCylinder(Polygon([(1, 0), (2, 0), (2, 1)]), math.nan),
+            lambda: TangentPolyhedron([1, 1, 1, math.nan], 1.0),
+            lambda: TwistedColumn(Disk(Point2(0, 0), 1.0), 1.0, math.nan),
+        ],
+        ids=[
+            "sphere-nan", "sphere-inf", "cylinder-nan-height", "hoof-nan-radius", "double-hoof-inf-apex",
+            "height-field-nan-coefficient", "tangent-polyhedron-nan-face", "twisted-column-nan-rate",
+        ],
+    )
+    def test_non_finite_dimensions_rejected(self, build):
+        # these used to construct and give a nan or inf volume
+        with pytest.raises(ValueError, match="finite"):
+            build()
 
 
 class TestSurfaceAreas:
@@ -261,6 +287,98 @@ class TestObliqueCutVolumes:
         flat = Polygon([(0, 0), (1, 0), (2, 0)])
         with pytest.raises(DegenerateRegion):
             iv.oblique_cut_volumes(flat, Line2.vertical(0.0), 1.0)
+
+
+def _scalar_segment_side_moments(f_center, f_slope, half_len):
+    """The per-segment rule as a plain scalar loop body: the reference the
+    array form must match bit for bit."""
+    if half_len <= 0.0:
+        return 0.0, 0.0
+
+    def ramp_integral(a, b, fa, fb):
+        if fa >= 0.0 and fb >= 0.0:
+            return (fa + fb) * 0.5 * (b - a)
+        if fa <= 0.0 and fb <= 0.0:
+            return 0.0
+        t = a + (b - a) * fa / (fa - fb)
+        if fa > 0.0:
+            return fa * 0.5 * (t - a)
+        return fb * 0.5 * (b - t)
+
+    a, b = -half_len, half_len
+    fa = f_center + f_slope * a
+    fb = f_center + f_slope * b
+    return ramp_integral(a, b, fa, fb), ramp_integral(a, b, -fa, -fb)
+
+
+def _scalar_cut(shape, line):
+    """Side moments of a half-disk, slab region or polyline, summed slab by
+    slab (edge by edge) in a scalar loop."""
+    nx, ny = line.normal()
+    if isinstance(shape, Polyline):
+        pos = neg = 0.0
+        for p, q in shape.edges():
+            seg = math.hypot(q.x - p.x, q.y - p.y)
+            if seg == 0.0:
+                continue
+            fa = nx * (p.x - line.point.x) + ny * (p.y - line.point.y)
+            fb = nx * (q.x - line.point.x) + ny * (q.y - line.point.y)
+            p_part, n_part = _scalar_segment_side_moments(0.5 * (fa + fb), (fb - fa) / seg, seg / 2.0)
+            pos += p_part
+            neg += n_part
+        return pos, neg
+    if isinstance(shape, SlabRegion):
+        a, b = shape.width.domain
+        h = (b - a) / shape.quadrature_slabs
+        mids = a + (np.arange(shape.quadrature_slabs, dtype=np.float64) + 0.5) * h
+        half_lens = np.asarray(shape.width(mids), dtype=np.float64) / 2.0
+        f_mid = nx * (0.0 - line.point.x) + ny * (mids - line.point.y)
+        f_slope = np.full_like(f_mid, nx)
+    else:  # half-disk: 4096 slabs parallel to the flat edge
+        bx, by = shape.bulge
+        h = shape.radius / 4096
+        ts = (np.arange(4096, dtype=np.float64) + 0.5) * h
+        half_lens = np.sqrt(np.maximum(shape.radius**2 - ts**2, 0.0))
+        f_mid = nx * (shape.center.x + bx * ts - line.point.x) + ny * (shape.center.y + by * ts - line.point.y)
+        f_slope = np.full_like(f_mid, nx * -by + ny * bx)
+    pos = neg = 0.0
+    for fm, fs, hl in zip(f_mid.tolist(), f_slope.tolist(), half_lens.tolist()):
+        p, q = _scalar_segment_side_moments(fm, fs, hl)
+        pos += p * h
+        neg += q * h
+    return pos, neg
+
+
+class TestObliqueCutParity:
+    """The array form of the slab and polyline cuts is the scalar loop, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["half-disk", "slab-region", "polyline"])
+    def test_200_seeded_lines_match_the_scalar_loop(self, kind):
+        rng = np.random.default_rng({"half-disk": 11, "slab-region": 12, "polyline": 13}[kind])
+        # a width that is zero near both ends exercises the empty slabs
+        tent = WidthFunction(
+            lambda y: np.maximum(1.0 - 1.5 * np.abs(y), 0.0),
+            domain=(-1.0, 1.0),
+            breakpoints=(0.0,),
+            monotonicity=("increasing", "decreasing"),
+        )
+        for k in range(200):
+            if kind == "half-disk":
+                angle = rng.uniform(0, 2 * math.pi)
+                shape = HalfDisk(Point2(*rng.uniform(-1, 1, 2)), rng.uniform(0.2, 2), (math.cos(angle), math.sin(angle)))
+            elif kind == "slab-region":
+                shape = SlabRegion(tent, quadrature_slabs=int(rng.integers(1, 700)))
+            else:
+                pts = [tuple(p) for p in rng.uniform(-2, 2, (int(rng.integers(2, 12)), 2))]
+                pts.insert(1, pts[0])  # a zero-length edge is skipped
+                shape = Polyline(pts, closed=bool(k % 2))
+            theta = rng.uniform(0, 2 * math.pi)
+            line = Line2(Point2(*rng.uniform(-1.5, 1.5, 2)), (math.cos(theta), math.sin(theta)))
+            if kind == "polyline":
+                got = iv.oblique_cut_lateral_areas(shape, line, 1.0)
+            else:
+                got = iv.oblique_cut_volumes(shape, line, 1.0)
+            assert got == _scalar_cut(shape, line), (kind, k)
 
 
 class TestObliqueCutLateralAreas:
