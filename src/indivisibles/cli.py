@@ -10,6 +10,7 @@ fixed inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__
@@ -134,8 +135,8 @@ def _usage_error(message: str):
 
 def _require_positive(parser_hint: str, **values) -> None:
     for name, value in values.items():
-        if not (value > 0):
-            _usage_error(f"--{name} must be positive for {parser_hint}")
+        if not 0 < value < math.inf:
+            _usage_error(f"--{name} must be positive and finite for {parser_hint}")
 
 
 def _require_seed(parser_hint: str, seed: int) -> None:

@@ -5,18 +5,36 @@ staircase read off at slab endpoints.  Declared breakpoints always become slab
 boundaries so every slab is genuinely monotone, which makes the enclosure
 sound and gives the total-variation width bound TV(f) * (b - a) / n.
 
+The staircase is one streaming pass over blocks of ``_kernels._BLOCK`` (2^14)
+slabs: each block computes its own edges, evaluates the profile at the edges
+it has not seen (its first edge closed the previous block), and chains its
+lower and upper products into two running ``ordered_sum`` values.  Edges and
+products are elementwise and ``ordered_sum`` chains bit for bit, so the sums
+equal those of one full-length pass while memory stays bounded at any n.
+
 Floats: the slab sums are reduced strictly sequentially in slab order (so the
-result is independent of any evaluation parallelism) and the final bounds are
-widened outward by a relative 1e-12 to absorb rounding.
+result is independent of any evaluation parallelism).  Each of the m terms
+fl(fl(t[i+1] - t[i]) * v) carries two roundings and the sequential sum m - 1
+more, and every term is nonnegative (edges increase, and every profile value
+read is checked to be nonnegative), so the computed sum s of the exact
+staircase sum S satisfies |s - S| <= gamma(m+1) * S, with
+gamma(k) = k*u / (1 - k*u) and u = 2^-53 (Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., sections 3.1 and 4.2).  Since
+S <= s / (1 - gamma(m+1)), S lies within s * gamma(m+1) / (1 - gamma(m+1))
+of s.  Each bound is widened outward by that amount, or by a relative 1e-12
+where that is larger by a margin that covers the widening's own rounding
+(up to about 9000 slabs); when the rounding bound is used, the result is also
+stepped one ulp outward.  Underflow of a product is not covered.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import ordered_sum
+from ._kernels import _BLOCK, ordered_sum
 from .errors import InvalidMonotonicity, ToleranceNotReached
 from .geometry import SectionFunction, WidthFunction
 
@@ -24,12 +42,21 @@ METHOD_AREA = "inner-outer-rectangles"
 METHOD_VOLUME = "inner-outer-disks"
 
 _INFLATION = 1e-12
+_UNIT_ROUNDOFF = 2.0**-53
 _MONOTONE_SAMPLES = 17
 
 
 @dataclass(frozen=True)
 class MeasureInterval:
-    """Certified enclosure [lo, hi] of a nonnegative measure."""
+    """Certified enclosure [lo, hi] of a nonnegative measure.
+
+    ``lo`` and ``hi`` are the computed lower and upper staircase sums over
+    ``slabs`` slabs, each widened outward by the larger of a relative 1e-12
+    and the rounding bound gamma(m+1) / (1 - gamma(m+1)) for m slabs (see the
+    module docstring), so the exact staircase sums lie inside [lo, hi] at
+    any slab count.  The measure itself lies inside provided the profile is
+    evaluated exactly and its declared monotonicity holds.
+    """
 
     lo: float
     hi: float
@@ -68,34 +95,59 @@ def _check_declared_shape(f: WidthFunction):
             raise InvalidMonotonicity(f"piece [{t0}, {t1}] declared decreasing but increases")
 
 
-def _slab_edges(f: WidthFunction, n: int) -> np.ndarray:
-    """Uniform n-slab grid over the domain with breakpoints inserted."""
+def _block_edges(f: WidthFunction, n: int, s: int, e: int) -> np.ndarray:
+    """Edges s..e of the uniform n-slab grid over f's domain, with edge n set
+    to b and each declared breakpoint strictly between edges s and e that is
+    not already an edge inserted in order."""
     a, b = f.domain
-    edges = a + (b - a) * np.arange(n + 1, dtype=np.float64) / n
-    edges[-1] = b
-    if f.breakpoints:
-        extra = [t for t in f.breakpoints if not np.any(edges == t)]
-        if extra:
-            edges = np.sort(np.concatenate([edges, np.asarray(extra, dtype=np.float64)]))
+    edges = a + (b - a) * np.arange(s, e + 1, dtype=np.float64) / n
+    if e == n:
+        edges[-1] = b
+    inside = [t for t in f.breakpoints if edges[0] < t < edges[-1] and not np.any(edges == t)]
+    if inside:
+        edges = np.sort(np.concatenate([edges, inside]))
     return edges
+
+
+def _widen(lo: float, hi: float, slabs: int) -> tuple[float, float]:
+    """Bounds that contain the exact sums of which lo and hi are the computed ones."""
+    k = slabs + 1
+    rel = k * _UNIT_ROUNDOFF / (1.0 - 2.0 * k * _UNIT_ROUNDOFF)  # gamma(k) / (1 - gamma(k))
+    if rel + 2.0 * _UNIT_ROUNDOFF <= _INFLATION:
+        return max(lo - abs(lo) * _INFLATION, 0.0), hi + abs(hi) * _INFLATION
+    return max(math.nextafter(lo - lo * rel, -math.inf), 0.0), math.nextafter(hi + hi * rel, math.inf)
+
+
+def _staircase_sums(f: WidthFunction, n: int) -> tuple[float, float, int]:
+    """Computed lower and upper staircase sums over the n-slab grid, and its slab count."""
+    lo = hi = 0.0
+    slabs = 0
+    last = None
+    for s in range(0, n, _BLOCK):
+        edges = _block_edges(f, n, s, min(s + _BLOCK, n))
+        if last is None:
+            vals = np.asarray(f(edges), dtype=np.float64)
+        else:
+            # edge s closed the previous block, so its value is carried over
+            vals = np.concatenate(([last], np.asarray(f(edges[1:]), dtype=np.float64)))
+        if np.any(vals < 0.0):
+            raise InvalidMonotonicity(f"profile is negative on [{edges[0]}, {edges[-1]}]")
+        heights = np.diff(edges)
+        left, right = vals[:-1], vals[1:]
+        lo = ordered_sum(np.minimum(left, right) * heights, lo)
+        hi = ordered_sum(np.maximum(left, right) * heights, hi)
+        slabs += len(heights)
+        last = vals[-1]
+    return lo, hi, slabs
 
 
 def _staircase_bounds(f: WidthFunction, n: int, method: str) -> MeasureInterval:
     if n < 1:
         raise ValueError("slab count must be positive")
     _check_declared_shape(f)
-    edges = _slab_edges(f, n)
-    vals = np.asarray(f(edges), dtype=np.float64)
-    left, right = vals[:-1], vals[1:]
-    low = np.minimum(left, right)
-    high = np.maximum(left, right)
-    heights = np.diff(edges)
-    lo = ordered_sum(low * heights)
-    hi = ordered_sum(high * heights)
-    # widen outward so rounding in the sums cannot break soundness
-    lo = max(lo - abs(lo) * _INFLATION, 0.0)
-    hi = hi + abs(hi) * _INFLATION
-    return MeasureInterval(lo, hi, slabs=len(heights), method=method)
+    lo, hi, slabs = _staircase_sums(f, n)
+    lo, hi = _widen(lo, hi, slabs)
+    return MeasureInterval(lo, hi, slabs=slabs, method=method)
 
 
 def area_bounds(width: WidthFunction, n: int) -> MeasureInterval:

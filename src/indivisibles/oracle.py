@@ -107,6 +107,15 @@ def mc_volume(membership, bbox3, samples: int, seed: int = 42) -> Estimate:
     return _mc_membership(membership, tuple(bbox3), samples, seed)
 
 
+def _midpoint_sum(values_at, n: int, total: float = 0.0) -> float:
+    """``ordered_sum`` of ``values_at(k + 0.5)`` over k = 0 .. n-1, chained from
+    ``total`` through pieces of ``_CHUNK`` cells."""
+    for done in range(0, n, _CHUNK):
+        mids = np.arange(done, min(done + _CHUNK, n), dtype=np.float64) + 0.5
+        total = ordered_sum(values_at(mids), total)
+    return total
+
+
 def riemann_volume(section, n: int) -> float:
     """Midpoint Riemann sum of a cross-section profile over its domain.
 
@@ -117,15 +126,7 @@ def riemann_volume(section, n: int) -> float:
         raise ValueError("need at least one cell")
     a, b = section.domain
     h = (b - a) / n
-    total = 0.0
-    done = 0
-    while done < n:
-        m = min(_CHUNK, n - done)
-        mids = a + (np.arange(done, done + m, dtype=np.float64) + 0.5) * h
-        vals = np.asarray(section(mids), dtype=np.float64)
-        total = ordered_sum(vals, total)
-        done += m
-    return total * h
+    return _midpoint_sum(lambda k: np.asarray(section(a + k * h), dtype=np.float64), n) * h
 
 
 def boundary_integral(curve: Curve, integrand, n: int) -> float:
@@ -139,24 +140,30 @@ def boundary_integral(curve: Curve, integrand, n: int) -> float:
     if isinstance(curve, Polyline):
         total = 0.0
         any_length = False
-        ts = (np.arange(n, dtype=np.float64) + 0.5) / n
         for p, q in curve.edges():
             seg = math.hypot(q.x - p.x, q.y - p.y)
             if seg == 0.0:
                 continue
             any_length = True
-            xs = p.x + (q.x - p.x) * ts
-            ys = p.y + (q.y - p.y) * ts
-            vals = np.asarray(integrand(xs, ys), dtype=np.float64)
-            total = ordered_sum(vals * (seg / n), total)
+
+            def values_at(k):
+                ts = k / n
+                xs = p.x + (q.x - p.x) * ts
+                ys = p.y + (q.y - p.y) * ts
+                return np.asarray(integrand(xs, ys), dtype=np.float64) * (seg / n)
+
+            total = _midpoint_sum(values_at, n, total)
         if not any_length:
             raise DegenerateCurve("curve has zero length")
         return total
     if isinstance(curve, CircleArc):
-        thetas = curve.start_angle + curve.span * (np.arange(n, dtype=np.float64) + 0.5) / n
-        xs = curve.center.x + curve.radius * np.cos(thetas)
-        ys = curve.center.y + curve.radius * np.sin(thetas)
-        vals = np.asarray(integrand(xs, ys), dtype=np.float64)
         ds = curve.radius * curve.span / n
-        return ordered_sum(vals * ds, 0.0)
+
+        def values_at(k):
+            thetas = curve.start_angle + curve.span * k / n
+            xs = curve.center.x + curve.radius * np.cos(thetas)
+            ys = curve.center.y + curve.radius * np.sin(thetas)
+            return np.asarray(integrand(xs, ys), dtype=np.float64) * ds
+
+        return _midpoint_sum(values_at, n)
     raise TypeError(f"unknown curve kind {type(curve).__name__}")

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .geometry import Point2, Polygon, WidthFunction, bounding_box, centroid_region
-from .exhaustion import _slab_edges
+from .exhaustion import _block_edges
 
 _WIDTH = 600.0
 _HEIGHT = 400.0
@@ -80,7 +80,7 @@ def render_unroll(r: float, n: int) -> str:
 
 def render_bounds(width: WidthFunction, n: int) -> str:
     """Inner and outer staircase rectangles bracketing a width profile."""
-    edges = _slab_edges(width, n)
+    edges = _block_edges(width, n, 0, n)
     vals = np.asarray(width(edges), dtype=np.float64)
     a, b = width.domain
     top = float(np.max(vals))

@@ -185,6 +185,10 @@ class TestBounds:
             ["guldin", "x.profile", "--verify", "--seed", "-1"],
             ["oracle", "--target", "disk", "--seed", "-1"],
             ["oracle", "--target", "disk", "--seed", str(2**64)],
+            ["bounds", "--shape", "disk", "--r", "inf"],
+            ["oracle", "--target", "sphere", "--r", "inf"],
+            ["svg", "--construction", "unroll", "--r", "inf", "--out", "x.svg"],
+            ["bounds", "--shape", "cone", "--h", "nan"],
         ],
     )
     def test_nonpositive_dimensions_are_usage_errors(self, argv, capsys):

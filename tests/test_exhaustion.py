@@ -1,6 +1,7 @@
 """Certified enclosures: soundness, refinement monotonicity, TV width bound."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from indivisibles import (
     refine_until,
     volume_bounds,
 )
+from indivisibles._kernels import _BLOCK, ordered_sum
+from indivisibles.exhaustion import _INFLATION, _staircase_sums, _widen
 
 # slack factor covering the documented 1e-12 outward inflation of the bounds
 INFLATION_SLACK = 1.0 + 1e-9
@@ -217,3 +220,117 @@ class TestRefineUntil:
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             refine_until(disk_width(), 0.0, 64)
+
+
+def reference_sums(f, n):
+    """The staircase sums as one full-length pass: every edge, value and
+    product held at once, reduced by one ordered_sum each."""
+    a, b = f.domain
+    edges = a + (b - a) * np.arange(n + 1, dtype=np.float64) / n
+    edges[-1] = b
+    extra = [t for t in f.breakpoints if not np.any(edges == t)]
+    if extra:
+        edges = np.sort(np.concatenate([edges, np.asarray(extra, dtype=np.float64)]))
+    vals = np.asarray(f(edges), dtype=np.float64)
+    left, right = vals[:-1], vals[1:]
+    heights = np.diff(edges)
+    return ordered_sum(np.minimum(left, right) * heights), ordered_sum(np.maximum(left, right) * heights), len(heights)
+
+
+class TestStreamingStaircase:
+    # a + (b - a) * n / n rounds away from b here, so the last edge is set to b
+    DOMAIN = (-0.38, 0.95)
+
+    def wavy(self, breakpoints):
+        # not monotone, so both min and max pick from either side; the sums
+        # themselves do not read the declared flags
+        return WidthFunction(
+            lambda t: 2.0 + np.sin(7.0 * t),
+            domain=self.DOMAIN,
+            breakpoints=breakpoints,
+            monotonicity=("increasing",) * (len(breakpoints) + 1),
+        )
+
+    def grid(self, n, k):
+        a, b = self.DOMAIN
+        return a + (b - a) * k / n
+
+    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5, 10**6])
+    def test_sums_equal_the_full_array_pass(self, n):
+        a, b = self.DOMAIN
+        # inside the first block, off the grid
+        inside = a + (b - a) * (min(n, _BLOCK) * 0.37 + 0.21) / n
+        # an odd edge of the 2n grid, in the last block
+        half = self.grid(2 * n, 2 * n - 1)
+        cases = [(), (inside,), tuple(sorted({inside, half}))]
+        if n > 2:
+            # an interior edge of the grid is not inserted twice
+            cases.append(tuple(sorted({inside, self.grid(n, n // 2), half})))
+        if n > _BLOCK:
+            # on the boundary between the first two blocks, hence already an edge
+            cases.append(tuple(sorted({inside, self.grid(n, _BLOCK), half})))
+        for bps in cases:
+            f = self.wavy(bps)
+            assert _staircase_sums(f, n) == reference_sums(f, n), (n, bps)
+
+    def test_each_edge_is_evaluated_once(self):
+        seen = []
+
+        def counting(t):
+            seen.append(t.size)
+            return 1.0 + t * t
+
+        n = 3 * _BLOCK + 5
+        f = WidthFunction(counting, domain=(0.0, 2.0), breakpoints=(1.0 / 3.0,), monotonicity=("increasing",) * 2)
+        _, _, slabs = _staircase_sums(f, n)
+        assert slabs == n + 1
+        assert sum(seen) == slabs + 1
+        assert len(seen) == 4
+
+    def test_negative_value_between_spot_points_rejected(self):
+        # negative only near t = 0.3, which none of the 17 spot points hits
+        dip = WidthFunction(lambda t: np.where(np.abs(t - 0.3) < 1e-3, -1.0, 1.0), domain=(0.0, 1.0))
+        with pytest.raises(InvalidMonotonicity):
+            area_bounds(dip, 10)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: area_bounds(disk_width(), 2**22),
+            lambda: refine_until(sphere_sections(), 1e-5, 1 << 24),
+        ],
+        ids=["area_bounds-2^22", "refine_until-sphere-1e-5"],
+    )
+    def test_memory_stays_bounded(self, run):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+class TestRoundingBound:
+    @pytest.mark.parametrize(
+        "b,c,n",
+        [(1.0, 0.1, 10**7), (1e6, 0.1, 10**7), (3.0, 0.7, 2**23), (7.0, 0.3, 10**7)],
+    )
+    def test_constant_width_enclosed_at_large_n(self, b, c, n):
+        # a fixed relative 1e-12 widening missed b*c here
+        w = WidthFunction(lambda t: np.full_like(t, c), domain=(0.0, b))
+        interval = area_bounds(w, n)
+        assert interval.lo <= b * c <= interval.hi
+
+    @pytest.mark.parametrize("slabs", [1, 4096, 9000])
+    def test_small_slab_counts_keep_the_relative_widening(self, slabs):
+        lo, hi = 0.7, 1.3
+        assert _widen(lo, hi, slabs) == (lo - lo * _INFLATION, hi + hi * _INFLATION)
+
+    @pytest.mark.parametrize("slabs", [9100, 10**7, 2**40])
+    def test_large_slab_counts_widen_further(self, slabs):
+        lo, hi = 0.7, 1.3
+        wlo, whi = _widen(lo, hi, slabs)
+        rel = slabs * 2.0**-53
+        assert wlo < lo - lo * max(rel, _INFLATION)
+        assert whi > hi + hi * max(rel, _INFLATION)

@@ -2,12 +2,14 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import indivisibles as iv
 from indivisibles import EmptyBox, SectionFunction
+from indivisibles._kernels import ordered_sum
 
 from conftest import DATA_DIR
 
@@ -226,6 +228,30 @@ class TestBoundaryIntegral:
         arc = iv.CircleArc(iv.Point2(0, 0), 1.0, start_angle=-math.pi / 2, span=math.pi)
         got = iv.boundary_integral(arc, lambda x, y: 2 * math.pi * x, 100_000)
         assert abs(got - 4 * math.pi) <= 1e-6
+
+    @pytest.mark.parametrize("n", [(1 << 14) - 1, (1 << 14) + 1, 10**6])
+    def test_chunked_arc_equals_one_pass(self, n):
+        arc = iv.CircleArc(iv.Point2(0.3, -1.1), 1.7, start_angle=0.2, span=5.0)
+
+        def integrand(xs, ys):
+            return xs * xs + ys
+
+        # the whole arc as one array, reduced by one ordered_sum
+        thetas = arc.start_angle + arc.span * (np.arange(n, dtype=np.float64) + 0.5) / n
+        xs = arc.center.x + arc.radius * np.cos(thetas)
+        ys = arc.center.y + arc.radius * np.sin(thetas)
+        whole = ordered_sum(integrand(xs, ys) * (arc.radius * arc.span / n), 0.0)
+        assert iv.boundary_integral(arc, integrand, n) == whole
+
+    def test_circle_memory_stays_bounded(self):
+        circle = iv.CircleArc(iv.Point2(1.0, 2.0), 1.5)
+        tracemalloc.start()
+        try:
+            iv.boundary_integral(circle, lambda xs, ys: xs * xs, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 def test_estimate_validation():
