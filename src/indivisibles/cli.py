@@ -145,20 +145,29 @@ def _require_seed(parser_hint: str, seed: int) -> None:
 
 
 def _named_shape(name: str, args):
-    """The measure and the library object that a --shape/--target name stands for."""
+    """The measure, the library object and its closed form that a
+    --shape/--target name stands for; exits 3 when the object cannot be built
+    or its measure is not finite."""
     kind, build = SHAPES[name]
     try:
-        return kind, build(args)
+        shape = build(args)
     except (GeometryError, ValueError) as exc:
         raise SystemExit(_error(EXIT_GEOMETRY, str(exc))) from None
+    closed_form, _, _ = MEASURES[kind]
+    try:
+        closed = closed_form(shape)
+    except OverflowError:
+        closed = math.inf
+    if not math.isfinite(closed):
+        raise SystemExit(_error(EXIT_GEOMETRY, f"the {kind} of the {name} is not finite at these dimensions"))
+    return kind, shape, closed
 
 
 def cmd_bounds(args) -> int:
     _require_positive("bounds", r=args.r, h=args.h, slices=args.slices)
-    kind, shape = _named_shape(args.shape, args)
-    closed_form, bounds, _ = MEASURES[kind]
+    kind, shape, closed = _named_shape(args.shape, args)
+    _, bounds, _ = MEASURES[kind]
     interval = bounds(shape.section(), args.slices)
-    closed = closed_form(shape)
     pairs = [
         ("command", "bounds"),
         ("shape", args.shape),
@@ -270,9 +279,8 @@ def cmd_guldin(args) -> int:
 def cmd_oracle(args) -> int:
     _require_positive("oracle", r=args.r, R=args.R, h=args.h, samples=args.samples, cells=args.cells)
     _require_seed("oracle", args.seed)
-    kind, shape = _named_shape(args.target, args)
-    closed_form, _, mc = MEASURES[kind]
-    closed = closed_form(shape)
+    kind, shape, closed = _named_shape(args.target, args)
+    _, _, mc = MEASURES[kind]
     pairs = [
         ("command", "oracle"),
         ("target", args.target),
@@ -309,10 +317,11 @@ def cmd_svg(args) -> int:
         _require_positive("svg", r=args.r)
         if args.n < 3:
             _usage_error("--n must be at least 3 for svg --construction unroll")
+        _named_shape("disk", args)  # exits 3 unless the disk's area is finite
         content = render_unroll(args.r, args.n)
     elif args.construction == "bounds":
         _require_positive("svg", r=args.r, h=args.h, slices=args.slices)
-        _, shape = _named_shape(args.shape, args)
+        _, shape, _ = _named_shape(args.shape, args)
         content = render_bounds(shape.section(), args.slices)
     else:  # guldin
         try:

@@ -38,9 +38,6 @@ from ._kernels import _BLOCK, ordered_sum
 from .errors import InvalidMonotonicity, ToleranceNotReached
 from .geometry import SectionFunction, WidthFunction
 
-METHOD_AREA = "inner-outer-rectangles"
-METHOD_VOLUME = "inner-outer-disks"
-
 _INFLATION = 1e-12
 _UNIT_ROUNDOFF = 2.0**-53
 _MONOTONE_SAMPLES = 17
@@ -152,38 +149,50 @@ def _staircase_bounds(f: WidthFunction, n: int, method: str) -> MeasureInterval:
 
 def area_bounds(width: WidthFunction, n: int) -> MeasureInterval:
     """Enclose the area under a width profile between n-slab staircases."""
-    return _staircase_bounds(width, n, METHOD_AREA)
+    return _staircase_bounds(width, n, WidthFunction.enclosure_method)
 
 
 def volume_bounds(section: SectionFunction, n: int) -> MeasureInterval:
     """Enclose a solid volume between staircases of its section areas."""
-    return _staircase_bounds(section, n, METHOD_VOLUME)
+    return _staircase_bounds(section, n, SectionFunction.enclosure_method)
 
 
 def refine_until(target: WidthFunction, tol: float, n_max: int) -> MeasureInterval:
-    """Double the slab count from 16 until the enclosure width reaches tol.
+    """Refine the slab count from 16 until the enclosure width reaches tol.
 
-    Successive enclosures are intersected, so each returned interval is
-    contained in every coarser one.  Raises ToleranceNotReached (carrying the
-    best interval) when n_max is exceeded first.
+    The width of a staircase over slabs of width h is the sum of h*|df| over
+    the slabs, about h*TV(f).  So when the 16-slab width w16 misses tol, the
+    next slab count is the first doubling n of 16 whose scaled width
+    w16 * 16 / n meets tol (at most the largest doubling within n_max);
+    the levels in between are never computed.  From there n doubles while the
+    width still misses tol.  Each computed enclosure is intersected with the
+    previous result, so the returned interval has width <= tol and lies
+    inside the 16-slab one and inside every enclosure computed on the way.
+
+    The jump assumes that the width shrinks in proportion to h, as it does for
+    a continuous profile; it then lands on the slab count plain doubling
+    would stop at.  Where that fails the result is still certified: landing
+    short costs extra doublings, and a jump discontinuity at a breakpoint,
+    whose width depends on where the breakpoint falls in its slab rather than
+    on h, can make it overshoot and use more slabs than needed.
+
+    Only the running interval is kept between levels, so memory stays that of
+    one streaming staircase.  Raises ToleranceNotReached (carrying the best
+    interval, or None when n_max < 16) when n_max is exceeded first.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
-    method = METHOD_VOLUME if isinstance(target, SectionFunction) else METHOD_AREA
-    best = None
-    n = 16
-    while n <= n_max:
-        interval = _staircase_bounds(target, n, method)
-        if best is not None:
-            interval = MeasureInterval(
-                max(interval.lo, best.lo), min(interval.hi, best.hi), interval.slabs, method
-            )
-        best = interval
-        if best.width <= tol:
-            return best
+    method = target.enclosure_method
+    if n_max < 16:
+        raise ToleranceNotReached(f"width inf > tol {tol!r} at n_max {n_max}", None)
+    best = _staircase_bounds(target, 16, method)
+    n = 32
+    while best.width * 16 / n > tol and 2 * n <= n_max:
         n *= 2
-    if best is not None and best.width <= tol:
-        return best
-    raise ToleranceNotReached(
-        f"width {best.width if best else float('inf')!r} > tol {tol!r} at n_max {n_max}", best
-    )
+    while best.width > tol:
+        if n > n_max:
+            raise ToleranceNotReached(f"width {best.width!r} > tol {tol!r} at n_max {n_max}", best)
+        finer = _staircase_bounds(target, n, method)
+        best = MeasureInterval(max(finer.lo, best.lo), min(finer.hi, best.hi), finer.slabs, method)
+        n *= 2
+    return best

@@ -97,7 +97,10 @@ class WidthFunction:
     one of "increasing"/"decreasing" per piece (a constant piece may declare
     either).  The evaluator must accept numpy arrays; a constant profile may
     return one value, which is broadcast to the shape of its input.
+    ``enclosure_method`` names the staircase that encloses its integral.
     """
+
+    enclosure_method = "inner-outer-rectangles"
 
     fn: Callable[[np.ndarray], np.ndarray] = field(compare=False)
     domain: tuple[float, float] = (0.0, 1.0)
@@ -147,6 +150,8 @@ class WidthFunction:
 
 class SectionFunction(WidthFunction):
     """Cross-section area profile A(t) of a solid, sliced along [a, b]."""
+
+    enclosure_method = "inner-outer-disks"
 
 
 def _rise_fall(cls, fn, lo: float, peak: float, hi: float):

@@ -6,8 +6,6 @@ produces byte-identical output.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .geometry import Point2, Polygon, WidthFunction, bounding_box, centroid_region
@@ -64,12 +62,12 @@ def render_unroll(r: float, n: int) -> str:
 
     saw = unroll_disk(Disk(Point2(0.0, 0.0), r), n)
     teeth = sawtooth_teeth(saw)
-    chord = 2.0 * r * math.sin(math.pi / n)
-    apothem = r * math.cos(math.pi / n)
-    m = _Mapper(0.0, n * chord, 0.0, apothem)
+    # the baseline runs from the origin to the last chord end, the apexes reach the apothem
+    (x0, x1), (y0, y1) = saw.box()
+    m = _Mapper(x0, x1, y0, y1)
     body = [
-        f'<line class="baseline" x1="{m.xy(0.0, 0.0)[0]}" y1="{m.xy(0.0, 0.0)[1]}" '
-        f'x2="{m.xy(n * chord, 0.0)[0]}" y2="{m.xy(n * chord, 0.0)[1]}" '
+        f'<line class="baseline" x1="{m.xy(x0, 0.0)[0]}" y1="{m.xy(x0, 0.0)[1]}" '
+        f'x2="{m.xy(x1, 0.0)[0]}" y2="{m.xy(x1, 0.0)[1]}" '
         'stroke="black" stroke-width="1"/>'
     ]
     for tooth in teeth:

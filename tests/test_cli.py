@@ -2,6 +2,7 @@
 byte-level determinism."""
 
 import argparse
+import hashlib
 import math
 import re
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 import indivisibles
 from indivisibles import riemann_volume
 from indivisibles.cli import MEASURES, SHAPES, main
+from indivisibles.svg import render_unroll
 
 from conftest import SCRIPTS_DIR
 
@@ -197,6 +199,21 @@ class TestBounds:
         assert err.value.code == 2
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--shape", "disk", "--r", "1e200"],
+            ["bounds", "--shape", "sphere", "--r", "1e120"],
+            ["oracle", "--target", "sphere", "--r", "1e200"],
+            ["svg", "--construction", "unroll", "--r", "1e308", "--out", "x.svg"],
+        ],
+    )
+    def test_measure_that_is_not_finite_exits_three(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 3
+        assert capsys.readouterr().err.endswith("is not finite at these dimensions\n")
+
     def test_invalid_constructor_argument_exits_three(self, capsys, tmp_path):
         bad = tmp_path / "neg.igeo"
         bad.write_text("let d = disk(r=-1);\n")
@@ -329,6 +346,20 @@ class TestSvg:
         tooth_width = max(xs) - min(xs)
         # the baseline spans exactly n chord lengths
         assert base_len == pytest.approx(16 * tooth_width, abs=1e-3)
+
+    @pytest.mark.parametrize(
+        "r,n,digest",
+        [
+            (1.0, 3, "6b2138730e19897fa7768515476c18a32c7dc947d77130865b384407dfb35899"),
+            (1.0, 16, "83e7e2d25a9b07f8162f3f2bb414fe2e68eb1853badaf4cd0be156737b8611bf"),
+            (1.0, 4096, "362b28b4677cbad7c07b86cc82281c7fd164cf5573d1f69a668e21c6e5149ed1"),
+            (0.37, 3, "6b2138730e19897fa7768515476c18a32c7dc947d77130865b384407dfb35899"),
+            (0.37, 16, "83e7e2d25a9b07f8162f3f2bb414fe2e68eb1853badaf4cd0be156737b8611bf"),
+            (0.37, 4096, "a66bea55623903a71603df7421a1de8a0d8080b5b21d5b6909c66f1b4b92b1a3"),
+        ],
+    )
+    def test_unroll_bytes_are_pinned(self, r, n, digest):
+        assert hashlib.sha256(render_unroll(r, n).encode()).hexdigest() == digest
 
     def test_bounds_structure(self, tmp_path, capsys):
         out_path = tmp_path / "bounds.svg"

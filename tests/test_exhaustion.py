@@ -8,6 +8,7 @@ import pytest
 
 from indivisibles import (
     InvalidMonotonicity,
+    MeasureInterval,
     SectionFunction,
     ToleranceNotReached,
     WidthFunction,
@@ -16,7 +17,7 @@ from indivisibles import (
     volume_bounds,
 )
 from indivisibles._kernels import _BLOCK, ordered_sum
-from indivisibles.exhaustion import _INFLATION, _staircase_sums, _widen
+from indivisibles.exhaustion import _INFLATION, _staircase_bounds, _staircase_sums, _widen
 
 # slack factor covering the documented 1e-12 outward inflation of the bounds
 INFLATION_SLACK = 1.0 + 1e-9
@@ -220,6 +221,112 @@ class TestRefineUntil:
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             refine_until(disk_width(), 0.0, 64)
+
+
+def reference_refine(target, tol, n_max):
+    """refine_until as plain doubling from 16: every level computed and
+    intersected with the previous result."""
+    method = target.enclosure_method
+    best = None
+    n = 16
+    while n <= n_max:
+        interval = _staircase_bounds(target, n, method)
+        if best is not None:
+            interval = MeasureInterval(max(interval.lo, best.lo), min(interval.hi, best.hi), interval.slabs, method)
+        best = interval
+        if best.width <= tol:
+            return best
+        n *= 2
+    raise ToleranceNotReached("n_max reached", best)
+
+
+def counted(f):
+    """f with a tally of the profile points it evaluates, as (f, tally)."""
+    tally = [0]
+
+    def fn(t):
+        tally[0] += np.size(t)
+        return f.fn(t)
+
+    return type(f)(fn, domain=f.domain, breakpoints=f.breakpoints, monotonicity=f.monotonicity), tally
+
+
+def step_width(c):
+    # 1 up to c, 0 after it: a jump at the declared breakpoint c
+    return WidthFunction(
+        lambda t: np.where(t <= c, 1.0, 0.0),
+        domain=(0.0, 1.0),
+        breakpoints=(c,),
+        monotonicity=("decreasing", "decreasing"),
+    )
+
+
+TOLS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+
+
+class TestRefineJump:
+    SHAPES = {
+        "disk": disk_width,
+        "sphere": sphere_sections,
+        "cone": lambda r: cone_sections(3.0 * r * r, r),
+        "hoof": lambda r: hoof_sections(r, r),
+    }
+
+    @pytest.mark.parametrize("r", [0.8, 1.0, 1.25])
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_same_interval_as_doubling(self, name, r):
+        fn = self.SHAPES[name](r)
+        for tol in TOLS:
+            try:
+                expected = reference_refine(fn, tol, 1 << 22)
+            except ToleranceNotReached as err:
+                with pytest.raises(ToleranceNotReached) as got:
+                    refine_until(fn, tol, 1 << 22)
+                assert got.value.best == err.best, tol
+                continue
+            got = refine_until(fn, tol, 1 << 22)
+            assert (got.slabs, got.lo, got.hi) == (expected.slabs, expected.lo, expected.hi), tol
+
+    @pytest.mark.parametrize(
+        "factory,tol,n_max",
+        [
+            *((f, tol, n_max) for f in (disk_width, sphere_sections)
+              for tol, n_max in ((1e-6, 1024), (1e-13, 1 << 16), (1e-3, 15))),
+            # past about 9000 slabs the constant's enclosure widens with n, so
+            # only the intersection keeps the 16-slab bounds
+            pytest.param(lambda: WidthFunction(lambda t: 0.1, domain=(0.0, 3.0)), 1e-14, 1 << 16, id="constant"),
+        ],
+    )
+    def test_same_best_when_n_max_is_reached(self, factory, tol, n_max):
+        with pytest.raises(ToleranceNotReached) as expected:
+            reference_refine(factory(), tol, n_max)
+        with pytest.raises(ToleranceNotReached) as got:
+            refine_until(factory(), tol, n_max)
+        assert got.value.best == expected.value.best
+
+    def test_step_just_below_the_midpoint_stops_at_16(self):
+        # the a-priori bound TV * (b - a) / n would ask for 2^20 slabs here
+        f, tally = counted(step_width(0.5 - 1e-9))
+        got = refine_until(f, 1e-6, 1 << 24)
+        assert got.slabs == 17  # 16 slabs, one split at the breakpoint
+        assert got.lo <= 0.5 - 1e-9 <= got.hi
+        assert tally[0] == 52  # 18 edges and 17 spot points per piece
+
+    @pytest.mark.parametrize("c", [1.0 / 3.0, 0.7])
+    def test_off_grid_step_is_certified_within_twice_the_points(self, c):
+        for tol in TOLS:
+            f, tally = counted(step_width(c))
+            got = refine_until(f, tol, 1 << 24)
+            assert got.width <= tol and got.lo <= c <= got.hi, tol
+            g, reference_tally = counted(step_width(c))
+            reference_refine(g, tol, 1 << 24)
+            assert tally[0] <= 2 * reference_tally[0], tol
+
+    def test_disk_evaluates_each_final_edge_about_once(self):
+        f, tally = counted(disk_width())
+        got = refine_until(f, 1e-5, 1 << 24)
+        assert got.slabs == 1 << 20
+        assert tally[0] <= 1.001 * (got.slabs + 1)
 
 
 def reference_sums(f, n):
