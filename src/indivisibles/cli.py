@@ -145,14 +145,16 @@ def _require_seed(parser_hint: str, seed: int) -> None:
 
 
 def _named_shape(name: str, args):
-    """The measure, the library object and its closed form that a
-    --shape/--target name stands for; exits 3 when the object cannot be built
-    or its measure is not finite."""
+    """The measure and the library object that a --shape/--target name stands for."""
     kind, build = SHAPES[name]
     try:
-        shape = build(args)
+        return kind, build(args)
     except (GeometryError, ValueError) as exc:
         raise SystemExit(_error(EXIT_GEOMETRY, str(exc))) from None
+
+
+def _closed_form(kind: str, name: str, shape) -> float:
+    """The closed-form measure of a named shape; exits 3 when it is not finite."""
     closed_form, _, _ = MEASURES[kind]
     try:
         closed = closed_form(shape)
@@ -160,13 +162,14 @@ def _named_shape(name: str, args):
         closed = math.inf
     if not math.isfinite(closed):
         raise SystemExit(_error(EXIT_GEOMETRY, f"the {kind} of the {name} is not finite at these dimensions"))
-    return kind, shape, closed
+    return closed
 
 
 def cmd_bounds(args) -> int:
     _require_positive("bounds", r=args.r, h=args.h, slices=args.slices)
-    kind, shape, closed = _named_shape(args.shape, args)
+    kind, shape = _named_shape(args.shape, args)
     _, bounds, _ = MEASURES[kind]
+    closed = _closed_form(kind, args.shape, shape)
     interval = bounds(shape.section(), args.slices)
     pairs = [
         ("command", "bounds"),
@@ -279,8 +282,9 @@ def cmd_guldin(args) -> int:
 def cmd_oracle(args) -> int:
     _require_positive("oracle", r=args.r, R=args.R, h=args.h, samples=args.samples, cells=args.cells)
     _require_seed("oracle", args.seed)
-    kind, shape, closed = _named_shape(args.target, args)
+    kind, shape = _named_shape(args.target, args)
     _, _, mc = MEASURES[kind]
+    closed = _closed_form(kind, args.target, shape)
     pairs = [
         ("command", "oracle"),
         ("target", args.target),
@@ -317,11 +321,13 @@ def cmd_svg(args) -> int:
         _require_positive("svg", r=args.r)
         if args.n < 3:
             _usage_error("--n must be at least 3 for svg --construction unroll")
-        _named_shape("disk", args)  # exits 3 unless the disk's area is finite
-        content = render_unroll(args.r, args.n)
+        try:
+            content = render_unroll(args.r, args.n)
+        except (GeometryError, ValueError) as exc:
+            return _error(EXIT_GEOMETRY, str(exc))
     elif args.construction == "bounds":
         _require_positive("svg", r=args.r, h=args.h, slices=args.slices)
-        _, shape, _ = _named_shape(args.shape, args)
+        _, shape = _named_shape(args.shape, args)
         content = render_bounds(shape.section(), args.slices)
     else:  # guldin
         try:

@@ -157,42 +157,73 @@ def volume_bounds(section: SectionFunction, n: int) -> MeasureInterval:
     return _staircase_bounds(section, n, SectionFunction.enclosure_method)
 
 
+def _doublings(lo: int, hi: int):
+    """The slab counts lo, 2*lo, 4*lo, ... up to hi."""
+    n = lo
+    while n <= hi:
+        yield n
+        n *= 2
+
+
 def refine_until(target: WidthFunction, tol: float, n_max: int) -> MeasureInterval:
     """Refine the slab count from 16 until the enclosure width reaches tol.
 
-    The width of a staircase over slabs of width h is the sum of h*|df| over
-    the slabs, about h*TV(f).  So when the 16-slab width w16 misses tol, the
-    next slab count is the first doubling n of 16 whose scaled width
-    w16 * 16 / n meets tol (at most the largest doubling within n_max);
-    the levels in between are never computed.  From there n doubles while the
-    width still misses tol.  Each computed enclosure is intersected with the
-    previous result, so the returned interval has width <= tol and lies
-    inside the 16-slab one and inside every enclosure computed on the way.
+    Each computed enclosure is intersected with the previous result, so the
+    returned interval has width <= tol and lies inside every enclosure
+    computed on the way, the 16-slab one included; its ``slabs`` is the
+    largest slab count computed.  Only that running interval is kept between
+    slab counts, so memory stays that of one streaming staircase.
 
-    The jump assumes that the width shrinks in proportion to h, as it does for
-    a continuous profile; it then lands on the slab count plain doubling
-    would stop at.  Where that fails the result is still certified: landing
-    short costs extra doublings, and a jump discontinuity at a breakpoint,
-    whose width depends on where the breakpoint falls in its slab rather than
-    on h, can make it overshoot and use more slabs than needed.
+    Up to one streaming block (``_kernels._BLOCK`` slabs) the slab count
+    doubles from 16, as plain doubling does.  Past it the levels in between
+    together would cost as much as the last, so the next count is predicted
+    instead.  The staircase width over slabs of width h is the sum of h*|df|
+    over the slabs, about h*TV(f); so the width at one block is scaled by h,
+    and the rounding allowance at the target count (see the module
+    docstring) is added.  The jump goes to the first doubling whose
+    prediction meets tol or, when none within n_max does, to the one where
+    the prediction stops falling; from there n doubles while tol is missed.
 
-    Only the running interval is kept between levels, so memory stays that of
-    one streaming staircase.  Raises ToleranceNotReached (carrying the best
-    interval, or None when n_max < 16) when n_max is exceeded first.
+    The prediction assumes that the width shrinks in proportion to h, as it
+    does for a continuous piecewise-monotone profile, and then lands on the
+    slab count plain doubling stops at.  A jump discontinuity at a breakpoint
+    breaks that assumption: there the width is the distance from the
+    breakpoint to the next edge, which a finer grid can shrink to almost
+    nothing.  Then a jump can use more slabs than plain doubling, or miss tol
+    at every count up to n_max; in that case the skipped counts are computed
+    in turn before giving up, so refine_until never raises where plain
+    doubling would return.  Raises ToleranceNotReached (carrying the
+    intersection of all computed enclosures, or None when n_max < 16) when
+    no slab count up to n_max reaches tol.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
     method = target.enclosure_method
-    if n_max < 16:
-        raise ToleranceNotReached(f"width inf > tol {tol!r} at n_max {n_max}", None)
-    best = _staircase_bounds(target, 16, method)
-    n = 32
-    while best.width * 16 / n > tol and 2 * n <= n_max:
-        n *= 2
-    while best.width > tol:
-        if n > n_max:
-            raise ToleranceNotReached(f"width {best.width!r} > tol {tol!r} at n_max {n_max}", best)
+    best = None
+
+    def predicted(n):
+        lo, hi = _widen(best.lo, best.hi, n)
+        return best.width * _BLOCK / n + (hi - lo - best.width)
+
+    def slab_counts():
+        yield from _doublings(16, min(_BLOCK, n_max))
+        if 2 * _BLOCK > n_max:
+            return
+        jump = 2 * _BLOCK
+        while predicted(jump) > tol and 2 * jump <= n_max and predicted(2 * jump) < predicted(jump):
+            jump *= 2
+        yield from _doublings(jump, n_max)
+        yield from _doublings(2 * _BLOCK, jump // 2)  # reached only when no count from jump on meets tol
+
+    for n in slab_counts():
         finer = _staircase_bounds(target, n, method)
-        best = MeasureInterval(max(finer.lo, best.lo), min(finer.hi, best.hi), finer.slabs, method)
-        n *= 2
-    return best
+        if best is not None:
+            finer = MeasureInterval(
+                max(finer.lo, best.lo), min(finer.hi, best.hi), max(finer.slabs, best.slabs), method
+            )
+        best = finer
+        if best.width <= tol:
+            return best
+    raise ToleranceNotReached(
+        f"width {best.width if best else float('inf')!r} > tol {tol!r} at n_max {n_max}", best
+    )

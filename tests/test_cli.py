@@ -205,7 +205,6 @@ class TestBounds:
             ["bounds", "--shape", "disk", "--r", "1e200"],
             ["bounds", "--shape", "sphere", "--r", "1e120"],
             ["oracle", "--target", "sphere", "--r", "1e200"],
-            ["svg", "--construction", "unroll", "--r", "1e308", "--out", "x.svg"],
         ],
     )
     def test_measure_that_is_not_finite_exits_three(self, argv, capsys):
@@ -213,6 +212,13 @@ class TestBounds:
             main(argv)
         assert err.value.code == 3
         assert capsys.readouterr().err.endswith("is not finite at these dimensions\n")
+
+    def test_unroll_whose_coordinates_overflow_exits_three(self, capsys, tmp_path):
+        out_path = tmp_path / "x.svg"
+        code, _, err = run_main(capsys, "svg", "--construction", "unroll", "--r", "1e308", "--out", str(out_path))
+        assert code == 3
+        assert err == "error: coordinates must be finite\n"
+        assert not out_path.exists()
 
     def test_invalid_constructor_argument_exits_three(self, capsys, tmp_path):
         bad = tmp_path / "neg.igeo"
@@ -356,8 +362,11 @@ class TestSvg:
             (0.37, 3, "6b2138730e19897fa7768515476c18a32c7dc947d77130865b384407dfb35899"),
             (0.37, 16, "83e7e2d25a9b07f8162f3f2bb414fe2e68eb1853badaf4cd0be156737b8611bf"),
             (0.37, 4096, "a66bea55623903a71603df7421a1de8a0d8080b5b21d5b6909c66f1b4b92b1a3"),
+            # the disk's area overflows here, but every vertex is finite
+            (1e200, 16, "02a92966af56332b937666e6cc006c4b690608012194869e60c59ce7b273eeb9"),
         ],
     )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_unroll_bytes_are_pinned(self, r, n, digest):
         assert hashlib.sha256(render_unroll(r, n).encode()).hexdigest() == digest
 

@@ -322,11 +322,36 @@ class TestRefineJump:
             reference_refine(g, tol, 1 << 24)
             assert tally[0] <= 2 * reference_tally[0], tol
 
-    def test_disk_evaluates_each_final_edge_about_once(self):
+    def test_disk_evaluates_the_doublings_within_a_block_and_the_final_level(self):
         f, tally = counted(disk_width())
         got = refine_until(f, 1e-5, 1 << 24)
         assert got.slabs == 1 << 20
-        assert tally[0] <= 1.001 * (got.slabs + 1)
+        g, expected = counted(disk_width())
+        for n in [*(16 << k for k in range((_BLOCK // 16).bit_length())), got.slabs]:
+            area_bounds(g, n)
+        assert tally[0] == expected[0] <= 1.04 * (got.slabs + 1)
+
+    @pytest.mark.parametrize("c", [0.5 + 2.0**-10 - 1e-12, 0.25 + 2.0**-12 - 1e-13])
+    def test_step_resolved_within_a_block_matches_doubling(self, c):
+        # the edge that lands just above c closes the gap at 2^10 (2^12)
+        # slabs, long before the width at 16 slabs scaled by h would say
+        f, tally = counted(step_width(c))
+        got = refine_until(f, 1e-9, 1 << 24)
+        g, reference_tally = counted(step_width(c))
+        expected = reference_refine(g, 1e-9, 1 << 24)
+        assert (got.slabs, got.lo, got.hi) == (expected.slabs, expected.lo, expected.hi)
+        assert tally[0] == reference_tally[0]
+
+    def test_jump_that_misses_falls_back_to_the_skipped_counts(self):
+        # past one block the predicted count is n_max, whose rounding allowance
+        # alone exceeds tol; plain doubling stops at 2^16 slabs, where the edge
+        # 0.5 + 2^-16 lands just above c
+        c, tol, n_max = 0.5 + 2.0**-16 - 1e-14, 2e-11, 1 << 20
+        expected = reference_refine(step_width(c), tol, n_max)
+        assert expected.slabs == (1 << 16) + 1
+        got = refine_until(step_width(c), tol, n_max)
+        assert got.width <= tol and got.lo <= c <= got.hi
+        assert expected.lo <= got.lo and got.hi <= expected.hi
 
 
 def reference_sums(f, n):
