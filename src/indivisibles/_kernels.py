@@ -5,24 +5,11 @@ wraps silently for arrays), and mixed states below 2^53 convert to float64
 exactly, so every value of the stream equals its arbitrary-precision
 reference.
 
-Both kernels walk their data in blocks of ``_BLOCK`` (2^14) elements, so the
-working set of every numpy call stays in cache (a block of float64 or uint64
-is 128 KiB).  Blocking changes no bit of the output:
-
-- ``uniform01`` computes value i from (seed, i) alone, as the uint64 state
-  ``seed + (i + 1) * GAMMA`` mixed.  With ``dims`` rows, row d, column c holds
-  value ``start + c * dims + d``: the interleaved run ``start ..
-  start + count*dims - 1`` split into one contiguous row per axis.  Row d's
-  block starting at column b adds the offset
-  ``seed + (start + b * dims + d + 1) * GAMMA`` (mod 2^64, in Python integers)
-  to the fixed steps ``j * dims * GAMMA``, which is the same state the
-  unblocked formula gives for column b + j, so every value is kept and only
-  its place in memory moves.
-- ``ordered_sum`` runs ``np.add.accumulate`` over ``[acc, *block]``.
-  ``accumulate`` adds strictly left to right, one rounding per element (unlike
-  ``np.sum``, which sums pairwise), and the last element carries the running
-  value into the next block, so the sequence of float64 additions is exactly
-  that of the loop ``acc = acc + v``.
+The kernels are straight-line: each handles its whole input in one pass, and
+its scratch grows with the input.  The loops that stream (Monte Carlo chunks,
+midpoint pieces, staircase blocks) own the working set and hand a kernel at
+most ``_BLOCK`` elements at a time; where each piece starts changes no bit of
+any result, because the stream is indexed by value and the sum is chained.
 """
 
 import operator
@@ -34,7 +21,6 @@ import numpy as np
 BACKEND = "pure"
 
 _GAMMA_INT = 0x9E3779B97F4A7C15
-_GAMMA = np.uint64(_GAMMA_INT)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _SCALE = 1.0 / 9007199254740992.0  # 2^-53
@@ -65,24 +51,20 @@ def uniform01(seed, start, count, dims=1):
         raise ValueError("stream indices must fit in an unsigned 64-bit integer")
     out = np.empty(dims * count, dtype=np.float64)
     rows = out.reshape(dims, count)
-    size = min(count, _BLOCK)
-    steps = np.arange(size, dtype=np.uint64) * np.uint64(dims * _GAMMA_INT % _MAX_UINT64)
-    z = np.empty(size, dtype=np.uint64)
-    t = np.empty(size, dtype=np.uint64)
+    # row d, column j is state seed + (start + d + 1)*GAMMA + j*(dims*GAMMA), mod 2^64
+    steps = np.arange(count, dtype=np.uint64) * np.uint64(dims * _GAMMA_INT % _MAX_UINT64)
+    z = np.empty(count, dtype=np.uint64)
+    t = np.empty(count, dtype=np.uint64)
     for d in range(dims):
-        for b in range(0, count, _BLOCK):
-            k = min(_BLOCK, count - b)
-            zk, tk = z[:k], t[:k]
-            offset = np.uint64((seed + (start + b * dims + d + 1) * _GAMMA_INT) % _MAX_UINT64)
-            np.add(steps[:k], offset, out=zk)
-            for shift, mix in ((30, _MIX1), (27, _MIX2)):
-                np.right_shift(zk, np.uint64(shift), out=tk)
-                np.bitwise_xor(zk, tk, out=zk)
-                np.multiply(zk, mix, out=zk)
-            np.right_shift(zk, np.uint64(31), out=tk)
-            np.bitwise_xor(zk, tk, out=zk)
-            np.right_shift(zk, np.uint64(11), out=zk)
-            np.multiply(zk, _SCALE, out=rows[d, b:b + k])
+        np.add(steps, np.uint64((seed + (start + d + 1) * _GAMMA_INT) % _MAX_UINT64), out=z)
+        for shift, mix in ((30, _MIX1), (27, _MIX2)):
+            np.right_shift(z, np.uint64(shift), out=t)
+            np.bitwise_xor(z, t, out=z)
+            np.multiply(z, mix, out=z)
+        np.right_shift(z, np.uint64(31), out=t)
+        np.bitwise_xor(z, t, out=z)
+        np.right_shift(z, np.uint64(11), out=z)
+        np.multiply(z, _SCALE, out=rows[d])
     return out if dims == 1 else rows
 
 
@@ -94,16 +76,12 @@ def ordered_sum(values, init=0.0):
     how the elements were produced.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
-    acc = float(init)
-    n = values.shape[0]
-    buf = np.empty(min(n, _BLOCK) + 1)
-    # inf - inf and overflow are part of the sum's defined result, as in the loop
+    run = np.empty(values.shape[0] + 1)
+    run[0] = float(init)
+    run[1:] = values
+    # np.add.accumulate adds strictly left to right, one rounding per element
+    # (np.sum is pairwise); inf - inf and overflow are part of the sum's
+    # defined result, as in the loop
     with np.errstate(over="ignore", invalid="ignore"):
-        for b in range(0, n, _BLOCK):
-            k = min(_BLOCK, n - b)
-            run = buf[:k + 1]
-            run[0] = acc
-            run[1:] = values[b:b + k]
-            np.add.accumulate(run, out=run)
-            acc = float(run[k])
-    return acc
+        np.add.accumulate(run, out=run)
+    return float(run[-1])

@@ -16,7 +16,7 @@ import sys
 from . import __version__
 from ._kernels import BACKEND
 from .dsl import ParseError, RunReport, ScriptError, run_script
-from .errors import GeometryError
+from .errors import EmptyBox, GeometryError
 from .exhaustion import area_bounds, volume_bounds
 from .geometry import (
     Disk,
@@ -170,7 +170,14 @@ def cmd_bounds(args) -> int:
     kind, shape = _named_shape(args.shape, args)
     _, bounds, _ = MEASURES[kind]
     closed = _closed_form(kind, args.shape, shape)
-    interval = bounds(shape.section(), args.slices)
+    section = shape.section()
+    try:
+        interval = bounds(section, args.slices)
+    except ValueError:
+        # a staircase sum can overflow where the closed form does not
+        raise SystemExit(
+            _error(EXIT_GEOMETRY, f"the enclosure of the {args.shape} is not finite at these dimensions")
+        ) from None
     pairs = [
         ("command", "bounds"),
         ("shape", args.shape),
@@ -262,7 +269,10 @@ def cmd_guldin(args) -> int:
         ("surface", surf),
     ]
     if args.verify:
-        est = mc_volume(solid.contains, solid.box(), samples=args.samples, seed=args.seed)
+        try:
+            est = mc_volume(solid.contains, solid.box(), samples=args.samples, seed=args.seed)
+        except EmptyBox as exc:
+            return _error(EXIT_GEOMETRY, str(exc))
         err = abs(est.mean - vol)
         pairs += [
             ("verify_samples", est.samples),
@@ -291,7 +301,10 @@ def cmd_oracle(args) -> int:
         ("method", args.method),
     ]
     if args.method == "mc":
-        est = mc(shape.contains, shape.box(), args.samples, args.seed)
+        try:
+            est = mc(shape.contains, shape.box(), args.samples, args.seed)
+        except EmptyBox as exc:
+            raise SystemExit(_error(EXIT_GEOMETRY, str(exc))) from None
         pairs += [
             ("samples", est.samples),
             ("seed", est.seed),

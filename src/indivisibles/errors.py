@@ -57,4 +57,5 @@ class SlabOutOfRange(GeometryError):
 
 
 class EmptyBox(GeometryError):
-    """A sampling box has nonpositive extent."""
+    """A sampling box has no side, a side of nonpositive or non-finite extent,
+    or a measure that is not finite."""

@@ -584,14 +584,9 @@ class Profile:
     region: PlanarRegion
 
     def __post_init__(self):
-        check_profile_region(self.region)
-
-
-def check_profile_region(region: PlanarRegion, tol: float = 1e-12):
-    """Raise AxisCrossing when any point of the region has rho < -tol."""
-    rho_min = region.min_rho()
-    if rho_min < -tol:
-        raise AxisCrossing(f"profile reaches rho = {rho_min!r} past the revolution axis")
+        rho_min = self.region.min_rho()
+        if rho_min < -1e-12:
+            raise AxisCrossing(f"profile reaches rho = {rho_min!r} past the revolution axis")
 
 
 def min_rho(region: PlanarRegion) -> float:
@@ -765,11 +760,6 @@ def _ramp_integral(a, b, fa, fb):
 # public operations
 
 
-def region_measures(region: PlanarRegion) -> tuple[float, float, float]:
-    """(area, Sx, Sy) with Sx = integral x dA, Sy = integral y dA."""
-    return region.measures()
-
-
 def area(region: PlanarRegion) -> float:
     """Exact area.  Slab regions have no closed form; use exhaustion instead."""
     return region.area()
@@ -791,11 +781,6 @@ def _nonzero_measures(region: PlanarRegion, what: str = "region") -> tuple[float
 def centroid_region(region: PlanarRegion) -> Point2:
     a, sx, sy = _nonzero_measures(region)
     return Point2(sx / a, sy / a)
-
-
-def curve_measures(curve: Curve) -> tuple[float, float, float]:
-    """(length, integral x ds, integral y ds)."""
-    return curve.measures()
 
 
 def centroid_curve(curve: Curve) -> Point2:
@@ -836,8 +821,3 @@ def contains(region: PlanarRegion, xs, ys) -> np.ndarray:
 def boundary(region: PlanarRegion) -> Curve:
     """Boundary curve of a region (closed polyline or circle)."""
     return region.boundary()
-
-
-def revolving_boundary(region: PlanarRegion) -> Curve:
-    """Boundary pieces that sweep surface when revolved about the rho=0 axis."""
-    return region.revolving_boundary()

@@ -14,18 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import ordered_sum, uniform01
+# Monte Carlo chunks and midpoint pieces stream in _BLOCK (2^14) samples or
+# cells, so a chunk's coordinates, membership mask and midpoints stay in cache.
+from ._kernels import _BLOCK, ordered_sum, uniform01
 from .errors import DegenerateCurve, EmptyBox
 from .geometry import CircleArc, Curve, Polyline
 
-# Samples (or cells) per chunk: at 2^14 the chunk's coordinates, membership
-# mask and midpoints stay in cache.  A chunk's coordinates come from the stream
-# as one contiguous row per axis (sample i, axis d is stream value i*dims + d)
-# and are mapped into the box in place, so predicates get contiguous arrays.
-# Chunking moves no bit of any result: the stream is indexed by sample, hits
-# are counted exactly, and ordered_sum chains its running value from chunk to
-# chunk.
-_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -49,36 +43,54 @@ class Estimate:
 
 
 def _check_box(bounds):
+    """Check the box ``bounds`` and give its lower corner, side lengths and measure.
+
+    Raises ``EmptyBox`` when the box has no side, when a side is not finite
+    or has nonpositive extent, or when the product of the sides is not finite.
+    """
     if not bounds:
         raise EmptyBox("box needs at least one side")
     for lo, hi in bounds:
         if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
             raise EmptyBox(f"box side [{lo!r}, {hi!r}] has nonpositive extent")
+    # float64 even for integer sides, whose int64 product would wrap
+    lows = np.array([lo for lo, _ in bounds], dtype=np.float64)
+    spans = np.array([hi - lo for lo, hi in bounds], dtype=np.float64)
+    with np.errstate(over="ignore"):
+        measure = float(np.prod(spans))
+    if not math.isfinite(measure):
+        raise EmptyBox(f"the measure of the box {tuple(bounds)!r} is not finite at these dimensions")
+    return lows, spans, measure
 
 
 def _indicator_estimate(hits: int, samples: int, box_measure: float, seed: int) -> Estimate:
-    mean = box_measure * hits / samples
+    # Work on the box measure scaled into [0.5, 1) by an exact power of two, so
+    # neither its square nor its product with the counts can overflow or
+    # underflow.  Scaling back is exact, so wherever the unscaled formula (with
+    # the square taken by multiplication) stays normal and finite this gives
+    # its result bit for bit.
+    scaled, exponent = math.frexp(box_measure)
+    mean = scaled * hits / samples
     if samples > 1:
-        # sample variance of box_measure * {0,1} values, from the counts alone
-        var = box_measure**2 * hits * (samples - hits) / (samples * (samples - 1))
+        # sample variance of scaled * {0,1} values, from the counts alone
+        var = scaled * scaled * hits * (samples - hits) / (samples * (samples - 1))
         stderr = math.sqrt(var) / math.sqrt(samples)
     else:
         stderr = 0.0
-    return Estimate(mean=mean, stderr=stderr, samples=samples, seed=seed)
+    return Estimate(
+        mean=math.ldexp(mean, exponent), stderr=math.ldexp(stderr, exponent), samples=samples, seed=seed
+    )
 
 
 def _mc_membership(membership, bounds, samples: int, seed: int) -> Estimate:
-    _check_box(bounds)
+    lows, spans, box_measure = _check_box(bounds)
     if samples < 1:
         raise ValueError("need at least one sample")
     dims = len(bounds)
-    lows = np.array([lo for lo, _ in bounds])
-    spans = np.array([hi - lo for lo, hi in bounds])
-    box_measure = float(np.prod(spans))
     hits = 0
     done = 0
     while done < samples:
-        m = min(_CHUNK, samples - done)
+        m = min(_BLOCK, samples - done)
         coords = uniform01(seed, done * dims, m, dims).reshape(dims, m)
         coords *= spans[:, None]
         coords += lows[:, None]
@@ -109,9 +121,9 @@ def mc_volume(membership, bbox3, samples: int, seed: int = 42) -> Estimate:
 
 def _midpoint_sum(values_at, n: int, total: float = 0.0) -> float:
     """``ordered_sum`` of ``values_at(k + 0.5)`` over k = 0 .. n-1, chained from
-    ``total`` through pieces of ``_CHUNK`` cells."""
-    for done in range(0, n, _CHUNK):
-        mids = np.arange(done, min(done + _CHUNK, n), dtype=np.float64) + 0.5
+    ``total`` through pieces of ``_BLOCK`` cells."""
+    for done in range(0, n, _BLOCK):
+        mids = np.arange(done, min(done + _BLOCK, n), dtype=np.float64) + 0.5
         total = ordered_sum(values_at(mids), total)
     return total
 

@@ -13,10 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import ApexHeightChanged, UnsupportedRegion
-from .geometry import Disk, Line2, PlanarRegion, Point2, Polygon, Profile
+from .geometry import TWO_PI, Disk, Line2, PlanarRegion, Point2, Polygon, Profile
 from .solids import Cone, Cylinder, DoubleHoof, HeightFieldCylinder, Point3, Solid, Sphere, TwistedColumn
-
-TWO_PI = 2.0 * math.pi
 
 # What each construction preserves (the discretized ones preserve their
 # measures only in the n -> infinity limit; see the convergence notes below).

@@ -205,6 +205,9 @@ class TestBounds:
             ["bounds", "--shape", "disk", "--r", "1e200"],
             ["bounds", "--shape", "sphere", "--r", "1e120"],
             ["oracle", "--target", "sphere", "--r", "1e200"],
+            ["bounds", "--shape", "disk", "--r", "7e153", "--slices", "1"],
+            ["oracle", "--target", "torus", "--R", "1e200"],
+            ["oracle", "--target", "torus", "--R", "1e160", "--r", "1e-10"],
         ],
     )
     def test_measure_that_is_not_finite_exits_three(self, argv, capsys):
@@ -318,6 +321,16 @@ class TestGuldin:
         assert report["verify_seed"] == "42"
 
 
+    def test_verify_on_a_box_whose_measure_overflows_exits_three(self, capsys, tmp_path):
+        # volume and moments are finite, but the sampling box is 2.1e308
+        wide = tmp_path / "wide.profile"
+        wide.write_text("point 1e106 0\npoint 2e106 0\npoint 2e106 1.3e95\npoint 1e106 1.3e95\n")
+        code, out, err = run_main(capsys, "guldin", str(wide), "--verify", "--samples", "1000")
+        assert code == 3
+        assert out == ""
+        assert err.endswith("is not finite at these dimensions\n") and err.count("\n") == 1
+
+
 class TestOracle:
     def test_mc_disk(self, capsys):
         code, out, _ = run_main(
@@ -334,6 +347,14 @@ class TestOracle:
         assert code == 0
         report = _report_dict(out)
         assert abs(float(report["value"]) - 2 / 3) <= 1e-7
+
+    @pytest.mark.parametrize("target,r", [("disk", "4e76"), ("disk", "1e100"), ("sphere", "1e102"), ("disk", "1e-100")])
+    def test_mc_on_a_box_whose_measure_squared_overflows_or_underflows(self, capsys, target, r):
+        code, out, _ = run_main(capsys, "oracle", "--target", target, "--r", r, "--samples", "1000")
+        assert code == 0
+        report = _report_dict(out)
+        assert 0.0 < float(report["stderr"]) < math.inf
+        assert report["within_5_stderr"] == "true"
 
 
 class TestSvg:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import indivisibles as iv
 from indivisibles import EmptyBox, SectionFunction
 from indivisibles._kernels import ordered_sum
+from indivisibles.oracle import _indicator_estimate
 
 from conftest import DATA_DIR
 
@@ -48,6 +50,16 @@ GOLDEN_KINDS = {
     "hoof_r1_h1_volume": (iv.mc_volume, iv.Hoof(1.0, 1.0), 10**6),
     "torus_R3_r1_volume": (iv.mc_volume, iv.SolidOfRevolution(iv.Profile(iv.Disk(iv.Point2(3, 0), 1.0))), 10**7),
 }
+
+
+def _traced_peak(run) -> int:
+    """Peak bytes traced by tracemalloc while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestMonteCarlo:
@@ -94,6 +106,58 @@ class TestMonteCarlo:
         with pytest.raises(EmptyBox):
             iv.mc_area(lambda: True, (), 10, seed=1)
 
+    def test_box_whose_measure_is_not_finite_rejected(self):
+        with pytest.raises(EmptyBox, match="is not finite"):
+            iv.mc_volume(lambda x, y, z: x > 0, ((-1e200, 1e200), (-1e200, 1e200), (-1, 1)), 10, seed=1)
+        with pytest.raises(EmptyBox, match="is not finite"):
+            iv.mc_area(lambda x, y: x > 0, ((-1e308, 1e308), (0, 1)), 10, seed=1)
+
+    def test_integer_box_measure_does_not_wrap(self):
+        # 2^32 * 2^32 wraps to 0 in int64
+        est = iv.mc_area(lambda x, y: x >= 0.0, ((0, 2**32), (0, 2**32)), 100, seed=1)
+        assert est.mean == 2.0**64
+
+    def test_estimate_matches_the_unscaled_formula_where_it_is_normal(self):
+        # The unscaled formula overflows for box measures above about 1e154
+        # and underflows below about 1e-154 (its variance becomes 0.0); where
+        # its results are finite and normal, the estimate equals it bit for
+        # bit.  Its square ``box_measure**2`` goes through libm's pow, which
+        # misrounds about one square in a thousand, so against that form the
+        # standard error is only within one ulp.
+        def unscaled(hits, samples, box_measure, square):
+            mean = box_measure * hits / samples
+            var = square(box_measure) * hits * (samples - hits) / (samples * (samples - 1)) if samples > 1 else 0.0
+            return mean, var, math.sqrt(var) / math.sqrt(samples)
+
+        def normal(x):
+            return math.isfinite(x) and (x == 0.0 or x >= sys.float_info.min)
+
+        rng = np.random.default_rng(20261018)
+        compared = 0
+        for _ in range(20_000):
+            box_measure = math.ldexp(rng.uniform(0.5, 1.0), int(rng.integers(-1073, 1025)))
+            samples = int(2.0 ** rng.uniform(0.0, 40.0))
+            hits = int(rng.integers(0, samples + 1))
+            est = _indicator_estimate(hits, samples, box_measure, 0)
+            assert math.isfinite(est.mean) and math.isfinite(est.stderr)
+            mean, var, stderr = unscaled(hits, samples, box_measure, lambda b: b * b)
+            if normal(mean):
+                assert est.mean == mean
+            if normal(var) and (var > 0.0 or hits in (0, samples)):
+                assert est.stderr == stderr
+                _, _, pow_stderr = unscaled(hits, samples, box_measure, lambda b: b**2)
+                assert abs(est.stderr - pow_stderr) <= math.ulp(stderr)
+                compared += 1
+        assert compared > 5_000
+
+    def test_memory_stays_bounded(self):
+        # 10^6 3-D samples hold 24 MB of coordinates; streamed in chunks of
+        # 2^14 samples the peak stays a few chunks
+        def run():
+            iv.mc_volume(lambda x, y, z: x * x + y * y + z * z <= 1.0, ((-1, 1), (-1, 1), (-1, 1)), 10**6)
+
+        assert _traced_peak(run) < 4 * 2**20
+
     def test_seed_independence_of_truth(self):
         # ten seeds, all estimates land within 5 stderr of the closed forms
         cases = [
@@ -115,9 +179,9 @@ class TestMonteCarlo:
 
     def test_chunk_edges_match_a_single_stream_call(self):
         from indivisibles import _kernels
-        from indivisibles.oracle import _CHUNK
+        from indivisibles.oracle import _BLOCK
 
-        samples = 3 * _CHUNK + 1
+        samples = 3 * _BLOCK + 1
         box = ((-1.0, 1.0), (0.0, 2.0), (-3.0, 1.0))
         calls = []
 
@@ -130,7 +194,7 @@ class TestMonteCarlo:
             return x * x + y * y + z * z <= 1.0
 
         est = iv.mc_volume(ball, box, samples, seed=5)
-        assert [len(x) for x, _, _ in calls] == [_CHUNK, _CHUNK, _CHUNK, 1]
+        assert [len(x) for x, _, _ in calls] == [_BLOCK, _BLOCK, _BLOCK, 1]
         # sample i, axis d is lo_d + span_d * (stream value 3*i + d), bit for bit
         u = _kernels.uniform01(5, 0, 3 * samples).reshape(samples, 3)
         coords = [lo + (hi - lo) * u[:, d] for d, (lo, hi) in enumerate(box)]
@@ -208,9 +272,14 @@ class TestRiemann:
 
         sec = self.sphere_sections()
         chunked = iv.riemann_volume(sec, 3_000_000)
-        monkeypatch.setattr(oracle, "_CHUNK", 1 << 22)
+        monkeypatch.setattr(oracle, "_BLOCK", 1 << 22)
         whole = iv.riemann_volume(sec, 3_000_000)
         assert whole == chunked
+
+
+    def test_memory_stays_bounded(self):
+        sec = self.sphere_sections()
+        assert _traced_peak(lambda: iv.riemann_volume(sec, 10**6)) < 4 * 2**20
 
 
 class TestBoundaryIntegral:
