@@ -154,14 +154,20 @@ def _named_shape(name: str, args):
 
 
 def _closed_form(kind: str, name: str, shape) -> float:
-    """The closed-form measure of a named shape; exits 3 when it is not finite."""
+    """The closed-form measure of a named shape; exits 3 when it is not finite,
+    underflows to 0 (where every enclosure and estimate would pass vacuously),
+    or meets a base or profile whose area underflows to 0."""
     closed_form, _, _ = MEASURES[kind]
     try:
         closed = closed_form(shape)
     except OverflowError:
         closed = math.inf
+    except GeometryError as exc:
+        raise SystemExit(_error(EXIT_GEOMETRY, str(exc))) from None
     if not math.isfinite(closed):
         raise SystemExit(_error(EXIT_GEOMETRY, f"the {kind} of the {name} is not finite at these dimensions"))
+    if closed == 0.0:
+        raise SystemExit(_error(EXIT_GEOMETRY, f"the {kind} of the {name} underflows to 0 at these dimensions"))
     return closed
 
 
@@ -234,18 +240,30 @@ def read_profile_file(path: str) -> tuple[str, list[tuple[float, float]]]:
     return name, points
 
 
+def _profile_polygon(path: str) -> tuple[int, str | None, Polygon | None]:
+    """(exit code, name, polygon) of a profile file.  The code is 0 with the
+    file's name and polygon, else it is reported: 4 when the file cannot be read
+    or parsed, 3 when its points are not a valid polygon."""
+    try:
+        name, points = read_profile_file(path)
+    except OSError as exc:
+        return _error(EXIT_IO, f"cannot read {path}: {exc.strerror}"), None, None
+    except ValueError as exc:
+        return _error(EXIT_IO, str(exc)), None, None
+    try:
+        return EXIT_OK, name, Polygon(points)
+    except (GeometryError, ValueError) as exc:
+        return _error(EXIT_GEOMETRY, str(exc)), None, None
+
+
 def cmd_guldin(args) -> int:
     if args.verify:
         _require_positive("guldin --verify", samples=args.samples)
         _require_seed("guldin --verify", args.seed)
+    code, name, polygon = _profile_polygon(args.profile)
+    if code:
+        return code
     try:
-        name, points = read_profile_file(args.profile)
-    except OSError as exc:
-        return _error(EXIT_IO, f"cannot read {args.profile}: {exc.strerror}")
-    except ValueError as exc:
-        return _error(EXIT_IO, str(exc))
-    try:
-        polygon = Polygon(points)
         solid = SolidOfRevolution(Profile(polygon))
         ring = boundary(polygon)
         c_region = centroid_region(polygon)
@@ -258,7 +276,7 @@ def cmd_guldin(args) -> int:
         ("command", "guldin"),
         ("profile", args.profile),
         ("name", name),
-        ("points", len(points)),
+        ("points", len(polygon.vertices)),
         ("area", area(polygon)),
         ("perimeter", perimeter(ring)),
         ("centroid_rho", c_region.x),
@@ -343,16 +361,9 @@ def cmd_svg(args) -> int:
         _, shape = _named_shape(args.shape, args)
         content = render_bounds(shape.section(), args.slices)
     else:  # guldin
-        try:
-            _, points = read_profile_file(args.profile)
-        except OSError as exc:
-            return _error(EXIT_IO, f"cannot read {args.profile}: {exc.strerror}")
-        except ValueError as exc:
-            return _error(EXIT_IO, str(exc))
-        try:
-            polygon = Polygon(points)
-        except (GeometryError, ValueError) as exc:
-            return _error(EXIT_GEOMETRY, str(exc))
+        code, _, polygon = _profile_polygon(args.profile)
+        if code:
+            return code
         content = render_guldin(polygon)
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -8,6 +8,7 @@ span attached.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from ..errors import GeometryError
@@ -115,6 +116,10 @@ _MEASURES = {
 }
 
 
+# The arithmetic of measure expressions; division by zero is an evaluation error.
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 def _named(args, span, *, required=(), optional=()):
     """Split call args into positional values and a validated kwargs dict."""
     positional = []
@@ -138,13 +143,6 @@ def _named(args, span, *, required=(), optional=()):
     return positional, named
 
 
-def _named_only(call, *, required=(), optional=()) -> dict:
-    positional, named = _named(call.args, call.span, required=required, optional=optional)
-    if positional:
-        raise ScriptTypeError(f"{call.name} takes named arguments only", call.span)
-    return named
-
-
 def _number(value, span, what) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ScriptTypeError(f"{what} must be a number", span)
@@ -164,6 +162,77 @@ def _point(value, span, what) -> Point2:
     return Point2(float(value[0]), float(value[1]))
 
 
+def _faces(value, span, what) -> tuple:
+    if not isinstance(value, tuple):
+        raise ScriptTypeError(f"{what} must be a tuple of areas", span)
+    return value
+
+
+# How a named argument is read; any other is read as a number.
+_READERS = {"n": _count, "faces": _faces}
+
+
+def _triangle(vertices) -> Polygon:
+    if len(vertices) != 3:
+        raise ValueError("triangle takes exactly 3 points")
+    return Polygon(vertices)
+
+
+def _rect(x0, x1, y0, y1) -> Polygon:
+    if not (x0 < x1 and y0 < y1):
+        raise ValueError("rect needs x0 < x1 and y0 < y1")
+    return Polygon([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+
+
+def _profile(shape) -> Profile:
+    """A profile as given, a region taken as one, or the polygon on a list of vertices."""
+    if isinstance(shape, Profile):
+        return shape
+    return Profile(shape if isinstance(shape, PlanarRegion) else Polygon(shape))
+
+
+def _cone(base, h, center=None) -> Cone:
+    """A cone(r=...) apex stands over (cx, cy), a base region's over its centroid."""
+    c = center or centroid_region(base)
+    return Cone(base, Point3(c.x, c.y, h))
+
+
+# How a call takes its positional arguments: not at all (None); _VERTICES, a
+# list of three or more points; _REGION_OR_VERTICES, one region or else such a
+# list; _PROFILE, exactly one profile or region; _BASE, a base region, or else
+# a disk from r=, cx= and cy=, whose centre the rule gets last; or one figure
+# of a (kind, description).  Positional arguments after a figure are ignored.
+_VERTICES, _REGION_OR_VERTICES, _PROFILE, _BASE = "vertices", "region or vertices", "profile", "base"
+_FIGURES = {_PROFILE: ((Profile, PlanarRegion), "a profile or region"), _BASE: (PlanarRegion, "a region")}
+_OPTIONAL = ("cx", "cy")  # default 0
+
+# Each call: its positional arguments, its named ones, and the library rule
+# that gets them all, in that order.
+_CALLS = {
+    "triangle": (_VERTICES, (), _triangle),
+    "polygon": (_VERTICES, (), Polygon),
+    "profile": (_REGION_OR_VERTICES, (), _profile),
+    "disk": (None, ("r", "cx", "cy"), lambda r, cx, cy: Disk(Point2(cx, cy), r)),
+    "rect": (None, ("x0", "x1", "y0", "y1"), _rect),
+    "sphere": (None, ("r",), Sphere),
+    "cylinder": (_BASE, ("h",), lambda base, h, center=None: Cylinder(base, h)),
+    "cone": (_BASE, ("h",), _cone),
+    "hoof": (None, ("r", "h"), Hoof),
+    "revolve": (_PROFILE, (), lambda shape: SolidOfRevolution(_profile(shape))),
+    "tangent_polyhedron": (None, ("faces", "r"), TangentPolyhedron),
+    "shear": (
+        (PlanarRegion, "a region"),
+        ("base_y", "shift"),
+        lambda region, base_y, shift: shear_region(region, Line2.horizontal(base_y), shift),
+    ),
+    "move_apex": ((Cone, "a cone"), ("x", "y", "z"), lambda cone, x, y, z: move_apex(cone, Point3(x, y, z))),
+    "unroll": ((Disk, "a disk"), ("n",), unroll_disk),
+    "twist": ((Cylinder, "a cylinder"), ("rate",), twist_column),
+    "meridian_unfold": ((Sphere, "a sphere"), ("n",), meridian_unfold),
+    "unfold_revolution": (_PROFILE, (), lambda shape: unfold_revolution(_profile(shape))),
+}
+
+
 class _Evaluator:
     def __init__(self, env: dict | None = None):
         self.env = dict(env or {})
@@ -179,16 +248,12 @@ class _Evaluator:
             return self.eval_call(expr)
         raise ScriptTypeError(f"cannot evaluate {_kind_name(expr)}", getattr(expr, "span", Span()))
 
-    def _value(self, value):
-        """A positional argument, evaluated when it names or builds a figure."""
-        return self.eval_expr(value) if isinstance(value, (Reference, Call)) else value
-
     def eval_call(self, call: Call):
-        handler = getattr(self, f"_build_{call.name}", None)
-        if handler is None:
+        if call.name not in _CALLS:
             raise ScriptNameError(f"unknown constructor or transform {call.name!r}", call.span)
+        takes, names, rule = _CALLS[call.name]
         try:
-            return handler(call)
+            return rule(*self._bind(call, takes, names))
         except ScriptError:
             raise
         except GeometryError as exc:
@@ -196,146 +261,45 @@ class _Evaluator:
         except (ValueError, TypeError) as exc:
             raise ScriptTypeError(str(exc), call.span) from exc
 
-    def _first_arg(self, call: Call, positional, kind, what: str):
-        if not positional:
-            raise ScriptTypeError(f"{call.name} needs {what} as its first argument", call.span)
-        value = self._value(positional[0])
-        if not isinstance(value, kind):
-            raise ScriptTypeError(f"{call.name} needs {what}, got {_kind_name(value)}", call.span)
-        return value
-
-    def _region_arg(self, call: Call, positional) -> PlanarRegion:
-        return self._first_arg(call, positional, PlanarRegion, "a region")
-
-    def _profile_arg(self, call: Call) -> Profile:
-        """The one argument of a revolution: a profile, or a region taken as one."""
-        positional, _ = _named(call.args, call.span)
-        if len(positional) != 1:
-            raise ScriptTypeError(f"{call.name} takes one profile or region", call.span)
-        value = self._value(positional[0])
-        if isinstance(value, PlanarRegion):
-            value = Profile(value)
-        if not isinstance(value, Profile):
-            raise ScriptTypeError(f"{call.name} needs a profile or region, got {_kind_name(value)}", call.span)
-        return value
-
-    # constructors
-
-    def _points(self, call: Call, minimum: int):
-        positional, _ = _named(call.args, call.span)
-        if len(positional) < minimum:
-            raise ScriptTypeError(f"{call.name} needs at least {minimum} points", call.span)
-        return [_point(v, call.span, "vertex") for v in positional]
-
-    def _build_triangle(self, call: Call):
-        pts = self._points(call, 3)
-        if len(pts) != 3:
-            raise ScriptTypeError("triangle takes exactly 3 points", call.span)
-        return Polygon(pts)
-
-    def _build_polygon(self, call: Call):
-        return Polygon(self._points(call, 3))
-
-    def _build_disk(self, call: Call):
-        named = _named_only(call, required=("r",), optional=("cx", "cy"))
-        r = _number(named["r"], call.span, "r")
-        cx = _number(named.get("cx", 0.0), call.span, "cx")
-        cy = _number(named.get("cy", 0.0), call.span, "cy")
-        return Disk(Point2(cx, cy), r)
-
-    def _build_rect(self, call: Call):
-        named = _named_only(call, required=("x0", "x1", "y0", "y1"))
-        x0 = _number(named["x0"], call.span, "x0")
-        x1 = _number(named["x1"], call.span, "x1")
-        y0 = _number(named["y0"], call.span, "y0")
-        y1 = _number(named["y1"], call.span, "y1")
-        if not (x0 < x1 and y0 < y1):
-            raise ScriptTypeError("rect needs x0 < x1 and y0 < y1", call.span)
-        return Polygon([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
-
-    def _build_profile(self, call: Call):
-        if len(call.args) == 1 and call.args[0][0] is None and isinstance(call.args[0][1], (Reference, Call)):
-            return Profile(self._region_arg(call, [call.args[0][1]]))
-        return Profile(Polygon(self._points(call, 3)))
-
-    def _build_sphere(self, call: Call):
-        named = _named_only(call, required=("r",))
-        return Sphere(_number(named["r"], call.span, "r"))
-
-    def _build_cylinder(self, call: Call):
-        positional, named = _named(call.args, call.span, required=("h",), optional=("r", "cx", "cy"))
-        h = _number(named["h"], call.span, "h")
-        if positional:
-            return Cylinder(self._region_arg(call, positional), h)
-        if "r" not in named:
-            raise ScriptTypeError("cylinder needs r= or a base region", call.span)
-        cx = _number(named.get("cx", 0.0), call.span, "cx")
-        cy = _number(named.get("cy", 0.0), call.span, "cy")
-        return Cylinder(Disk(Point2(cx, cy), _number(named["r"], call.span, "r")), h)
-
-    def _build_cone(self, call: Call):
-        positional, named = _named(call.args, call.span, required=("h",), optional=("r", "cx", "cy"))
-        h = _number(named["h"], call.span, "h")
-        if positional:
-            base = self._region_arg(call, positional)
-            c = centroid_region(base)
-            return Cone(base, Point3(c.x, c.y, h))
-        if "r" not in named:
-            raise ScriptTypeError("cone needs r= or a base region", call.span)
-        cx = _number(named.get("cx", 0.0), call.span, "cx")
-        cy = _number(named.get("cy", 0.0), call.span, "cy")
-        return Cone(Disk(Point2(cx, cy), _number(named["r"], call.span, "r")), Point3(cx, cy, h))
-
-    def _build_hoof(self, call: Call):
-        named = _named_only(call, required=("r", "h"))
-        return Hoof(_number(named["r"], call.span, "r"), _number(named["h"], call.span, "h"))
-
-    def _build_revolve(self, call: Call):
-        return SolidOfRevolution(self._profile_arg(call))
-
-    def _build_tangent_polyhedron(self, call: Call):
-        named = _named_only(call, required=("faces", "r"))
-        faces = named["faces"]
-        if not isinstance(faces, tuple):
-            raise ScriptTypeError("faces must be a tuple of areas", call.span)
-        return TangentPolyhedron(faces, _number(named["r"], call.span, "r"))
-
-    # transforms
-
-    def _build_shear(self, call: Call):
-        positional, named = _named(call.args, call.span, required=("base_y", "shift"))
-        region = self._region_arg(call, positional)
-        base_y = _number(named["base_y"], call.span, "base_y")
-        shift = _number(named["shift"], call.span, "shift")
-        return shear_region(region, Line2.horizontal(base_y), shift)
-
-    def _build_move_apex(self, call: Call):
-        positional, named = _named(call.args, call.span, required=("x", "y", "z"))
-        cone = self._first_arg(call, positional, Cone, "a cone")
-        apex = Point3(
-            _number(named["x"], call.span, "x"),
-            _number(named["y"], call.span, "y"),
-            _number(named["z"], call.span, "z"),
+    def _bind(self, call: Call, takes, names) -> list:
+        """The rule's arguments: what ``takes`` makes of the positional ones, then the named ones."""
+        span = call.span
+        optional = ("r", *_OPTIONAL) if takes == _BASE else [n for n in names if n in _OPTIONAL]
+        positional, named = _named(
+            call.args, span, required=[n for n in names if n not in optional], optional=optional
         )
-        return move_apex(cone, apex)
 
-    def _build_unroll(self, call: Call):
-        positional, named = _named(call.args, call.span, required=("n",))
-        disk = self._first_arg(call, positional, Disk, "a disk")
-        return unroll_disk(disk, _count(named["n"], call.span, "n"))
+        def read(*wanted):
+            return [_READERS.get(name, _number)(named.get(name, 0.0), span, name) for name in wanted]
 
-    def _build_twist(self, call: Call):
-        positional, named = _named(call.args, call.span, required=("rate",))
-        cyl = self._first_arg(call, positional, Cylinder, "a cylinder")
-        return twist_column(cyl, _number(named["rate"], call.span, "rate"))
-
-    def _build_meridian_unfold(self, call: Call):
-        positional, named = _named(call.args, call.span, required=("n",))
-        sphere = self._first_arg(call, positional, Sphere, "a sphere")
-        return meridian_unfold(sphere, _count(named["n"], call.span, "n"))
-
-    def _build_unfold_revolution(self, call: Call):
-        return unfold_revolution(self._profile_arg(call))
+        if takes is None:
+            if positional:
+                raise ScriptTypeError(f"{call.name} takes named arguments only", span)
+            return read(*names)
+        if takes == _REGION_OR_VERTICES:
+            lone = len(positional) == 1 and isinstance(positional[0], (Reference, Call))
+            takes = (PlanarRegion, "a region") if lone else _VERTICES
+        if takes == _VERTICES:
+            if len(positional) < 3:
+                raise ScriptTypeError(f"{call.name} needs at least 3 points", span)
+            return [[_point(v, span, "vertex") for v in positional]]
+        if takes == _PROFILE and len(positional) != 1:
+            raise ScriptTypeError(f"{call.name} takes one profile or region", span)
+        values = read(*names) if takes == _BASE else None  # the height comes before the base
+        if takes == _BASE and not positional:
+            if "r" not in named:
+                raise ScriptTypeError(f"{call.name} needs r= or a base region", span)
+            cx, cy, r = read("cx", "cy", "r")
+            return [Disk(Point2(cx, cy), r), *values, Point2(cx, cy)]
+        kind, what = _FIGURES.get(takes, takes)
+        if not positional:
+            raise ScriptTypeError(f"{call.name} needs {what} as its first argument", span)
+        figure = positional[0]
+        if isinstance(figure, (Reference, Call)):
+            figure = self.eval_expr(figure)
+        if not isinstance(figure, kind):
+            raise ScriptTypeError(f"{call.name} needs {what}, got {_kind_name(figure)}", span)
+        return [figure, *(read(*names) if values is None else values)]
 
     # measure expressions --------------------------------------------------
 
@@ -347,17 +311,13 @@ class _Evaluator:
         if isinstance(node, Neg):
             return -self.eval_mexpr(node.operand)
         if isinstance(node, BinOp):
-            left = self.eval_mexpr(node.left)
-            right = self.eval_mexpr(node.right)
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            if node.op == "/":
-                return left / right
-            raise ScriptTypeError(f"unknown operator {node.op!r}", node.span)
+            left, right = self.eval_mexpr(node.left), self.eval_mexpr(node.right)
+            try:
+                return _OPERATORS[node.op](left, right)
+            except KeyError:
+                raise ScriptTypeError(f"unknown operator {node.op!r}", node.span) from None
+            except ZeroDivisionError:
+                raise ScriptError("division by zero", node.span) from None
         if isinstance(node, Measure):
             return self.eval_measure(node)
         raise ScriptTypeError(f"cannot evaluate {_kind_name(node)}", getattr(node, "span", Span()))

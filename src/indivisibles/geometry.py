@@ -375,10 +375,15 @@ class Polygon(PlanarRegion):
         return Polyline(self.vertices, closed=True)
 
     def side_moments(self, line: Line2) -> tuple[float, float]:
-        pts = [(p.x, p.y) for p in self.vertices]
-        pos = _ring_moment(_clip_polygon(pts, line, True), line)
-        neg = _ring_moment(_clip_polygon(pts, line, False), line)
-        return max(pos, 0.0), max(-neg, 0.0)
+        xy = self.xy()
+        (nx, ny), px, py = line.normal(), line.point.x, line.point.y
+        d = nx * (xy[:, 0] - px) + ny * (xy[:, 1] - py)
+        moments = [0.0, 0.0]
+        for side, ring in enumerate((_clip_polygon(xy, d), _clip_polygon(xy, -d))):
+            if len(ring) >= 3:  # the integral of the signed distance over the (weakly simple) ring
+                a, sx, sy = _shoelace(ring)
+                moments[side] = nx * (sx - px * a) + ny * (sy - py * a)
+        return max(moments[0], 0.0), max(-moments[1], 0.0)
 
 
 @dataclass(frozen=True)
@@ -691,43 +696,27 @@ def _shoelace(xy: np.ndarray) -> tuple[float, float, float]:
     are the rows of ``xy``, each sum taken in vertex order."""
     x0, y0 = xy[:, 0], xy[:, 1]
     x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
-    cross = x0 * y1 - x1 * y0
-    return 0.5 * ordered_sum(cross), ordered_sum((x0 + x1) * cross) / 6.0, ordered_sum((y0 + y1) * cross) / 6.0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is part of the result
+        cross = x0 * y1 - x1 * y0
+        return 0.5 * ordered_sum(cross), ordered_sum((x0 + x1) * cross) / 6.0, ordered_sum((y0 + y1) * cross) / 6.0
 
 
 # ---------------------------------------------------------------------------
 # oblique-cut side moments (the moment lemma behind Guldin's theorems)
 
 
-def _clip_polygon(pts: list[tuple[float, float]], line: Line2, keep_positive: bool):
-    """Sutherland-Hodgman clip to one side of ``line`` (boundary included)."""
-    nx, ny = line.normal()
-    px, py = line.point.x, line.point.y
-    sign = 1.0 if keep_positive else -1.0
-
-    def dist(p):
-        return sign * (nx * (p[0] - px) + ny * (p[1] - py))
-
-    out = []
-    n = len(pts)
-    for i in range(n):
-        cur, nxt = pts[i], pts[(i + 1) % n]
-        d0, d1 = dist(cur), dist(nxt)
-        if d0 >= 0.0:
-            out.append(cur)
-        if (d0 > 0.0) != (d1 > 0.0) and d0 != d1:
-            t = d0 / (d0 - d1)
-            out.append((cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1])))
-    return out
-
-
-def _ring_moment(pts, line: Line2) -> float:
-    """Integral of the signed distance over the (weakly simple) ring."""
-    if len(pts) < 3:
-        return 0.0
-    a, sx, sy = _shoelace(np.array(pts))
-    nx, ny = line.normal()
-    return nx * (sx - line.point.x * a) + ny * (sy - line.point.y * a)
+def _clip_polygon(xy: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Sutherland-Hodgman clip of the ring ``xy`` to the side where the signed
+    distance ``d`` is >= 0: each vertex on that side (boundary included),
+    followed by its edge's crossing of the line when there is one."""
+    x0, y0 = xy[:, 0], xy[:, 1]
+    x1, y1, d1 = np.roll(x0, -1), np.roll(y0, -1), np.roll(d, -1)
+    crosses = ((d > 0.0) != (d1 > 0.0)) & (d != d1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # used only where d != d1
+        t = d / (d - d1)
+        crossing = np.column_stack((x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
+    ring = np.stack((xy, crossing), axis=1).reshape(-1, 2)
+    return ring[np.stack((d >= 0.0, crosses), axis=1).reshape(-1)]
 
 
 def _segment_side_moments(f_center, f_slope, half_len, weight: float = 1.0) -> tuple[float, float]:

@@ -46,7 +46,8 @@ def _check_box(bounds):
     """Check the box ``bounds`` and give its lower corner, side lengths and measure.
 
     Raises ``EmptyBox`` when the box has no side, when a side is not finite
-    or has nonpositive extent, or when the product of the sides is not finite.
+    or has nonpositive extent, or when the product of the sides is not finite
+    or underflows to 0.
     """
     if not bounds:
         raise EmptyBox("box needs at least one side")
@@ -60,6 +61,8 @@ def _check_box(bounds):
         measure = float(np.prod(spans))
     if not math.isfinite(measure):
         raise EmptyBox(f"the measure of the box {tuple(bounds)!r} is not finite at these dimensions")
+    if measure == 0.0:
+        raise EmptyBox(f"the measure of the box {tuple(bounds)!r} underflows to 0 at these dimensions")
     return lows, spans, measure
 
 

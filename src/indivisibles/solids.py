@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import ordered_sum
 from .errors import (
     AxisCrossing,
     DegenerateCurve,
@@ -261,10 +262,11 @@ class TangentPolyhedron(Solid):
         object.__setattr__(self, "insphere_radius", float(insphere_radius))
 
     def volume(self) -> float:
-        return sum(self.face_areas) * self.insphere_radius / 3.0
+        return self.surface_area() * self.insphere_radius / 3.0
 
     def surface_area(self) -> float:
-        return sum(self.face_areas)
+        # left to right on every Python: the built-in sum() compensates from 3.12 on
+        return ordered_sum(self.face_areas)
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,14 @@ class TestCheck:
         assert code == 3
         assert "axis" in err
 
+    def test_division_by_zero_exits_three(self, capsys, tmp_path):
+        bad = tmp_path / "div.igeo"
+        bad.write_text("assert_close(1/0, 1, tol=1);\n")
+        code, out, err = run_main(capsys, "check", str(bad))
+        assert code == 3
+        assert out == ""
+        assert err == "error: line 1, column 15: division by zero\n"
+
     def test_missing_file_exits_four(self, capsys):
         code, _, _ = run_main(capsys, "check", "no_such_script.igeo")
         assert code == 4
@@ -216,6 +224,29 @@ class TestBounds:
         assert err.value.code == 3
         assert capsys.readouterr().err.endswith("is not finite at these dimensions\n")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bounds", "--shape", "disk", "--r", "1e-170"], "the area of the disk underflows to 0 at these dimensions"),
+            (["oracle", "--target", "disk", "--r", "1e-170"], "the area of the disk underflows to 0 at these dimensions"),
+            (["bounds", "--shape", "sphere", "--r", "1e-110"], "the volume of the sphere underflows to 0 at these dimensions"),
+            (
+                ["oracle", "--target", "hoof", "--r", "1e-120", "--h", "1e-120"],
+                "the volume of the hoof underflows to 0 at these dimensions",
+            ),
+            (["bounds", "--shape", "cone", "--r", "1e-170"], "base region has zero area"),
+            (["oracle", "--target", "torus", "--r", "1e-170"], "profile region has zero area"),
+        ],
+    )
+    def test_measure_that_underflows_exits_three(self, argv, message, capsys):
+        # a closed form of 0 would be enclosed and estimated vacuously
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_unroll_whose_coordinates_overflow_exits_three(self, capsys, tmp_path):
         out_path = tmp_path / "x.svg"
         code, _, err = run_main(capsys, "svg", "--construction", "unroll", "--r", "1e308", "--out", str(out_path))
@@ -267,6 +298,15 @@ class TestGuldin:
         report = _report_dict(out)
         vol = float(report["volume"])
         assert abs(vol - 6 * math.pi**2) / (6 * math.pi**2) <= 0.002
+
+    def test_profile_whose_moments_overflow_reports_one_line(self, capsys, tmp_path):
+        # the shoelace products overflow; no numpy warning may reach stderr
+        huge = tmp_path / "huge.profile"
+        huge.write_text("point 1e150 0\npoint 2e150 0\npoint 2e150 1e150\npoint 1e150 1e150\n")
+        code, out, err = run_main(capsys, "guldin", str(huge))
+        assert code == 3
+        assert out == ""
+        assert err == "error: coordinates must be finite\n"
 
     def test_axis_crossing_exits_three(self, capsys, tmp_path):
         bad = tmp_path / "bad.profile"

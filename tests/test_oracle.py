@@ -112,6 +112,13 @@ class TestMonteCarlo:
         with pytest.raises(EmptyBox, match="is not finite"):
             iv.mc_area(lambda x, y: x > 0, ((-1e308, 1e308), (0, 1)), 10, seed=1)
 
+    def test_box_whose_measure_underflows_rejected(self):
+        # each side is positive, but their product is 0: every estimate would be 0
+        with pytest.raises(EmptyBox, match="underflows to 0"):
+            iv.mc_area(lambda x, y: x > 0, ((0, 1e-170), (0, 1e-170)), 10, seed=1)
+        with pytest.raises(EmptyBox, match="underflows to 0"):
+            iv.mc_volume(lambda x, y, z: x > 0, ((0, 1e-110), (0, 1e-110), (0, 1e-110)), 10, seed=1)
+
     def test_integer_box_measure_does_not_wrap(self):
         # 2^32 * 2^32 wraps to 0 in int64
         est = iv.mc_area(lambda x, y: x >= 0.0, ((0, 2**32), (0, 2**32)), 100, seed=1)
