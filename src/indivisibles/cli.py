@@ -16,7 +16,7 @@ import sys
 from . import __version__
 from ._kernels import BACKEND
 from .dsl import ParseError, RunReport, ScriptError, run_script
-from .errors import EmptyBox, GeometryError
+from .errors import GeometryError
 from .exhaustion import area_bounds, volume_bounds
 from .geometry import (
     Disk,
@@ -30,7 +30,7 @@ from .geometry import (
     perimeter,
 )
 from .oracle import mc_area, mc_volume, riemann_volume
-from .solids import Cone, Hoof, Point3, SolidOfRevolution, Sphere, volume
+from .solids import Cone, Hoof, Point3, SolidOfRevolution, Sphere, lateral_area, volume
 from .svg import render_bounds, render_guldin, render_unroll
 
 SCHEMA_VERSION = 1
@@ -118,7 +118,7 @@ def cmd_check(args) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ScriptError, GeometryError) as exc:
+    except ScriptError as exc:
         return _error(EXIT_GEOMETRY, str(exc))
     out = _check_report(args.script, report) if args.format == "report" else _check_human(args.script, report)
     sys.stdout.write(out)
@@ -145,45 +145,19 @@ def _require_seed(parser_hint: str, seed: int) -> None:
 
 
 def _named_shape(name: str, args):
-    """The measure and the library object that a --shape/--target name stands for."""
+    """The measure, the library object and its closed form that a --shape/--target
+    name stands for.  The closed form is checked by the library: one that is not
+    finite or underflows to 0 raises a GeometryError."""
     kind, build = SHAPES[name]
-    try:
-        return kind, build(args)
-    except (GeometryError, ValueError) as exc:
-        raise SystemExit(_error(EXIT_GEOMETRY, str(exc))) from None
-
-
-def _closed_form(kind: str, name: str, shape) -> float:
-    """The closed-form measure of a named shape; exits 3 when it is not finite,
-    underflows to 0 (where every enclosure and estimate would pass vacuously),
-    or meets a base or profile whose area underflows to 0."""
-    closed_form, _, _ = MEASURES[kind]
-    try:
-        closed = closed_form(shape)
-    except OverflowError:
-        closed = math.inf
-    except GeometryError as exc:
-        raise SystemExit(_error(EXIT_GEOMETRY, str(exc))) from None
-    if not math.isfinite(closed):
-        raise SystemExit(_error(EXIT_GEOMETRY, f"the {kind} of the {name} is not finite at these dimensions"))
-    if closed == 0.0:
-        raise SystemExit(_error(EXIT_GEOMETRY, f"the {kind} of the {name} underflows to 0 at these dimensions"))
-    return closed
+    shape = build(args)
+    return kind, shape, MEASURES[kind][0](shape)
 
 
 def cmd_bounds(args) -> int:
     _require_positive("bounds", r=args.r, h=args.h, slices=args.slices)
-    kind, shape = _named_shape(args.shape, args)
+    kind, shape, closed = _named_shape(args.shape, args)
     _, bounds, _ = MEASURES[kind]
-    closed = _closed_form(kind, args.shape, shape)
-    section = shape.section()
-    try:
-        interval = bounds(section, args.slices)
-    except ValueError:
-        # a staircase sum can overflow where the closed form does not
-        raise SystemExit(
-            _error(EXIT_GEOMETRY, f"the enclosure of the {args.shape} is not finite at these dimensions")
-        ) from None
+    interval = bounds(shape.section(), args.slices)
     pairs = [
         ("command", "bounds"),
         ("shape", args.shape),
@@ -242,18 +216,15 @@ def read_profile_file(path: str) -> tuple[str, list[tuple[float, float]]]:
 
 def _profile_polygon(path: str) -> tuple[int, str | None, Polygon | None]:
     """(exit code, name, polygon) of a profile file.  The code is 0 with the
-    file's name and polygon, else it is reported: 4 when the file cannot be read
-    or parsed, 3 when its points are not a valid polygon."""
+    file's name and polygon, else 4, reported, when the file cannot be read or
+    parsed; points that are not a valid polygon raise."""
     try:
         name, points = read_profile_file(path)
     except OSError as exc:
         return _error(EXIT_IO, f"cannot read {path}: {exc.strerror}"), None, None
     except ValueError as exc:
         return _error(EXIT_IO, str(exc)), None, None
-    try:
-        return EXIT_OK, name, Polygon(points)
-    except (GeometryError, ValueError) as exc:
-        return _error(EXIT_GEOMETRY, str(exc)), None, None
+    return EXIT_OK, name, Polygon(points)
 
 
 def cmd_guldin(args) -> int:
@@ -263,15 +234,12 @@ def cmd_guldin(args) -> int:
     code, name, polygon = _profile_polygon(args.profile)
     if code:
         return code
-    try:
-        solid = SolidOfRevolution(Profile(polygon))
-        ring = boundary(polygon)
-        c_region = centroid_region(polygon)
-        c_curve = centroid_curve(ring)
-        vol = solid.volume()
-        surf = solid.lateral_area()
-    except (GeometryError, ValueError) as exc:
-        return _error(EXIT_GEOMETRY, str(exc))
+    solid = SolidOfRevolution(Profile(polygon))
+    ring = boundary(polygon)
+    c_region = centroid_region(polygon)
+    c_curve = centroid_curve(ring)
+    vol = volume(solid)
+    surf = lateral_area(solid)
     pairs = [
         ("command", "guldin"),
         ("profile", args.profile),
@@ -287,10 +255,7 @@ def cmd_guldin(args) -> int:
         ("surface", surf),
     ]
     if args.verify:
-        try:
-            est = mc_volume(solid.contains, solid.box(), samples=args.samples, seed=args.seed)
-        except EmptyBox as exc:
-            return _error(EXIT_GEOMETRY, str(exc))
+        est = mc_volume(solid.contains, solid.box(), samples=args.samples, seed=args.seed)
         err = abs(est.mean - vol)
         pairs += [
             ("verify_samples", est.samples),
@@ -310,19 +275,15 @@ def cmd_guldin(args) -> int:
 def cmd_oracle(args) -> int:
     _require_positive("oracle", r=args.r, R=args.R, h=args.h, samples=args.samples, cells=args.cells)
     _require_seed("oracle", args.seed)
-    kind, shape = _named_shape(args.target, args)
+    kind, shape, closed = _named_shape(args.target, args)
     _, _, mc = MEASURES[kind]
-    closed = _closed_form(kind, args.target, shape)
     pairs = [
         ("command", "oracle"),
         ("target", args.target),
         ("method", args.method),
     ]
     if args.method == "mc":
-        try:
-            est = mc(shape.contains, shape.box(), args.samples, args.seed)
-        except EmptyBox as exc:
-            raise SystemExit(_error(EXIT_GEOMETRY, str(exc))) from None
+        est = mc(shape.contains, shape.box(), args.samples, args.seed)
         pairs += [
             ("samples", est.samples),
             ("seed", est.seed),
@@ -352,13 +313,10 @@ def cmd_svg(args) -> int:
         _require_positive("svg", r=args.r)
         if args.n < 3:
             _usage_error("--n must be at least 3 for svg --construction unroll")
-        try:
-            content = render_unroll(args.r, args.n)
-        except (GeometryError, ValueError) as exc:
-            return _error(EXIT_GEOMETRY, str(exc))
+        content = render_unroll(args.r, args.n)
     elif args.construction == "bounds":
         _require_positive("svg", r=args.r, h=args.h, slices=args.slices)
-        _, shape = _named_shape(args.shape, args)
+        _, shape, _ = _named_shape(args.shape, args)
         content = render_bounds(shape.section(), args.slices)
     else:  # guldin
         code, _, polygon = _profile_polygon(args.profile)
@@ -433,7 +391,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "svg" and args.construction == "guldin" and not args.profile:
         parser.error("svg --construction guldin needs --profile")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (GeometryError, ValueError) as exc:
+        return _error(EXIT_GEOMETRY, str(exc))
 
 
 if __name__ == "__main__":

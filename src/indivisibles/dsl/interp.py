@@ -335,6 +335,8 @@ class _Evaluator:
             return rule(value)
         except GeometryError as exc:
             raise ScriptGeometryError(str(exc), node.span) from exc
+        except ValueError as exc:
+            raise ScriptTypeError(str(exc), node.span) from exc
 
     # statements -------------------------------------------------------------
 

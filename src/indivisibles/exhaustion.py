@@ -24,7 +24,11 @@ S <= s / (1 - gamma(m+1)), S lies within s * gamma(m+1) / (1 - gamma(m+1))
 of s.  Each bound is widened outward by that amount, or by a relative 1e-12
 where that is larger by a margin that covers the widening's own rounding
 (up to about 9000 slabs); when the rounding bound is used, the result is also
-stepped one ulp outward.  Underflow of a product is not covered.
+stepped one ulp outward.  A product of subnormal size rounds with an absolute
+error of up to 2^-1075 that no relative bound covers, so each bound is also
+widened by slabs * 2^-1074; above the subnormal range that term is absorbed in
+the rounding and changes no bound.  A sum that is not finite raises
+GeometryError.
 """
 
 from __future__ import annotations
@@ -35,11 +39,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import _BLOCK, ordered_sum
-from .errors import InvalidMonotonicity, ToleranceNotReached
+from .errors import GeometryError, InvalidMonotonicity, ToleranceNotReached
 from .geometry import SectionFunction, WidthFunction
 
 _INFLATION = 1e-12
 _UNIT_ROUNDOFF = 2.0**-53
+_SUBNORMAL_STEP = 2.0**-1074
 _MONOTONE_SAMPLES = 17
 
 
@@ -49,10 +54,11 @@ class MeasureInterval:
 
     ``lo`` and ``hi`` are the computed lower and upper staircase sums over
     ``slabs`` slabs, each widened outward by the larger of a relative 1e-12
-    and the rounding bound gamma(m+1) / (1 - gamma(m+1)) for m slabs (see the
-    module docstring), so the exact staircase sums lie inside [lo, hi] at
-    any slab count.  The measure itself lies inside provided the profile is
-    evaluated exactly and its declared monotonicity holds.
+    and the rounding bound gamma(m+1) / (1 - gamma(m+1)) for m slabs, plus
+    m * 2^-1074 for products of subnormal size (see the module docstring), so
+    the exact staircase sums lie inside [lo, hi] at any slab count.  The
+    measure itself lies inside provided the profile is evaluated exactly and
+    its declared monotonicity holds.
     """
 
     lo: float
@@ -110,9 +116,13 @@ def _widen(lo: float, hi: float, slabs: int) -> tuple[float, float]:
     """Bounds that contain the exact sums of which lo and hi are the computed ones."""
     k = slabs + 1
     rel = k * _UNIT_ROUNDOFF / (1.0 - 2.0 * k * _UNIT_ROUNDOFF)  # gamma(k) / (1 - gamma(k))
+    tiny = slabs * _SUBNORMAL_STEP  # the products' underflow, exact for any slab count below 2^53
     if rel + 2.0 * _UNIT_ROUNDOFF <= _INFLATION:
-        return max(lo - abs(lo) * _INFLATION, 0.0), hi + abs(hi) * _INFLATION
-    return max(math.nextafter(lo - lo * rel, -math.inf), 0.0), math.nextafter(hi + hi * rel, math.inf)
+        return max(lo - abs(lo) * _INFLATION - tiny, 0.0), hi + abs(hi) * _INFLATION + tiny
+    return (
+        max(math.nextafter(lo - lo * rel - tiny, -math.inf), 0.0),
+        math.nextafter(hi + hi * rel + tiny, math.inf),
+    )
 
 
 def _staircase_sums(f: WidthFunction, n: int) -> tuple[float, float, int]:
@@ -144,6 +154,8 @@ def _staircase_bounds(f: WidthFunction, n: int, method: str) -> MeasureInterval:
     _check_declared_shape(f)
     lo, hi, slabs = _staircase_sums(f, n)
     lo, hi = _widen(lo, hi, slabs)
+    if not math.isfinite(hi):  # a lo that is not finite comes with such a hi
+        raise GeometryError("the enclosure is not finite at these dimensions")
     return MeasureInterval(lo, hi, slabs=slabs, method=method)
 
 

@@ -10,6 +10,7 @@ them.  First moments about a line use the left-of-direction sign convention.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Sequence
@@ -21,6 +22,7 @@ from .errors import (
     AxisCrossing,
     DegenerateCurve,
     DegenerateRegion,
+    GeometryError,
     UnsupportedExact,
     UnsupportedRegion,
 )
@@ -749,22 +751,50 @@ def _ramp_integral(a, b, fa, fb):
 # public operations
 
 
+def _finite_nonzero(measure: str, shape, rule: Callable[[], float]) -> float:
+    """``rule()``, the ``measure`` of ``shape``, or GeometryError when it is not
+    finite (an OverflowError counts as not finite) or underflows to 0, where
+    every enclosure or estimate of it would pass vacuously."""
+    try:
+        value = rule()
+    except OverflowError:
+        value = math.inf
+    if math.isfinite(value) and value != 0.0:
+        return value
+    kind = re.sub(r"(?<=[a-z])(?=[A-Z])", " ", type(shape).__name__).lower()
+    fault = "underflows to 0" if value == 0.0 else "is not finite"
+    raise GeometryError(f"the {measure} of the {kind} {fault} at these dimensions")
+
+
 def area(region: PlanarRegion) -> float:
     """Exact area.  Slab regions have no closed form; use exhaustion instead."""
-    return region.area()
+    return _finite_nonzero("area", region, region.area)
 
 
 def perimeter(curve: Curve) -> float:
-    return curve.measures()[0]
+    return _finite_nonzero("perimeter", curve, lambda: curve.measures()[0])
 
 
 def _nonzero_measures(region: PlanarRegion, what: str = "region") -> tuple[float, float, float]:
-    """region.measures(), or DegenerateRegion when the area is negligible at the region's scale."""
-    a, sx, sy = region.measures()
+    """region.measures(), infinite where they overflow, or DegenerateRegion
+    when the area is negligible at the region's scale."""
+    try:
+        a, sx, sy = region.measures()
+    except OverflowError:
+        a = sx = sy = math.inf
     (x0, x1), (y0, y1) = region.box()
-    if a <= 1e-12 * max(x1 - x0, y1 - y0, 1e-300) ** 2:
+    scale = max(x1 - x0, y1 - y0, 1e-300)
+    if a / scale <= 1e-12 * scale:  # a <= 1e-12 * scale**2, where the square may overflow
         raise DegenerateRegion(f"{what} has zero area")
     return a, sx, sy
+
+
+def _nonzero_length(curve: Curve, what: str = "curve") -> tuple[float, float, float]:
+    """curve.measures(), or DegenerateCurve when the length is 0."""
+    length, mx, my = curve.measures()
+    if length <= 0.0:
+        raise DegenerateCurve(f"{what} has zero length")
+    return length, mx, my
 
 
 def centroid_region(region: PlanarRegion) -> Point2:
@@ -773,9 +803,7 @@ def centroid_region(region: PlanarRegion) -> Point2:
 
 
 def centroid_curve(curve: Curve) -> Point2:
-    length, mx, my = curve.measures()
-    if length <= 0.0:
-        raise DegenerateCurve("curve has zero length")
+    length, mx, my = _nonzero_length(curve)
     return Point2(mx / length, my / length)
 
 
@@ -791,9 +819,7 @@ def first_moment(region: PlanarRegion, line: Line2) -> float:
 
 def first_moment_curve(curve: Curve, line: Line2) -> float:
     """Integral of the signed distance to ``line`` over the curve (ds)."""
-    length, mx, my = curve.measures()
-    if length <= 0.0:
-        raise DegenerateCurve("curve has zero length")
+    length, mx, my = _nonzero_length(curve)
     nx, ny = line.normal()
     return nx * (mx - line.point.x * length) + ny * (my - line.point.y * length)
 

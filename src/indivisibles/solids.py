@@ -19,7 +19,6 @@ import numpy as np
 from ._kernels import ordered_sum
 from .errors import (
     AxisCrossing,
-    DegenerateCurve,
     DegenerateSolid,
     SlabOutOfRange,
     UnsupportedSolid,
@@ -33,6 +32,8 @@ from .geometry import (
     Profile,
     SectionFunction,
     first_moment_curve,
+    _finite_nonzero,
+    _nonzero_length,
     _nonzero_measures,
     _rise_fall,
     _require_finite,
@@ -351,17 +352,17 @@ class TwistedColumn(Solid):
 
 def volume(solid: Solid) -> float:
     """Volume by the classical closed forms."""
-    return solid.volume()
+    return _finite_nonzero("volume", solid, solid.volume)
 
 
 def lateral_area(solid: Solid) -> float:
     """Lateral (curved / side) surface area where the classical forms exist."""
-    return solid.lateral_area()
+    return _finite_nonzero("lateral area", solid, solid.lateral_area)
 
 
 def surface_area(solid: Solid) -> float:
     """Total surface area where the classical forms exist."""
-    return solid.surface_area()
+    return _finite_nonzero("surface area", solid, solid.surface_area)
 
 
 # revolution axis: rho = 0, directed along +z; distances are positive on the
@@ -421,9 +422,7 @@ def oblique_cut_lateral_areas(boundary: Curve, cut_line: Line2, slope: float) ->
     """
     if slope <= 0.0:
         raise ValueError("cut slope must be positive")
-    length, _, _ = boundary.measures()
-    if length <= 0.0:
-        raise DegenerateCurve("boundary has zero length")
+    _nonzero_length(boundary, "boundary")
     pos, neg = boundary.side_moments(cut_line)
     return slope * pos, slope * neg
 
@@ -444,9 +443,7 @@ def guldin_surface(profile_boundary: Curve, axis: Line2) -> float:
     The axis is explicit so open arcs (sphere zones) work; every point of the
     curve must satisfy rho >= 0 (distance measured on the positive side).
     """
-    length, _, _ = profile_boundary.measures()
-    if length <= 0.0:
-        raise DegenerateCurve("profile boundary has zero length")
+    _nonzero_length(profile_boundary, "profile boundary")
     rho_min = profile_boundary.min_distance(axis)
     if rho_min < -1e-12:
         raise AxisCrossing(f"curve reaches rho = {rho_min!r} past the revolution axis")

@@ -88,10 +88,9 @@ class TestShapeTable:
         assert riemann_volume(section, 10**6) == pytest.approx(closed, rel=1e-6)
 
     def test_torus_profile_past_the_axis_exits_three(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["oracle", "--target", "torus", "--r", "2", "--R", "1"])
-        assert err.value.code == 3
-        assert "axis" in capsys.readouterr().err
+        code, _, err = run_main(capsys, "oracle", "--target", "torus", "--r", "2", "--R", "1")
+        assert code == 3
+        assert "axis" in err
 
 
 class TestCheck:
@@ -216,13 +215,13 @@ class TestBounds:
             ["bounds", "--shape", "disk", "--r", "7e153", "--slices", "1"],
             ["oracle", "--target", "torus", "--R", "1e200"],
             ["oracle", "--target", "torus", "--R", "1e160", "--r", "1e-10"],
+            ["svg", "--construction", "bounds", "--shape", "disk", "--r", "1e200", "--out", "x.svg"],
         ],
     )
     def test_measure_that_is_not_finite_exits_three(self, argv, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(argv)
-        assert err.value.code == 3
-        assert capsys.readouterr().err.endswith("is not finite at these dimensions\n")
+        code, _, err = run_main(capsys, *argv)
+        assert code == 3
+        assert err.endswith("is not finite at these dimensions\n")
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -236,16 +235,22 @@ class TestBounds:
             ),
             (["bounds", "--shape", "cone", "--r", "1e-170"], "base region has zero area"),
             (["oracle", "--target", "torus", "--r", "1e-170"], "profile region has zero area"),
+            (
+                ["svg", "--construction", "bounds", "--shape", "cone", "--r", "1e-170", "--out", "x.svg"],
+                "base region has zero area",
+            ),
+            (
+                ["svg", "--construction", "bounds", "--shape", "sphere", "--r", "1e-200", "--out", "x.svg"],
+                "the volume of the sphere underflows to 0 at these dimensions",
+            ),
         ],
     )
     def test_measure_that_underflows_exits_three(self, argv, message, capsys):
         # a closed form of 0 would be enclosed and estimated vacuously
-        with pytest.raises(SystemExit) as err:
-            main(argv)
-        assert err.value.code == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        code, out, err = run_main(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_unroll_whose_coordinates_overflow_exits_three(self, capsys, tmp_path):
         out_path = tmp_path / "x.svg"

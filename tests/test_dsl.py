@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indivisibles import dsl
+from indivisibles.cli import main
 
 from conftest import SCRIPTS_DIR
 
@@ -176,6 +177,30 @@ class TestEvaluate:
         first = dsl.run_script(src)
         second = dsl.run_script(src)
         assert first == second
+
+
+class TestMeasureErrors:
+    """A measure that is not finite, underflows to 0 or leaves the float range
+    is an evaluation error at its position, never a traceback or a vacuous pass."""
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("assert_close(area(disk(r=1e200)), 1, tol=1);", "the area of the disk is not finite at these dimensions"),
+            ("assert_close(volume(cone(r=1e200, h=1)), 1, tol=1);", "the volume of the cone is not finite at these dimensions"),
+            ("assert_close(centroid_rho(disk(r=1, cx=1e308)), 1, tol=1);", "coordinates must be finite"),
+            ("assert_close(volume(sphere(r=1e120)), 1, tol=1);", "the volume of the sphere is not finite at these dimensions"),
+            ("assert_close(area(disk(r=1e-170)), 0, tol=1);", "the area of the disk underflows to 0 at these dimensions"),
+        ],
+        ids=["area-overflow", "cone-overflow", "centroid-overflow", "sphere-inf", "area-underflow"],
+    )
+    def test_check_exits_three(self, source, message, capsys, tmp_path):
+        script = tmp_path / "measure.igeo"
+        script.write_text(source + "\n")
+        assert main(["check", str(script)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: line 1, column 14: {message}\n"
 
 
 class TestRoundTrip:

@@ -7,11 +7,15 @@ import numpy as np
 import pytest
 
 from indivisibles import (
+    Disk,
+    GeometryError,
     InvalidMonotonicity,
     MeasureInterval,
+    Point2,
     SectionFunction,
     ToleranceNotReached,
     WidthFunction,
+    area,
     area_bounds,
     refine_until,
     volume_bounds,
@@ -466,3 +470,21 @@ class TestRoundingBound:
         rel = slabs * 2.0**-53
         assert wlo < lo - lo * max(rel, _INFLATION)
         assert whi > hi + hi * max(rel, _INFLATION)
+
+    @pytest.mark.parametrize(
+        "c,n", [(1e-310, 1000), (3e-318, 16), (3e-318, 1000), (3e-318, 2**15), (1.5e-323, 1000)]
+    )
+    def test_constant_width_of_subnormal_size_enclosed(self, c, n):
+        # each product c*h rounds with an absolute error of up to 2^-1075, which
+        # no relative widening covers; float comparisons here are exact
+        interval = area_bounds(WidthFunction(lambda t: c, domain=(0.0, 1.0)), n)
+        assert interval.lo <= c <= interval.hi
+
+    def test_disk_of_subnormal_area_enclosed(self):
+        disk = Disk(Point2(0.0, 0.0), 1e-160)
+        assert area(disk) in area_bounds(disk.section(), 1000)
+
+    def test_sum_that_overflows_raises(self):
+        w = WidthFunction(lambda t: 1e308, domain=(0.0, 4.0))
+        with pytest.raises(GeometryError, match="^the enclosure is not finite at these dimensions$"):
+            area_bounds(w, 4)

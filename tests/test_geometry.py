@@ -86,6 +86,22 @@ class TestArea:
         with pytest.raises(ValueError, match="self-intersecting"):
             Polygon([(0, 0), (2, -1), (2, 1), (0, 0), (1, 2), (-1, 2), (0, 0), (-1, -1), (-1, 1)])
 
+    @pytest.mark.parametrize(
+        "region, message",
+        [
+            (Disk(Point2(0, 0), 1e200), "the area of the disk is not finite"),  # r**2 raises OverflowError
+            (HalfDisk(Point2(0, 0), 1e-170), "the area of the half disk underflows to 0"),
+            (Polygon([(0, 0), (1e300, 0), (0, 1e300)]), "the area of the polygon is not finite"),
+            # a valid ring whose shoelace sum is exactly 0
+            (Polygon([(0, 0), (1, 0), (2, 0)]), "the area of the polygon underflows to 0"),
+        ],
+        ids=["disk", "half-disk", "polygon", "collinear"],
+    )
+    def test_area_out_of_range_raises(self, region, message):
+        # every comparison with an area of inf or 0 would fail or pass vacuously
+        with pytest.raises(iv.GeometryError, match=f"^{message} at these dimensions$"):
+            iv.area(region)
+
     def test_same_orientation_loops_sharing_a_corner_accepted(self):
         poly = Polygon([(0, 0), (1, -1), (1, 1), (0, 0), (-1, 1), (-1, -1)])
         assert iv.area(poly) == 2.0
@@ -116,6 +132,10 @@ class TestPerimeter:
     def test_segment_3_4_5(self):
         assert iv.perimeter(Polyline([(0, 0), (3, 4)])) == 5.0
 
+    def test_length_that_overflows_raises(self):
+        with pytest.raises(iv.GeometryError, match="^the perimeter of the circle arc is not finite at these dimensions$"):
+            iv.perimeter(CircleArc(Point2(0, 0), 1e308))
+
 
 class TestCentroid:
     def test_triangle_vertex_average(self):
@@ -135,6 +155,13 @@ class TestCentroid:
     def test_upper_halfdisk_slab_default_resolution(self):
         c = iv.centroid_region(upper_halfdisk_slab())
         assert c.y == pytest.approx(4.0 / (3.0 * math.pi), abs=1e-5)
+
+    def test_measures_that_overflow_raise_no_overflow_error(self):
+        # r**2 overflows in Disk.measures, and a sliver's squared extent overflows
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            iv.centroid_region(Disk(Point2(0, 0), 1e200))
+        with pytest.raises(DegenerateRegion, match="region has zero area"):
+            iv.centroid_region(Polygon([(1e-170, 0), (1e200, 0), (1e200, 1e-170)]))
 
     def test_degenerate_region_errors(self):
         flat = Polygon([(0, 0), (1, 0), (2, 0)])

@@ -27,6 +27,7 @@ from indivisibles import (
     Profile,
     SlabOutOfRange,
     SlabRegion,
+    SolidOfRevolution,
     Sphere,
     TangentPolyhedron,
     TwistedColumn,
@@ -152,6 +153,25 @@ class TestVolumes:
         # these used to construct and give a nan or inf volume
         with pytest.raises(ValueError, match="finite"):
             build()
+
+    @pytest.mark.parametrize(
+        "measure, solid, message",
+        [
+            (iv.volume, Sphere(1e120), "the volume of the sphere is not finite"),
+            (iv.volume, Hoof(1e-170, 1.0), "the volume of the hoof underflows to 0"),
+            (iv.surface_area, Sphere(1e200), "the surface area of the sphere is not finite"),  # r**2 overflows
+            (iv.lateral_area, Hoof(1e200, 1e200), "the lateral area of the hoof is not finite"),
+            (
+                iv.volume,
+                SolidOfRevolution(Profile(Disk(Point2(1e300, 0), 1e10))),
+                "the volume of the solid of revolution is not finite",
+            ),
+        ],
+        ids=["sphere", "hoof", "sphere-surface", "hoof-lateral", "revolution"],
+    )
+    def test_measure_out_of_range_raises(self, measure, solid, message):
+        with pytest.raises(iv.GeometryError, match=f"^{message} at these dimensions$"):
+            measure(solid)
 
 
 class TestSurfaceAreas:
