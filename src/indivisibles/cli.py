@@ -3,8 +3,8 @@
 Subcommands: check (run a script), bounds (certified enclosures), guldin
 (profile-file volumes/surfaces), oracle (brute-force estimates), svg (diagram
 emission).  Exit codes: 0 success, 1 assertion failure, 2 parse/usage error,
-3 geometry or evaluation error, 4 I/O error.  All output is deterministic for
-fixed inputs and seeds.
+3 geometry or evaluation error, 4 I/O error; ``main`` alone maps a failure to
+its code.  All output is deterministic for fixed inputs and seeds.
 """
 
 from __future__ import annotations
@@ -58,10 +58,19 @@ MEASURES = {
 }
 
 
-def _error(code: int, message: str) -> int:
-    """Report ``message`` on stderr and give back the exit ``code``."""
-    print(f"error: {message}", file=sys.stderr)
-    return code
+class _FileError(Exception):
+    """A file that cannot be read, parsed as a profile, or written: exit 4."""
+
+
+def _read_text(path: str) -> str:
+    """The UTF-8 text of ``path``; a file that cannot be read raises _FileError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise _FileError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise _FileError(f"cannot read {path}: not UTF-8 text") from None
 
 
 def _emit(pairs) -> str:
@@ -108,18 +117,7 @@ def _check_human(path: str, report: RunReport) -> str:
 
 
 def cmd_check(args) -> int:
-    try:
-        with open(args.script, "r", encoding="utf-8") as fh:
-            source = fh.read()
-    except OSError as exc:
-        return _error(EXIT_IO, f"cannot read {args.script}: {exc.strerror}")
-    try:
-        report = run_script(source)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ScriptError as exc:
-        return _error(EXIT_GEOMETRY, str(exc))
+    report = run_script(_read_text(args.script))
     out = _check_report(args.script, report) if args.format == "report" else _check_human(args.script, report)
     sys.stdout.write(out)
     return EXIT_OK if report.overall_pass else EXIT_ASSERTION
@@ -184,56 +182,42 @@ def cmd_bounds(args) -> int:
 
 
 def read_profile_file(path: str) -> tuple[str, list[tuple[float, float]]]:
-    """Parse a profile file: optional ``name`` line plus ``point rho z`` lines."""
+    """Parse a profile file: optional ``name`` line plus ``point rho z`` lines.
+    A file that cannot be read or parsed raises _FileError."""
     name = "-"
     points: list[tuple[float, float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if parts[0] == "name":
-                if len(parts) < 2:
-                    raise ValueError(f"{path}:{lineno}: name line needs a value")
-                name = " ".join(parts[1:])
-                continue
-            if parts[0] == "point":
-                if len(parts) != 3:
-                    raise ValueError(f"{path}:{lineno}: point line needs two coordinates")
-                try:
-                    points.append((float(parts[1]), float(parts[2])))
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: bad coordinate") from None
-                continue
-            raise ValueError(f"{path}:{lineno}: expected 'name' or 'point', got {parts[0]!r}")
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == "name":
+            if len(parts) < 2:
+                raise _FileError(f"{path}:{lineno}: name line needs a value")
+            name = " ".join(parts[1:])
+            continue
+        if parts[0] == "point":
+            if len(parts) != 3:
+                raise _FileError(f"{path}:{lineno}: point line needs two coordinates")
+            try:
+                points.append((float(parts[1]), float(parts[2])))
+            except ValueError:
+                raise _FileError(f"{path}:{lineno}: bad coordinate") from None
+            continue
+        raise _FileError(f"{path}:{lineno}: expected 'name' or 'point', got {parts[0]!r}")
     if len(points) < 3:
-        raise ValueError(f"{path}: a profile needs at least 3 points")
+        raise _FileError(f"{path}: a profile needs at least 3 points")
     if points[0] == points[-1]:
-        raise ValueError(f"{path}: closure is implicit; first point must differ from last")
+        raise _FileError(f"{path}: closure is implicit; first point must differ from last")
     return name, points
-
-
-def _profile_polygon(path: str) -> tuple[int, str | None, Polygon | None]:
-    """(exit code, name, polygon) of a profile file.  The code is 0 with the
-    file's name and polygon, else 4, reported, when the file cannot be read or
-    parsed; points that are not a valid polygon raise."""
-    try:
-        name, points = read_profile_file(path)
-    except OSError as exc:
-        return _error(EXIT_IO, f"cannot read {path}: {exc.strerror}"), None, None
-    except ValueError as exc:
-        return _error(EXIT_IO, str(exc)), None, None
-    return EXIT_OK, name, Polygon(points)
 
 
 def cmd_guldin(args) -> int:
     if args.verify:
         _require_positive("guldin --verify", samples=args.samples)
         _require_seed("guldin --verify", args.seed)
-    code, name, polygon = _profile_polygon(args.profile)
-    if code:
-        return code
+    name, points = read_profile_file(args.profile)
+    polygon = Polygon(points)
     solid = SolidOfRevolution(Profile(polygon))
     ring = boundary(polygon)
     c_region = centroid_region(polygon)
@@ -319,15 +303,12 @@ def cmd_svg(args) -> int:
         _, shape, _ = _named_shape(args.shape, args)
         content = render_bounds(shape.section(), args.slices)
     else:  # guldin
-        code, _, polygon = _profile_polygon(args.profile)
-        if code:
-            return code
-        content = render_guldin(polygon)
+        content = render_guldin(Polygon(read_profile_file(args.profile)[1]))
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(content)
     except OSError as exc:
-        return _error(EXIT_IO, f"cannot write {args.out}: {exc.strerror}")
+        raise _FileError(f"cannot write {args.out}: {exc.strerror}") from None
     return EXIT_OK
 
 
@@ -393,8 +374,14 @@ def main(argv=None) -> int:
         parser.error("svg --construction guldin needs --profile")
     try:
         return args.func(args)
-    except (GeometryError, ValueError) as exc:
-        return _error(EXIT_GEOMETRY, str(exc))
+    except ParseError as exc:
+        code, message = EXIT_PARSE, f"parse error: {exc}"
+    except _FileError as exc:
+        code, message = EXIT_IO, f"error: {exc}"
+    except (GeometryError, ScriptError, ValueError) as exc:
+        code, message = EXIT_GEOMETRY, f"error: {exc}"
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

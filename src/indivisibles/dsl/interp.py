@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ..errors import GeometryError
@@ -103,6 +104,20 @@ class RunReport:
 
 def _kind_name(value) -> str:
     return type(value).__name__
+
+
+@contextmanager
+def _located(span: Span):
+    """Report a library failure inside the block as a script error at ``span``;
+    a script error raised inside passes through unchanged."""
+    try:
+        yield
+    except ScriptError:
+        raise
+    except GeometryError as exc:
+        raise ScriptGeometryError(str(exc), span) from exc
+    except (ValueError, TypeError) as exc:
+        raise ScriptTypeError(str(exc), span) from exc
 
 
 # Each measure: the kinds it applies to, as its type error names them, and its rule.
@@ -252,14 +267,8 @@ class _Evaluator:
         if call.name not in _CALLS:
             raise ScriptNameError(f"unknown constructor or transform {call.name!r}", call.span)
         takes, names, rule = _CALLS[call.name]
-        try:
+        with _located(call.span):
             return rule(*self._bind(call, takes, names))
-        except ScriptError:
-            raise
-        except GeometryError as exc:
-            raise ScriptGeometryError(str(exc), call.span) from exc
-        except (ValueError, TypeError) as exc:
-            raise ScriptTypeError(str(exc), call.span) from exc
 
     def _bind(self, call: Call, takes, names) -> list:
         """The rule's arguments: what ``takes`` makes of the positional ones, then the named ones."""
@@ -311,13 +320,21 @@ class _Evaluator:
         if isinstance(node, Neg):
             return -self.eval_mexpr(node.operand)
         if isinstance(node, BinOp):
-            left, right = self.eval_mexpr(node.left), self.eval_mexpr(node.right)
-            try:
-                return _OPERATORS[node.op](left, right)
-            except KeyError:
-                raise ScriptTypeError(f"unknown operator {node.op!r}", node.span) from None
-            except ZeroDivisionError:
-                raise ScriptError("division by zero", node.span) from None
+            # a left-deep chain such as 1 + 1 + ... + 1 folds in a loop, not by recursion
+            chain = []
+            while isinstance(node, BinOp):
+                chain.append(node)
+                node = node.left
+            value = self.eval_mexpr(node)
+            for op in reversed(chain):
+                right = self.eval_mexpr(op.right)
+                try:
+                    value = _OPERATORS[op.op](value, right)
+                except KeyError:
+                    raise ScriptTypeError(f"unknown operator {op.op!r}", op.span) from None
+                except ZeroDivisionError:
+                    raise ScriptError("division by zero", op.span) from None
+            return value
         if isinstance(node, Measure):
             return self.eval_measure(node)
         raise ScriptTypeError(f"cannot evaluate {_kind_name(node)}", getattr(node, "span", Span()))
@@ -331,37 +348,36 @@ class _Evaluator:
             value = value.region
         if not isinstance(value, kind):
             raise ScriptTypeError(f"{node.kind}() needs {what}, got {_kind_name(value)}", node.span)
-        try:
+        with _located(node.span):
             return rule(value)
-        except GeometryError as exc:
-            raise ScriptGeometryError(str(exc), node.span) from exc
-        except ValueError as exc:
-            raise ScriptTypeError(str(exc), node.span) from exc
 
     # statements -------------------------------------------------------------
 
     def run(self, script: Script) -> RunReport:
         records = []
         for stmt in script.statements:
-            if isinstance(stmt, LetBinding):
-                self.env[stmt.name] = self.eval_expr(stmt.expr)
-            elif isinstance(stmt, Assertion):
-                left = self.eval_mexpr(stmt.left)
-                right = self.eval_mexpr(stmt.right)
-                diff = abs(left - right)
-                records.append(
-                    AssertionRecord(
-                        line=stmt.span.line,
-                        column=stmt.span.column,
-                        left_value=left,
-                        right_value=right,
-                        difference=diff,
-                        tolerance=stmt.tolerance,
-                        passed=diff <= stmt.tolerance,
+            try:
+                if isinstance(stmt, LetBinding):
+                    self.env[stmt.name] = self.eval_expr(stmt.expr)
+                elif isinstance(stmt, Assertion):
+                    left = self.eval_mexpr(stmt.left)
+                    right = self.eval_mexpr(stmt.right)
+                    diff = abs(left - right)
+                    records.append(
+                        AssertionRecord(
+                            line=stmt.span.line,
+                            column=stmt.span.column,
+                            left_value=left,
+                            right_value=right,
+                            difference=diff,
+                            tolerance=stmt.tolerance,
+                            passed=diff <= stmt.tolerance,
+                        )
                     )
-                )
-            else:
-                raise ScriptTypeError(f"unknown statement {_kind_name(stmt)}", Span())
+                else:
+                    raise ScriptTypeError(f"unknown statement {_kind_name(stmt)}", Span())
+            except RecursionError:
+                raise ScriptError("expression nested too deeply to evaluate", stmt.span) from None
         return RunReport(tuple(records))
 
 

@@ -4,7 +4,8 @@ Grammar (one statement per line of interest, comments run # to end of line):
 
     script  := stmt*
     stmt    := "let" IDENT "=" expr ";"
-             | "assert_close" "(" mexpr "," mexpr "," "tol" "=" NUMBER ")" ";"
+             | "assert_close" "(" mexpr "," mexpr "," "tol" "=" TOL ")" ";"
+    TOL     := NUMBER with 0 < TOL < inf
     expr    := IDENT | IDENT "(" [arg ("," arg)*] ")"
     arg     := [IDENT "="] (NUMBER | tuple | expr)
     tuple   := "(" NUMBER ("," NUMBER)+ ")"
@@ -12,11 +13,13 @@ Grammar (one statement per line of interest, comments run # to end of line):
                and MEASURE "(" expr ")" with MEASURE one of
                area volume surface lateral_area perimeter centroid_rho
 
-The parser stops at the first error; positions are 1-based.
+The parser stops at the first error; positions are 1-based.  An expression
+nested deeper than the interpreter's recursion limit allows is a parse error.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 MEASURE_KINDS = ("area", "volume", "surface", "lateral_area", "perimeter", "centroid_rho")
@@ -224,8 +227,11 @@ class _Parser:
 
     def script(self) -> Script:
         stmts = []
-        while self.peek().kind != "eof":
-            stmts.append(self.statement())
+        try:
+            while self.peek().kind != "eof":
+                stmts.append(self.statement())
+        except RecursionError:
+            self.fail("an expression nested less deeply")
         return Script(tuple(stmts))
 
     def statement(self) -> Statement:
@@ -248,8 +254,8 @@ class _Parser:
             self.expect("punct", "=")
             tol_tok = self.expect("number", expected="a number")
             tol = float(tol_tok.lexeme)
-            if not tol > 0.0:
-                raise ParseError(tol_tok.line, tol_tok.column, "a positive tolerance", tol_tok.lexeme)
+            if not 0.0 < tol < math.inf:
+                raise ParseError(tol_tok.line, tol_tok.column, "a positive finite tolerance", tol_tok.lexeme)
             self.expect("punct", ")")
             self.expect("punct", ";")
             return Assertion(left, right, tol, Span.of(tok))

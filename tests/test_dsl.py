@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from indivisibles import dsl
 from indivisibles.cli import main
+from indivisibles.dsl.interp import _located
+from indivisibles.errors import GeometryError
 
 from conftest import SCRIPTS_DIR
 
@@ -177,6 +179,43 @@ class TestEvaluate:
         first = dsl.run_script(src)
         second = dsl.run_script(src)
         assert first == second
+
+    def test_nesting_too_deep_to_evaluate_is_an_error_at_the_statement(self):
+        # built without the parser, which rejects this depth itself
+        expr = dsl.Call("rect", (("x0", 0.0), ("x1", 1.0), ("y0", 0.0), ("y1", 1.0)))
+        for _ in range(2000):
+            expr = dsl.Call("shear", ((None, expr), ("base_y", 0.0), ("shift", 1.0)))
+        script = dsl.Script((dsl.LetBinding("a", expr, dsl.Span(3, 1)),))
+        with pytest.raises(dsl.ScriptError) as err:
+            dsl.evaluate(script)
+        assert type(err.value) is dsl.ScriptError
+        assert str(err.value) == "line 3, column 1: expression nested too deeply to evaluate"
+
+    @pytest.mark.parametrize(
+        "raised, expected",
+        [
+            (GeometryError("bad"), dsl.ScriptGeometryError),
+            (ValueError("bad"), dsl.ScriptTypeError),
+            (TypeError("bad"), dsl.ScriptTypeError),
+        ],
+    )
+    def test_library_failure_is_located_at_the_call(self, raised, expected):
+        with pytest.raises(dsl.ScriptError) as err:
+            with _located(dsl.Span(2, 5)):
+                raise raised
+        assert type(err.value) is expected
+        assert str(err.value) == "line 2, column 5: bad"
+        assert err.value.__cause__ is raised
+
+    @pytest.mark.parametrize(
+        "raised",
+        [dsl.ScriptNameError("name 'q' is not bound", dsl.Span(1, 1)), KeyError("q"), ZeroDivisionError()],
+    )
+    def test_other_failures_pass_through_unchanged(self, raised):
+        with pytest.raises(type(raised)) as err:
+            with _located(dsl.Span(2, 5)):
+                raise raised
+        assert err.value is raised
 
 
 class TestMeasureErrors:
