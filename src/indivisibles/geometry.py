@@ -45,7 +45,9 @@ class Point2:
     y: float
 
     def __post_init__(self):
-        _require_finite(self.x, self.y)
+        # inline rather than through _require_finite: every vertex passes here
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValueError("coordinates must be finite")
 
 
 @dataclass(frozen=True)
@@ -326,6 +328,9 @@ class Polygon(PlanarRegion):
     would cancel in the shoelace sum).  Weakly simple rings, whose boundary
     touches itself at isolated points without reversing orientation (as in
     the sawtooth construction), are allowed.
+
+    ``xy()`` is the polygon's own (n, 2) float64 array of the stored vertices,
+    built once at construction and read-only; copy it before writing.
     """
 
     vertices: tuple[Point2, ...]
@@ -334,18 +339,24 @@ class Polygon(PlanarRegion):
         pts = tuple(v if isinstance(v, Point2) else Point2(float(v[0]), float(v[1])) for v in vertices)
         if len(pts) < 3:
             raise ValueError("polygon needs at least 3 vertices")
-        for p, q in zip(pts, pts[1:] + pts[:1]):
-            if p.x == q.x and p.y == q.y:
-                raise ValueError("polygon has a repeated consecutive vertex")
         xy = _coords(pts)
+        if (xy == np.roll(xy, -1, axis=0)).all(axis=1).any():
+            raise ValueError("polygon has a repeated consecutive vertex")
         if _shoelace(xy)[0] < 0.0:
-            pts, xy = pts[::-1], xy[::-1]
+            pts, xy = pts[::-1], np.ascontiguousarray(xy[::-1])
         if _has_proper_self_intersection(xy) or _has_opposite_loops(xy):
             raise ValueError("polygon is self-intersecting")
+        xy.flags.writeable = False
         object.__setattr__(self, "vertices", pts)
+        # not a field, so equality, hash, repr and replace() see the vertices alone
+        object.__setattr__(self, "_xy", xy)
+
+    def __reduce__(self):
+        # copies and pickles rebuild the read-only array through __init__
+        return type(self), (self.vertices,)
 
     def xy(self) -> np.ndarray:
-        return _coords(self.vertices)
+        return self._xy
 
     def measures(self) -> tuple[float, float, float]:
         return _shoelace(self.xy())
@@ -776,12 +787,15 @@ def perimeter(curve: Curve) -> float:
 
 
 def _nonzero_measures(region: PlanarRegion, what: str = "region") -> tuple[float, float, float]:
-    """region.measures(), infinite where they overflow, or DegenerateRegion
-    when the area is negligible at the region's scale."""
+    """region.measures(), whose moments may overflow to infinity; GeometryError
+    when the area is not finite, or DegenerateRegion when it is negligible at
+    the region's scale."""
     try:
         a, sx, sy = region.measures()
     except OverflowError:
         a = sx = sy = math.inf
+    if not math.isfinite(a):
+        _finite_nonzero("area", region, lambda: a)  # raises, naming the area
     (x0, x1), (y0, y1) = region.box()
     scale = max(x1 - x0, y1 - y0, 1e-300)
     if a / scale <= 1e-12 * scale:  # a <= 1e-12 * scale**2, where the square may overflow

@@ -228,10 +228,11 @@ class TestMeasureErrors:
             ("assert_close(area(disk(r=1e200)), 1, tol=1);", "the area of the disk is not finite at these dimensions"),
             ("assert_close(volume(cone(r=1e200, h=1)), 1, tol=1);", "the volume of the cone is not finite at these dimensions"),
             ("assert_close(centroid_rho(disk(r=1, cx=1e308)), 1, tol=1);", "coordinates must be finite"),
+            ("assert_close(centroid_rho(disk(r=1e200)), 1, tol=1);", "the area of the disk is not finite at these dimensions"),
             ("assert_close(volume(sphere(r=1e120)), 1, tol=1);", "the volume of the sphere is not finite at these dimensions"),
             ("assert_close(area(disk(r=1e-170)), 0, tol=1);", "the area of the disk underflows to 0 at these dimensions"),
         ],
-        ids=["area-overflow", "cone-overflow", "centroid-overflow", "sphere-inf", "area-underflow"],
+        ids=["area-overflow", "cone-overflow", "centroid-overflow", "centroid-area-overflow", "sphere-inf", "area-underflow"],
     )
     def test_check_exits_three(self, source, message, capsys, tmp_path):
         script = tmp_path / "measure.igeo"

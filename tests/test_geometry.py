@@ -1,6 +1,9 @@
 """Exact planar primitives: areas, lengths, centroids, first moments."""
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from indivisibles import (
     DegenerateCurve,
     DegenerateRegion,
     Disk,
+    GeometryError,
     HalfDisk,
     Line2,
     Point2,
@@ -158,7 +162,7 @@ class TestCentroid:
 
     def test_measures_that_overflow_raise_no_overflow_error(self):
         # r**2 overflows in Disk.measures, and a sliver's squared extent overflows
-        with pytest.raises(ValueError, match="coordinates must be finite"):
+        with pytest.raises(GeometryError, match="the area of the disk is not finite"):
             iv.centroid_region(Disk(Point2(0, 0), 1e200))
         with pytest.raises(DegenerateRegion, match="region has zero area"):
             iv.centroid_region(Polygon([(1e-170, 0), (1e200, 0), (1e200, 1e-170)]))
@@ -441,3 +445,116 @@ class TestSimplicityCheck:
         got = poly.xy()
         assert got.dtype == np.float64 and got.shape == (40, 2)
         assert got.tobytes() == expected.tobytes()
+
+
+class TestPolygonArray:
+    """``Polygon.xy()`` is the array built once at construction: read-only,
+    bit for bit the stored vertices, and invisible to the dataclass."""
+
+    def test_xy_is_one_read_only_array(self, rng):
+        poly = star_polygon(rng)
+        xy = poly.xy()
+        assert poly.xy() is xy
+        assert xy.flags.c_contiguous and not xy.flags.writeable
+        with pytest.raises(ValueError):
+            xy[0, 0] = 1.0
+
+    def test_xy_of_clockwise_input_is_the_stored_vertices(self, rng):
+        # counterclockwise input: test_xy_matches_the_vertex_coordinates
+        points = [(p.x, p.y) for p in star_polygon(rng, n_min=40, n_max=40).vertices]
+        poly = Polygon(points[::-1])
+        assert [(p.x, p.y) for p in poly.vertices] == points
+        fresh = geometry._coords(poly.vertices)
+        assert poly.xy().dtype == np.float64 and poly.xy().shape == (40, 2)
+        assert poly.xy().tobytes() == fresh.tobytes()
+
+    def test_dataclass_sees_the_vertices_alone(self):
+        square = [(0, 0), (1, 0), (1, 1), (0, 1)]
+        a, b = Polygon(square), Polygon(square[::-1])
+        assert a == b and hash(a) == hash(b)
+        assert [f.name for f in dataclasses.fields(Polygon)] == ["vertices"]
+        assert repr(a) == f"Polygon(vertices={a.vertices!r})"
+        moved = dataclasses.replace(a, vertices=[(2, 0), (3, 0), (3, 1)])
+        assert moved == Polygon([(2, 0), (3, 0), (3, 1)])
+        assert moved.xy().tobytes() == geometry._coords(moved.vertices).tobytes()
+        assert dataclasses.replace(a) == a
+
+    def test_copies_keep_a_read_only_array(self, rng):
+        poly = star_polygon(rng)
+        for copied in (copy.copy(poly), copy.deepcopy(poly), pickle.loads(pickle.dumps(poly))):
+            assert copied == poly and not copied.xy().flags.writeable
+            assert copied.xy().tobytes() == poly.xy().tobytes()
+
+    def test_measures_reuse_the_array(self, rng, monkeypatch):
+        poly = star_polygon(rng)
+        calls = []
+        coords = geometry._coords
+
+        def spy(pts):
+            calls.append(len(pts))
+            return coords(pts)
+
+        monkeypatch.setattr(geometry, "_coords", spy)
+        c = iv.centroid_region(poly)
+        line = Line2(c, (0.6, 0.8))
+        iv.area(poly)
+        iv.first_moment(poly, line)
+        iv.contains(poly, np.linspace(-1.0, 1.0, 7), np.zeros(7))
+        iv.oblique_cut_volumes(poly, line, 1.5)
+        assert calls == []
+        Polygon(poly.vertices)
+        assert calls == [len(poly.vertices)]  # construction builds it once
+
+
+class TestPolygonVertexChecks:
+    """The vertex checks run on the coordinate array with the messages of the
+    per-point loop they replace."""
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.0)],
+            [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (-0.0, 0.0)],
+            [(0.0, 0.0), (1.0, 0.0), (1.0, -0.0), (1.0, 1.0)],
+            [(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (1.0, 1.0)],
+        ],
+        ids=["across-the-wrap", "signed-zero-across-the-wrap", "signed-zero", "inside"],
+    )
+    def test_repeated_consecutive_vertex(self, points):
+        with pytest.raises(ValueError, match="polygon has a repeated consecutive vertex"):
+            Polygon(points)
+
+    def test_repeat_check_decides_like_the_point_loop(self):
+        rng = np.random.default_rng(20261019)
+        repeats = 0
+        for _ in range(500):
+            xy = rng.integers(-1, 2, (int(rng.integers(3, 9)), 2)).astype(np.float64)
+            xy[rng.random(xy.shape) < 0.5] *= -1.0  # signed zeros
+            pts = [Point2(float(x), float(y)) for x, y in xy]
+            want = any(p.x == q.x and p.y == q.y for p, q in zip(pts, pts[1:] + pts[:1]))
+            try:
+                Polygon(pts)
+                got = False
+            except ValueError as err:
+                got = str(err) == "polygon has a repeated consecutive vertex"
+            assert got == want, xy.tolist()
+            repeats += want
+        assert 100 < repeats < 450  # both decisions are well represented
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(0.0, 0.0), (math.nan, 0.0)],
+            [(0.0, 0.0), (0.0, 0.0), (1.0, math.inf)],
+            [(0.0, 0.0), (2.0, 0.0), (0.0, -math.inf), (1.0, 1.0)],
+        ],
+        ids=["before-the-length-check", "before-the-repeat-check", "before-the-crossing-check"],
+    )
+    def test_nonfinite_vertex_is_rejected_first(self, points):
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            Polygon(points)
+
+    @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+    def test_nonfinite_point(self, x, y):
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            Point2(x, y)
