@@ -13,6 +13,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,13 +42,23 @@ def _require_finite(*values):
 
 @dataclass(frozen=True)
 class Point2:
+    """A point of the plane with finite coordinates, kept as given.
+
+    Every vertex of every polygon and polyline is built here, including those
+    that ``shear_region`` and ``unroll_disk`` compute on coordinate arrays and
+    turn into points in one ``map``.  So the class defines its own
+    ``__init__`` (the dataclass keeps it): it checks finiteness inline and
+    sets both fields, with no ``__post_init__`` call.
+    """
+
     x: float
     y: float
 
-    def __post_init__(self):
-        # inline rather than through _require_finite: every vertex passes here
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+    def __init__(self, x: float, y: float):
+        if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError("coordinates must be finite")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
 
 @dataclass(frozen=True)
@@ -176,6 +187,13 @@ class Curve:
 
 @dataclass(frozen=True)
 class Polyline(Curve):
+    """Chain of points, closed into a ring when ``closed`` is true.
+
+    Like ``Polygon``, a polyline keeps the read-only (n, 2) float64 array of
+    its points, built once at construction, and its measures, side moments
+    and least distance read that array.
+    """
+
     points: tuple[Point2, ...]
     closed: bool = False
 
@@ -183,34 +201,50 @@ class Polyline(Curve):
         pts = tuple(p if isinstance(p, Point2) else Point2(float(p[0]), float(p[1])) for p in points)
         if len(pts) < 2:
             raise ValueError("polyline needs at least 2 points")
+        xy = _coords(pts)
+        xy.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "closed", bool(closed))
+        # not a field, so equality, hash, repr and replace() see the points alone
+        object.__setattr__(self, "_xy", xy)
+
+    def __reduce__(self):
+        # copies and pickles rebuild the read-only array through __init__
+        return type(self), (self.points, self.closed)
 
     def edges(self):
         pts = self.points + (self.points[0],) if self.closed else self.points
         yield from zip(pts, pts[1:])
 
+    def _segments(self):
+        """(x0, y0, x1, y1, length) of the edges, as arrays in edge order."""
+        x, y = self._xy[:, 0], self._xy[:, 1]
+        x0, y0, x1, y1 = (x, y, np.roll(x, -1), np.roll(y, -1)) if self.closed else (x[:-1], y[:-1], x[1:], y[1:])
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is part of the result
+            dx, dy = x1 - x0, y1 - y0
+        # math.hypot, not np.hypot, which can differ in the last bit
+        seg = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), dtype=np.float64, count=len(dx))
+        return x0, y0, x1, y1, seg
+
     def measures(self) -> tuple[float, float, float]:
-        length = mx = my = 0.0
-        for p, q in self.edges():
-            seg = math.hypot(q.x - p.x, q.y - p.y)
-            length += seg
-            mx += seg * 0.5 * (p.x + q.x)
-            my += seg * 0.5 * (p.y + q.y)
-        return length, mx, my
+        x0, y0, x1, y1, seg = self._segments()
+        with np.errstate(over="ignore", invalid="ignore"):
+            return ordered_sum(seg), ordered_sum(seg * 0.5 * (x0 + x1)), ordered_sum(seg * 0.5 * (y0 + y1))
 
     def side_moments(self, line: Line2) -> tuple[float, float]:
-        seg = np.fromiter((math.hypot(q.x - p.x, q.y - p.y) for p, q in self.edges()), dtype=np.float64)
-        xy = _coords(self.points)
+        *_, seg = self._segments()
         nx, ny = line.normal()
-        f = nx * (xy[:, 0] - line.point.x) + ny * (xy[:, 1] - line.point.y)
+        f = nx * (self._xy[:, 0] - line.point.x) + ny * (self._xy[:, 1] - line.point.y)
         fa, fb = (f, np.roll(f, -1)) if self.closed else (f[:-1], f[1:])
         keep = seg != 0.0
         fa, fb, seg = fa[keep], fb[keep], seg[keep]
         return _segment_side_moments(0.5 * (fa + fb), (fb - fa) / seg, seg / 2.0)
 
     def min_distance(self, line: Line2) -> float:
-        return min(line.signed_distance(p) for p in self.points)
+        nx, ny = line.normal()
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = nx * (self._xy[:, 0] - line.point.x) + ny * (self._xy[:, 1] - line.point.y)
+        return min(d.tolist())  # the first least value, as over the points
 
 
 @dataclass(frozen=True)
@@ -362,9 +396,9 @@ class Polygon(PlanarRegion):
         return _shoelace(self.xy())
 
     def box(self):
-        xs = [p.x for p in self.vertices]
-        ys = [p.y for p in self.vertices]
-        return (min(xs), max(xs)), (min(ys), max(ys))
+        v, xs, ys = self.vertices, self._xy[:, 0], self._xy[:, 1]
+        return ((v[_first(xs, np.min)].x, v[_first(xs, np.max)].x),
+                (v[_first(ys, np.min)].y, v[_first(ys, np.max)].y))
 
     def contains(self, xs, ys) -> np.ndarray:
         pts = self.xy()
@@ -382,7 +416,7 @@ class Polygon(PlanarRegion):
         return inside
 
     def min_rho(self) -> float:
-        return min(p.x for p in self.vertices)
+        return self.vertices[_first(self._xy[:, 0], np.min)].x
 
     def boundary(self) -> Curve:
         return Polyline(self.vertices, closed=True)
@@ -617,8 +651,15 @@ def min_rho(region: PlanarRegion) -> float:
 
 def _coords(pts: Sequence[Point2]) -> np.ndarray:
     """(n, 2) float64 array of the vertex coordinates."""
-    flat = np.fromiter((c for p in pts for c in (p.x, p.y)), dtype=np.float64, count=2 * len(pts))
-    return flat.reshape(-1, 2)
+    n = len(pts)
+    columns = (np.fromiter(map(attrgetter(c), pts), dtype=np.float64, count=n) for c in ("x", "y"))
+    return np.column_stack(tuple(columns))
+
+
+def _first(values: np.ndarray, extreme: Callable[[np.ndarray], float]) -> int:
+    """Index of the first of the finite ``values`` equal to ``extreme(values)``:
+    the element that Python's ``min`` or ``max`` picks, signed zero included."""
+    return int(np.argmax(values == extreme(values)))
 
 
 def _orient(ax, ay, bx, by, cx, cy):

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ApexHeightChanged, UnsupportedRegion
 from .geometry import TWO_PI, Disk, Line2, PlanarRegion, Point2, Polygon, Profile
 from .solids import Cone, Cylinder, DoubleHoof, HeightFieldCylinder, Point3, Solid, Sphere, TwistedColumn
@@ -50,12 +52,12 @@ def shear_region(region: PlanarRegion, base: Line2, shift_per_unit_distance: flo
     other, so the area is preserved exactly."""
     if not isinstance(region, Polygon):
         raise UnsupportedRegion("shear is defined for polygons only")
-    dx, dy = base.direction
-    moved = []
-    for p in region.vertices:
-        d = base.signed_distance(p)
-        moved.append(Point2(p.x + shift_per_unit_distance * d * dx, p.y + shift_per_unit_distance * d * dy))
-    return Polygon(moved)
+    xy, k = region.xy(), shift_per_unit_distance
+    (dx, dy), (nx, ny) = base.direction, base.normal()
+    with np.errstate(over="ignore", invalid="ignore"):  # a vertex that overflows is rejected by Point2
+        d = nx * (xy[:, 0] - base.point.x) + ny * (xy[:, 1] - base.point.y)
+        xs, ys = xy[:, 0] + k * d * dx, xy[:, 1] + k * d * dy
+    return Polygon(map(Point2, xs.tolist(), ys.tolist()))
 
 
 def move_apex(cone: Cone, new_apex: Point3) -> Cone:
@@ -85,12 +87,13 @@ def unroll_disk(disk: Disk, n: int) -> Polygon:
     r = disk.radius
     chord = 2.0 * r * math.sin(math.pi / n)
     apothem = r * math.cos(math.pi / n)
-    verts: list[Point2] = [Point2(0.0, 0.0)]
-    for i in range(n):
-        verts.append(Point2((i + 0.5) * chord, apothem))
-        verts.append(Point2((i + 1.0) * chord, 0.0))
-    # teeth touch the closing edge at interior vertices: weakly simple by design
-    return Polygon(verts)
+    i = np.arange(n, dtype=np.float64)
+    with np.errstate(over="ignore"):  # a vertex that overflows is rejected by Point2
+        teeth = np.column_stack(((i + 0.5) * chord, (i + 1.0) * chord))
+    # (0, 0), then tooth i's apex ((i + 0.5) chord, apothem) and its right
+    # base corner ((i + 1) chord, 0); the y values are two shared floats.
+    # Teeth touch the closing edge at interior vertices: weakly simple by design.
+    return Polygon(map(Point2, [0.0, *teeth.ravel().tolist()], [0.0, *(apothem, 0.0) * n]))
 
 
 def sawtooth_teeth(sawtooth: Polygon) -> list[Polygon]:

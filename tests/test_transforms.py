@@ -136,6 +136,75 @@ class TestUnrollDisk:
             iv.unroll_disk(Disk(Point2(0, 0), 1.0), 2)
 
 
+def _reference_shear(region, base, k):
+    """The former per-vertex loop of shear_region."""
+    dx, dy = base.direction
+    moved = []
+    for p in region.vertices:
+        d = base.signed_distance(p)
+        moved.append(Point2(p.x + k * d * dx, p.y + k * d * dy))
+    return Polygon(moved)
+
+
+def _reference_unroll(disk, n):
+    """The former per-tooth loop of unroll_disk."""
+    r = disk.radius
+    chord = 2.0 * r * math.sin(math.pi / n)
+    apothem = r * math.cos(math.pi / n)
+    verts = [Point2(0.0, 0.0)]
+    for i in range(n):
+        verts.append(Point2((i + 0.5) * chord, apothem))
+        verts.append(Point2((i + 1.0) * chord, 0.0))
+    return Polygon(verts)
+
+
+def _outcome(fn, *args):
+    """The polygon's vertices and array bytes, or the error raised instead."""
+    try:
+        poly = fn(*args)
+    except (ValueError, OverflowError) as err:
+        return type(err), str(err)
+    return repr(poly.vertices), poly.xy().tobytes()
+
+
+class TestArrayTransformsMatchThePointLoops:
+    """shear_region and unroll_disk compute their vertices on arrays and give
+    the bits, or the error, of the per-vertex loops they replace."""
+
+    def test_shear(self):
+        rng = np.random.default_rng(20261022)
+        raised = 0
+        for trial in range(200):
+            scale = 10.0 ** rng.uniform(-150.0, 150.0)
+            n = int(rng.integers(3, 40))
+            jitter = rng.uniform(0.1, 0.9, n)
+            angles = 2.0 * math.pi * (np.arange(n) + jitter) / n
+            radii = rng.uniform(0.5, 2.0, n) * scale
+            poly = Polygon(np.column_stack((radii * np.cos(angles), radii * np.sin(angles))).tolist())
+            angle = float(rng.uniform(0.0, math.pi))
+            base = Line2(Point2(*(rng.uniform(-1.0, 1.0, 2) * scale).tolist()), (math.cos(angle), math.sin(angle)))
+            # 1e300 overflows the sheared coordinates at the larger scales
+            for k in (float(rng.uniform(-2.0, 2.0)), 0.0, -1e-300, 1e300):
+                want = _outcome(_reference_shear, poly, base, k)
+                assert _outcome(iv.shear_region, poly, base, k) == want, (trial, k)
+                raised += want[0] is ValueError
+        assert 0 < raised < 200
+
+    @pytest.mark.parametrize("n", [3, 4, 16, 4096])
+    @pytest.mark.parametrize("r", [1.0, 0.37, 1e150, 1e-150])
+    def test_unroll(self, n, r):
+        disk = Disk(Point2(0.0, 0.0), r)
+        assert _outcome(iv.unroll_disk, disk, n) == _outcome(_reference_unroll, disk, n)
+
+    @pytest.mark.parametrize("r", [1e308, 5e307])
+    def test_unroll_that_overflows(self, r):
+        # the chord overflows, or only the far teeth do; no warning escapes
+        disk = Disk(Point2(0.0, 0.0), r)
+        want = _outcome(_reference_unroll, disk, 4096)
+        assert want == (ValueError, "coordinates must be finite")
+        assert _outcome(iv.unroll_disk, disk, 4096) == want
+
+
 class TestTwistColumn:
     def test_volume_is_base_times_height(self):
         cyl = Cylinder(Disk(Point2(0, 0), 1.0), 2.0)
