@@ -44,9 +44,9 @@ def _require_finite(*values):
 class Point2:
     """A point of the plane with finite coordinates, kept as given.
 
-    Every vertex of every polygon and polyline is built here, including those
-    that ``shear_region`` and ``unroll_disk`` compute on coordinate arrays and
-    turn into points in one ``map``.  So the class defines its own
+    Polygons and polylines given as points hold one per vertex.  One given
+    its coordinate array builds its points from that array, as floats, only
+    when ``vertices`` or ``points`` is first read.  The class defines its own
     ``__init__`` (the dataclass keeps it): it checks finiteness inline and
     sets both fields, with no ``__post_init__`` call.
     """
@@ -189,24 +189,26 @@ class Curve:
 class Polyline(Curve):
     """Chain of points, closed into a ring when ``closed`` is true.
 
-    Like ``Polygon``, a polyline keeps the read-only (n, 2) float64 array of
-    its points, built once at construction, and its measures, side moments
-    and least distance read that array.
+    Like ``Polygon``, a polyline is its read-only (n, 2) float64 coordinate
+    array, which its measures, side moments and least distance read.  It is
+    given either as points (``Point2`` or pairs), from which the array is
+    built once, or as that array itself, from which ``points`` is built when
+    first read.
     """
 
     points: tuple[Point2, ...]
     closed: bool = False
 
-    def __init__(self, points: Sequence, closed: bool = False):
-        pts = tuple(p if isinstance(p, Point2) else Point2(float(p[0]), float(p[1])) for p in points)
-        if len(pts) < 2:
+    def __init__(self, points: Sequence | np.ndarray, closed: bool = False):
+        pts, xy = _points_and_coords(points)
+        if len(xy) < 2:
             raise ValueError("polyline needs at least 2 points")
-        xy = _coords(pts)
         xy.flags.writeable = False
-        object.__setattr__(self, "points", pts)
         object.__setattr__(self, "closed", bool(closed))
-        # not a field, so equality, hash, repr and replace() see the points alone
-        object.__setattr__(self, "_xy", xy)
+        _keep(self, "points", pts, xy)
+
+    def __getattr__(self, name):
+        return _built_points(self, "points", name)
 
     def __reduce__(self):
         # copies and pickles rebuild the read-only array through __init__
@@ -234,11 +236,12 @@ class Polyline(Curve):
     def side_moments(self, line: Line2) -> tuple[float, float]:
         *_, seg = self._segments()
         nx, ny = line.normal()
-        f = nx * (self._xy[:, 0] - line.point.x) + ny * (self._xy[:, 1] - line.point.y)
-        fa, fb = (f, np.roll(f, -1)) if self.closed else (f[:-1], f[1:])
-        keep = seg != 0.0
-        fa, fb, seg = fa[keep], fb[keep], seg[keep]
-        return _segment_side_moments(0.5 * (fa + fb), (fb - fa) / seg, seg / 2.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is part of the result
+            f = nx * (self._xy[:, 0] - line.point.x) + ny * (self._xy[:, 1] - line.point.y)
+            fa, fb = (f, np.roll(f, -1)) if self.closed else (f[:-1], f[1:])
+            keep = seg != 0.0
+            fa, fb, seg = fa[keep], fb[keep], seg[keep]
+            return _segment_side_moments(0.5 * (fa + fb), (fb - fa) / seg, seg / 2.0)
 
     def min_distance(self, line: Line2) -> float:
         nx, ny = line.normal()
@@ -363,27 +366,35 @@ class Polygon(PlanarRegion):
     touches itself at isolated points without reversing orientation (as in
     the sawtooth construction), are allowed.
 
-    ``xy()`` is the polygon's own (n, 2) float64 array of the stored vertices,
-    built once at construction and read-only; copy it before writing.
+    The polygon's data is its (n, 2) float64 array of the stored vertices,
+    which ``xy()`` returns: read-only, so copy it before writing.  Given as
+    vertices (``Point2`` or pairs), the polygon builds that array once; given
+    the array itself (2-D, two real columns), it keeps it, copied unless it
+    is already a read-only C-contiguous float64 array, and builds
+    ``vertices`` from it, as ``Point2``s of floats, only when first read.
+    Either way the checks are the same, in the same order, with the same
+    messages.
     """
 
     vertices: tuple[Point2, ...]
 
-    def __init__(self, vertices: Sequence):
-        pts = tuple(v if isinstance(v, Point2) else Point2(float(v[0]), float(v[1])) for v in vertices)
-        if len(pts) < 3:
+    def __init__(self, vertices: Sequence | np.ndarray):
+        pts, xy = _points_and_coords(vertices)
+        if len(xy) < 3:
             raise ValueError("polygon needs at least 3 vertices")
-        xy = _coords(pts)
         if (xy == np.roll(xy, -1, axis=0)).all(axis=1).any():
             raise ValueError("polygon has a repeated consecutive vertex")
         if _shoelace(xy)[0] < 0.0:
-            pts, xy = pts[::-1], np.ascontiguousarray(xy[::-1])
+            xy = np.ascontiguousarray(xy[::-1])
+            if pts is not None:
+                pts = pts[::-1]
         if _has_proper_self_intersection(xy) or _has_opposite_loops(xy):
             raise ValueError("polygon is self-intersecting")
         xy.flags.writeable = False
-        object.__setattr__(self, "vertices", pts)
-        # not a field, so equality, hash, repr and replace() see the vertices alone
-        object.__setattr__(self, "_xy", xy)
+        _keep(self, "vertices", pts, xy)
+
+    def __getattr__(self, name):
+        return _built_points(self, "vertices", name)
 
     def __reduce__(self):
         # copies and pickles rebuild the read-only array through __init__
@@ -396,9 +407,16 @@ class Polygon(PlanarRegion):
         return _shoelace(self.xy())
 
     def box(self):
-        v, xs, ys = self.vertices, self._xy[:, 0], self._xy[:, 1]
-        return ((v[_first(xs, np.min)].x, v[_first(xs, np.max)].x),
-                (v[_first(ys, np.min)].y, v[_first(ys, np.max)].y))
+        return ((self._extreme(0, np.min), self._extreme(0, np.max)),
+                (self._extreme(1, np.min), self._extreme(1, np.max)))
+
+    def _extreme(self, axis: int, extreme: Callable[[np.ndarray], float]):
+        """Coordinate ``axis`` of the first vertex where it takes its
+        ``extreme``, as that vertex holds it (an ``int`` stays an ``int``), or
+        as a float from the array while ``vertices`` is not built."""
+        i = _first(self._xy[:, axis], extreme)
+        pts = vars(self).get("vertices")
+        return self._xy[i, axis].item() if pts is None else (pts[i].x, pts[i].y)[axis]
 
     def contains(self, xs, ys) -> np.ndarray:
         pts = self.xy()
@@ -416,10 +434,10 @@ class Polygon(PlanarRegion):
         return inside
 
     def min_rho(self) -> float:
-        return self.vertices[_first(self._xy[:, 0], np.min)].x
+        return self._extreme(0, np.min)
 
     def boundary(self) -> Curve:
-        return Polyline(self.vertices, closed=True)
+        return Polyline(self._xy, closed=True)
 
     def side_moments(self, line: Line2) -> tuple[float, float]:
         xy = self.xy()
@@ -656,6 +674,48 @@ def _coords(pts: Sequence[Point2]) -> np.ndarray:
     return np.column_stack(tuple(columns))
 
 
+def _points_and_coords(items) -> tuple[tuple[Point2, ...] | None, np.ndarray]:
+    """The points of a polygon or polyline and its (n, 2) float64 array.
+
+    A 2-D numpy array of two real columns is the coordinate array itself:
+    it is kept when already read-only, C-contiguous and float64 (a polygon's
+    own array) and copied as one otherwise, and its points are left unbuilt
+    (None).  Anything else is read point by point, each a ``Point2`` or a
+    pair, and the array is built from the points.  Either way a coordinate
+    that is not finite raises the ``Point2`` error.
+    """
+    if isinstance(items, np.ndarray) and items.ndim == 2 and items.shape[1] == 2 and items.dtype.kind in "fiu":
+        xy = items
+        if xy.flags.writeable or not xy.flags.c_contiguous or xy.dtype != np.float64:
+            xy = np.array(items, dtype=np.float64, order="C")
+        if not np.isfinite(xy).all():
+            raise ValueError("coordinates must be finite")
+        return None, xy
+    pts = tuple(p if isinstance(p, Point2) else Point2(float(p[0]), float(p[1])) for p in items)
+    return pts, _coords(pts)
+
+
+def _keep(shape, field_name: str, pts: tuple[Point2, ...] | None, xy: np.ndarray) -> None:
+    """Store the read-only ``xy`` of ``shape`` and, when given, its points."""
+    if pts is not None:  # else built from xy when first read
+        object.__setattr__(shape, field_name, pts)
+    # not a field, so equality, hash, repr and replace() see the points alone
+    object.__setattr__(shape, "_xy", xy)
+
+
+def _built_points(shape, field_name: str, name: str) -> tuple[Point2, ...]:
+    """``shape.__getattr__(name)``: the points field ``field_name`` of a shape
+    given its array, built from the array on first read and kept, one
+    ``Point2`` of Python floats per row, as the row-by-row path builds them.
+    The field has no class default, so only an unbuilt field gets here."""
+    if name != field_name:
+        raise AttributeError(f"{type(shape).__name__!r} object has no attribute {name!r}")
+    xy = shape._xy
+    pts = tuple(map(Point2, xy[:, 0].tolist(), xy[:, 1].tolist()))
+    object.__setattr__(shape, field_name, pts)
+    return pts
+
+
 def _first(values: np.ndarray, extreme: Callable[[np.ndarray], float]) -> int:
     """Index of the first of the finite ``values`` equal to ``extreme(values)``:
     the element that Python's ``min`` or ``max`` picks, signed zero included."""
@@ -813,9 +873,13 @@ def _finite_nonzero(measure: str, shape, rule: Callable[[], float]) -> float:
         value = math.inf
     if math.isfinite(value) and value != 0.0:
         return value
+    raise _out_of_range(measure, shape, "underflows to 0" if value == 0.0 else "is not finite")
+
+
+def _out_of_range(measure: str, shape, fault: str) -> GeometryError:
+    """The GeometryError saying that the ``measure`` of ``shape`` has ``fault``."""
     kind = re.sub(r"(?<=[a-z])(?=[A-Z])", " ", type(shape).__name__).lower()
-    fault = "underflows to 0" if value == 0.0 else "is not finite"
-    raise GeometryError(f"the {measure} of the {kind} {fault} at these dimensions")
+    return GeometryError(f"the {measure} of the {kind} {fault} at these dimensions")
 
 
 def area(region: PlanarRegion) -> float:

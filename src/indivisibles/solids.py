@@ -35,6 +35,7 @@ from .geometry import (
     _finite_nonzero,
     _nonzero_length,
     _nonzero_measures,
+    _out_of_range,
     _rise_fall,
     _require_finite,
 )
@@ -418,12 +419,17 @@ def oblique_cut_volumes(base: PlanarRegion, cut_line: Line2, slope: float) -> tu
 def oblique_cut_lateral_areas(boundary: Curve, cut_line: Line2, slope: float) -> tuple[float, float]:
     """Lateral areas of the two cylinder-wall pieces cut by the oblique plane.
 
-    Equal exactly when the cut line passes through the curve centroid.
+    Equal exactly when the cut line passes through the curve centroid.  A
+    length or side moment that overflows raises GeometryError.
     """
     if slope <= 0.0:
         raise ValueError("cut slope must be positive")
-    _nonzero_length(boundary, "boundary")
+    length, _, _ = _nonzero_length(boundary, "boundary")
+    if not math.isfinite(length):
+        raise _out_of_range("length", boundary, "is not finite")
     pos, neg = boundary.side_moments(cut_line)
+    if not (math.isfinite(pos) and math.isfinite(neg)):
+        raise _out_of_range("side moment", boundary, "is not finite")
     return slope * pos, slope * neg
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ApexHeightChanged, UnsupportedRegion
-from .geometry import TWO_PI, Disk, Line2, PlanarRegion, Point2, Polygon, Profile
+from .geometry import TWO_PI, Disk, Line2, PlanarRegion, Polygon, Profile
 from .solids import Cone, Cylinder, DoubleHoof, HeightFieldCylinder, Point3, Solid, Sphere, TwistedColumn
 
 # What each construction preserves (the discretized ones preserve their
@@ -54,10 +54,10 @@ def shear_region(region: PlanarRegion, base: Line2, shift_per_unit_distance: flo
         raise UnsupportedRegion("shear is defined for polygons only")
     xy, k = region.xy(), shift_per_unit_distance
     (dx, dy), (nx, ny) = base.direction, base.normal()
-    with np.errstate(over="ignore", invalid="ignore"):  # a vertex that overflows is rejected by Point2
+    with np.errstate(over="ignore", invalid="ignore"):  # a vertex that overflows is rejected by Polygon
         d = nx * (xy[:, 0] - base.point.x) + ny * (xy[:, 1] - base.point.y)
-        xs, ys = xy[:, 0] + k * d * dx, xy[:, 1] + k * d * dy
-    return Polygon(map(Point2, xs.tolist(), ys.tolist()))
+        moved = np.column_stack((xy[:, 0] + k * d * dx, xy[:, 1] + k * d * dy))
+    return Polygon(moved)
 
 
 def move_apex(cone: Cone, new_apex: Point3) -> Cone:
@@ -88,12 +88,15 @@ def unroll_disk(disk: Disk, n: int) -> Polygon:
     chord = 2.0 * r * math.sin(math.pi / n)
     apothem = r * math.cos(math.pi / n)
     i = np.arange(n, dtype=np.float64)
-    with np.errstate(over="ignore"):  # a vertex that overflows is rejected by Point2
-        teeth = np.column_stack(((i + 0.5) * chord, (i + 1.0) * chord))
     # (0, 0), then tooth i's apex ((i + 0.5) chord, apothem) and its right
-    # base corner ((i + 1) chord, 0); the y values are two shared floats.
+    # base corner ((i + 1) chord, 0).
     # Teeth touch the closing edge at interior vertices: weakly simple by design.
-    return Polygon(map(Point2, [0.0, *teeth.ravel().tolist()], [0.0, *(apothem, 0.0) * n]))
+    xy = np.zeros((2 * n + 1, 2))
+    with np.errstate(over="ignore"):  # a vertex that overflows is rejected by Polygon
+        xy[1::2, 0] = (i + 0.5) * chord
+        xy[2::2, 0] = (i + 1.0) * chord
+    xy[1::2, 1] = apothem
+    return Polygon(xy)
 
 
 def sawtooth_teeth(sawtooth: Polygon) -> list[Polygon]:

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from indivisibles import (
     Point2,
     Polygon,
     Polyline,
+    Profile,
     SlabRegion,
     UnsupportedExact,
     WidthFunction,
@@ -651,6 +653,122 @@ class TestPolylineArray:
         assert calls == []
         Polyline(line.points)
         assert calls == [len(line.points)]  # construction builds it once
+
+
+def _row_built(kind, xy, **kwargs):
+    """``kind`` built row by row from ``xy``, as from a list of points."""
+    return kind(list(xy), **kwargs)
+
+
+def _unbuilt(shape) -> bool:
+    """True while an array-built shape has not built its points."""
+    return not {"vertices", "points"} & set(vars(shape))
+
+
+class TestArrayConstruction:
+    """A ``Polygon`` or ``Polyline`` given its (n, 2) coordinate array keeps
+    it and builds its points only when they are read; it is equal in every
+    respect to the one built row by row."""
+
+    @pytest.mark.parametrize("clockwise", [False, True], ids=["ccw", "cw"])
+    @pytest.mark.parametrize("kind, kwargs", [(Polygon, {}), (Polyline, {"closed": True}), (Polyline, {})],
+                             ids=["polygon", "closed-polyline", "open-polyline"])
+    def test_equals_the_row_construction(self, rng, kind, kwargs, clockwise):
+        xy = _star_points(rng, 40)[::-1] if clockwise else _star_points(rng, 40)
+        got, want = kind(xy, **kwargs), _row_built(kind, xy, **kwargs)
+        assert got._xy.tobytes() == want._xy.tobytes() and not got._xy.flags.writeable
+        assert _unbuilt(got)
+        field = dataclasses.fields(kind)[0].name
+        assert repr(getattr(got, field)) == repr(getattr(want, field))
+        assert not _unbuilt(got)
+        fresh = kind(xy, **kwargs)  # ==, hash and repr build the points themselves
+        assert fresh == want and hash(fresh) == hash(want) and repr(fresh) == repr(want)
+        for copied in (dataclasses.replace(kind(xy, **kwargs)), copy.copy(kind(xy, **kwargs)),
+                       copy.deepcopy(kind(xy, **kwargs)), pickle.loads(pickle.dumps(kind(xy, **kwargs)))):
+            assert copied == want and repr(copied) == repr(want)
+            assert copied._xy.tobytes() == want._xy.tobytes() and not copied._xy.flags.writeable
+
+    def test_points_are_floats_from_any_real_dtype(self):
+        rows = [(0, 0), (3, 0), (3, 2), (0, 2)]
+        want = Polygon([(float(x), float(y)) for x, y in rows])
+        for dtype in (np.int64, np.uint8, np.float32, np.float64):
+            poly = Polygon(np.array(rows, dtype=dtype))
+            assert repr(poly) == repr(want) and poly.box() == ((0.0, 3.0), (0.0, 2.0))
+            assert all(type(c) is float for p in poly.vertices for c in (p.x, p.y))
+
+    def test_other_inputs_keep_the_point_path(self):
+        # Point2s keep their coordinates as given, and an array of another
+        # shape is read row by row, its first two entries each
+        ints = Polygon([Point2(0, 0), Point2(3, 0), Point2(0, 2)])
+        assert type(ints.vertices[1].x) is int and ints.box() == ((0, 3), (0, 2))
+        wide = Polygon(np.array([[0, 0, 9], [3, 0, 9], [0, 2, 9]]))
+        assert not _unbuilt(wide) and wide == ints
+
+    def test_the_array_is_copied_unless_read_only(self, rng):
+        xy = _star_points(rng, 12)
+        poly = Polygon(xy)
+        assert poly.xy() is not xy and xy.flags.writeable
+        xy[0] = 0.0
+        assert poly.xy()[0].tolist() != [0.0, 0.0]
+        assert Polygon(poly.xy()).xy() is poly.xy()
+        fortran = Polygon(np.asfortranarray(_star_points(rng, 12)))
+        assert fortran.xy().flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "kind, rows, message",
+        [
+            (Polygon, [(0.0, 0.0), (math.nan, 0.0)], "coordinates must be finite"),
+            (Polygon, [(0.0, 0.0), (0.0, 0.0), (1.0, math.inf)], "coordinates must be finite"),
+            (Polygon, [(0.0, 0.0), (2.0, 0.0), (0.0, -math.inf), (1.0, 1.0)], "coordinates must be finite"),
+            (Polyline, [(-math.inf, 0.0)], "coordinates must be finite"),
+            (Polygon, [(0.0, 0.0), (1.0, 0.0)], "polygon needs at least 3 vertices"),
+            (Polygon, np.zeros((0, 2)), "polygon needs at least 3 vertices"),
+            (Polyline, [(0.0, 0.0)], "polyline needs at least 2 points"),
+            (Polygon, [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (-0.0, 0.0)], "polygon has a repeated consecutive vertex"),
+            (Polygon, [(0, 0), (2, 2), (2, 0), (0, 2)], "polygon is self-intersecting"),
+            (Polygon, [(0, 0), (1, -1), (1, 1), (0, 0), (-1, -1), (-1, 1)], "polygon is self-intersecting"),
+        ],
+        ids=["nan-short", "inf-repeat", "inf-crossing", "inf-polyline", "two-rows", "no-rows", "one-point",
+             "repeat", "crossing", "figure-eight"],
+    )
+    def test_errors_match_the_row_construction(self, kind, rows, message):
+        xy = np.array(rows, dtype=np.float64).reshape(-1, 2)
+        for build in (lambda: kind(xy), lambda: _row_built(kind, xy)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build()
+
+    def test_measures_and_boundary_build_no_vertices(self, rng, monkeypatch):
+        poly = Polygon(_star_points(rng, 64))
+        calls = []
+        coords = geometry._coords
+        monkeypatch.setattr(geometry, "_coords", lambda pts: calls.append(len(pts)) or coords(pts))
+        c = iv.centroid_region(poly)
+        line = Line2(c, (0.6, 0.8))
+        iv.area(poly), iv.first_moment(poly, line), iv.oblique_cut_volumes(poly, line, 1.5)
+        poly.min_rho(), iv.bounding_box(poly)
+        shifted = Polygon(poly.xy() + 3.0)
+        unfolded = iv.unfold_revolution(Profile(shifted))
+        iv.volume(unfolded), iv.lateral_area(unfolded)  # the wall reads boundary()
+        ring = poly.boundary()
+        iv.oblique_cut_lateral_areas(ring, Line2(iv.centroid_curve(ring), (0.6, 0.8)), 1.5)
+        assert _unbuilt(poly) and _unbuilt(shifted) and _unbuilt(ring) and calls == []
+        assert ring._xy is poly.xy() and ring.closed
+        assert ring.points == poly.vertices
+
+    def test_boundary_points_equal_the_vertices(self, rng):
+        poly = star_polygon(rng)
+        ring = poly.boundary()
+        assert ring._xy is poly.xy() and ring.points == poly.vertices
+        assert iv.perimeter(ring) == iv.perimeter(Polyline(poly.vertices, closed=True))
+
+    def test_box_reads_the_array_until_the_vertices_are_built(self):
+        rows = np.array([(0.0, 1.0), (-0.0, -1.0), (2.0, 0.0), (2.0, 1.0)])
+        early = Polygon(rows)
+        box, least = early.box(), early.min_rho()
+        assert _unbuilt(early)
+        late = Polygon(rows)
+        late.vertices
+        assert repr((box, least)) == repr((late.box(), late.min_rho())) == repr((((0.0, 2.0), (-1.0, 1.0)), 0.0))
 
 
 def _reference_polyline_measures(curve):

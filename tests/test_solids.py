@@ -1,6 +1,7 @@
 """Closed-form solids, hat-box equality, oblique cuts, Pappus-Guldin."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -535,6 +536,21 @@ class TestObliqueCutLateralAreas:
         below_q = float(np.sum(np.where(f < 0, -f, 0.0)) * ds)
         assert above == pytest.approx(above_q, abs=1e-5)
         assert below == pytest.approx(below_q, abs=1e-5)
+
+    @pytest.mark.parametrize(
+        "points, measure",
+        [
+            ([(1e300, 0), (-1e300, 1e300), (0, -1e300)], "side moment"),  # finite length, moments overflow
+            ([(1e308, 0), (-1e308, 0), (0, 1)], "length"),  # the first edge is longer than the largest float
+        ],
+        ids=["moments", "length"],
+    )
+    def test_moments_that_overflow_raise(self, points, measure):
+        ring = Polyline(points, closed=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning escapes either
+            with pytest.raises(iv.GeometryError, match=f"^the {measure} of the polyline is not finite at these dimensions$"):
+                iv.oblique_cut_lateral_areas(ring, Line2(Point2(0, 0), (0.6, -0.8)), 1.0)
 
 
 class TestGuldin:

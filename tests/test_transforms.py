@@ -196,6 +196,26 @@ class TestArrayTransformsMatchThePointLoops:
         disk = Disk(Point2(0.0, 0.0), r)
         assert _outcome(iv.unroll_disk, disk, n) == _outcome(_reference_unroll, disk, n)
 
+    def test_measures_construct_no_point(self, rng, monkeypatch):
+        # both transforms hand their coordinate arrays to Polygon, which
+        # builds the vertices only when they are read
+        disk, poly = Disk(Point2(0.0, 0.0), 1.0), star_polygon(rng, n_min=512, n_max=512)
+        base = Line2(Point2(0.0, 0.3), (0.6, 0.8))
+        built = []
+        init = Point2.__init__
+
+        def spy(self, x, y):
+            built.append((x, y))
+            init(self, x, y)
+
+        monkeypatch.setattr(Point2, "__init__", spy)
+        saw = iv.unroll_disk(disk, 4096)
+        sheared = iv.shear_region(poly, base, 0.7)
+        assert iv.area(saw) > 0.0 and iv.area(sheared) > 0.0
+        assert built == []
+        assert len(saw.vertices) == 8193 and len(built) == 8193
+        assert repr(saw.vertices) == repr(_reference_unroll(disk, 4096).vertices)
+
     @pytest.mark.parametrize("r", [1e308, 5e307])
     def test_unroll_that_overflows(self, r):
         # the chord overflows, or only the far teeth do; no warning escapes
