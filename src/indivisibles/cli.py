@@ -57,6 +57,11 @@ MEASURES = {
     "volume": (volume, volume_bounds, mc_volume),
 }
 
+# The most --slices each subcommand takes: 2**26 slabs are about two seconds
+# of staircase; svg draws two rectangles per slab, and 2**16 of them are about
+# a second and 15 MB of SVG.
+SLICE_BUDGET = {"bounds": 2**26, "svg": 2**16}
+
 
 class _FileError(Exception):
     """A file that cannot be read, parsed as a profile, or written: exit 4."""
@@ -137,6 +142,11 @@ def _require_positive(parser_hint: str, **values) -> None:
             _usage_error(f"--{name} must be positive and finite for {parser_hint}")
 
 
+def _require_slices(command: str, slices: int) -> None:
+    if slices > SLICE_BUDGET[command]:
+        _usage_error(f"--slices must be at most {SLICE_BUDGET[command]} for {command}")
+
+
 def _require_seed(parser_hint: str, seed: int) -> None:
     if not 0 <= seed < 2**64:
         _usage_error(f"--seed must lie in [0, 2**64) for {parser_hint}")
@@ -153,6 +163,7 @@ def _named_shape(name: str, args):
 
 def cmd_bounds(args) -> int:
     _require_positive("bounds", r=args.r, h=args.h, slices=args.slices)
+    _require_slices("bounds", args.slices)
     kind, shape, closed = _named_shape(args.shape, args)
     _, bounds, _ = MEASURES[kind]
     interval = bounds(shape.section(), args.slices)
@@ -300,6 +311,7 @@ def cmd_svg(args) -> int:
         content = render_unroll(args.r, args.n)
     elif args.construction == "bounds":
         _require_positive("svg", r=args.r, h=args.h, slices=args.slices)
+        _require_slices("svg", args.slices)
         _, shape, _ = _named_shape(args.shape, args)
         content = render_bounds(shape.section(), args.slices)
     else:  # guldin

@@ -30,7 +30,8 @@ from .errors import (
 
 TWO_PI = 2.0 * math.pi
 
-# Candidate edge pairs tested per step of the polygon crossing check.
+# Candidate edge pairs enumerated, and surviving pairs tested, per step of the
+# polygon crossing check.
 _PAIR_CHUNK = 1 << 12
 
 
@@ -722,65 +723,92 @@ def _first(values: np.ndarray, extreme: Callable[[np.ndarray], float]) -> int:
     return int(np.argmax(values == extreme(values)))
 
 
-def _orient(ax, ay, bx, by, cx, cy):
-    """Twice the signed area of triangle abc (positive when counterclockwise)."""
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-
-
 def _has_proper_self_intersection(xy: np.ndarray) -> bool:
     """True when two non-adjacent edges of the ring cross at an interior point
     of both (touching contacts and collinear overlaps do not count).
 
-    Edge k runs from vertex k to vertex k+1.  A sort-and-sweep broad phase
-    (Shamos & Hoey, FOCS 1976) pairs each edge, in order of lowest x, with the
-    later edges whose lowest x lies inside its own closed x range, so every
-    pair with overlapping x ranges is visited once.  Pairs whose y ranges are
-    disjoint, or that share a vertex, are dropped; the rest get the four
-    orientation tests.  Edges with disjoint bounding boxes cannot cross, so
-    pruning them changes no decision in exact arithmetic.
+    Edge k runs from vertex k to vertex k+1.  Its start p, end q and
+    direction e = q - p are computed once, as the columns of one (6, n) array
+    in sweep order: the stable order of lowest x.  A sort-and-sweep broad
+    phase (Shamos & Hoey, FOCS 1976) pairs each edge with the later edges
+    whose lowest x lies inside its own closed x range, so every pair with
+    overlapping x ranges is visited once.  Pairs whose y ranges are disjoint
+    are dropped, then pairs of ring neighbours, found from the sweep positions
+    of each edge's two neighbours; no step leaves sweep order.  The survivors
+    are buffered and handed to ``_properly_cross`` ``_PAIR_CHUNK`` at a time.
+
+    So the pairs tested are exactly the non-adjacent pairs whose closed
+    bounding boxes overlap, each once, and each is decided by the same float
+    orientation predicate as a loop over all pairs would apply.  That
+    predicate rounds: a vertex within rounding of another edge can get the
+    wrong sign, so a crossing at that scale can be missed or invented.
     """
     n = len(xy)
     if n < 4:
         return False  # no two edges of a triangle are non-adjacent
-    px, py = xy[:, 0], xy[:, 1]
-    qx, qy = np.roll(px, -1), np.roll(py, -1)
-    xlo = np.minimum(px, qx)
+    x = xy[:, 0]
+    xlo = np.minimum(x, np.roll(x, -1))
     order = np.argsort(xlo, kind="stable")
-    # bounding boxes in sweep order; edge order[a] overlaps the edges
-    # order[a+1 : end[a]] in x
-    xlo, xhi = xlo[order], np.maximum(px, qx)[order]
-    ylo, yhi = np.minimum(py, qy)[order], np.maximum(py, qy)[order]
+    ends = order + 1  # the end vertex of each edge, in sweep order, before wrapping
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    # sweep position of the edge before and after each one on the ring
+    before, after = rank[order - 1], np.take(rank, ends, mode="wrap")
+    edges = np.empty((6, n))  # rows px, py, qx, qy, ex, ey
+    edges[0:2], edges[2:4] = np.take(xy, order, axis=0).T, np.take(xy, ends, axis=0, mode="wrap").T
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is part of the decision
+        np.subtract(edges[2:4], edges[0:2], out=edges[4:6])
+    # bounding boxes in sweep order; edge a overlaps edges a+1 .. end[a]-1 in x
+    xlo, xhi = xlo[order], np.maximum(edges[0], edges[2])
+    ylo, yhi = np.minimum(edges[1], edges[3]), np.maximum(edges[1], edges[3])
     end = np.searchsorted(xlo, xhi, side="right")
     counts = end - np.arange(1, n + 1)
     last = np.cumsum(counts)
     first = last - counts
-    # the candidate pairs, numbered flat in sweep order, are tested in fixed
-    # chunks (one long edge can own thousands of them)
+    shift = np.arange(1, n + 1) - first  # candidate k of edge a pairs it with edge k + shift[a]
+    # the candidate pairs, numbered flat in sweep order, are enumerated in
+    # fixed chunks (one long edge can own thousands of them); the survivors
+    # fill the buffer, which is tested whenever it is full, and which is no
+    # larger than the candidates, so a small ring allocates little
     total = int(last[-1])
+    held, buffer = 0, np.empty((2, min(total, _PAIR_CHUNK)), dtype=np.intp)
     for start in range(0, total, _PAIR_CHUNK):
         stop = min(start + _PAIR_CHUNK, total)
         a0, a1 = np.searchsorted(last, (start, stop - 1), side="right") + (0, 1)
         owned = np.minimum(last[a0:a1], stop) - np.maximum(first[a0:a1], start)
         a = np.repeat(np.arange(a0, a1), owned)
-        b = np.arange(start, stop) - first[a] + a + 1
-        near = (ylo[a] <= yhi[b]) & (ylo[b] <= yhi[a])
-        i, j = order[a[near]], order[b[near]]
-        gap = (i - j) % n
-        apart = (gap != 1) & (gap != n - 1)
-        if _properly_cross(px, py, qx, qy, i[apart], j[apart]):
-            return True
-    return False
+        b = np.arange(start, stop) + shift[a]
+        near = np.flatnonzero((ylo[a] <= yhi[b]) & (ylo[b] <= yhi[a]))
+        a, b = a[near], b[near]
+        apart = np.flatnonzero((b != before[a]) & (b != after[a]))
+        a, b = a[apart], b[apart]
+        while len(a):
+            take = min(len(a), _PAIR_CHUNK - held)
+            buffer[0, held:held + take], buffer[1, held:held + take] = a[:take], b[:take]
+            a, b, held = a[take:], b[take:], held + take
+            if held == _PAIR_CHUNK:
+                if _properly_cross(edges, *buffer):
+                    return True
+                held = 0
+    return held > 0 and _properly_cross(edges, *buffer[:, :held])
 
 
-def _properly_cross(px, py, qx, qy, i, j) -> bool:
-    """True when some edge i[k] and edge j[k] cross at an interior point of both."""
-    p1x, p1y, p2x, p2y = px[i], py[i], qx[i], qy[i]
-    q1x, q1y, q2x, q2y = px[j], py[j], qx[j], qy[j]
+def _properly_cross(edges: np.ndarray, i: np.ndarray, j: np.ndarray) -> bool:
+    """True when some edge i[k] and edge j[k] cross at an interior point of both.
+
+    ``edges`` holds the rows px, py, qx, qy, ex, ey of the edges, e = q - p.
+    The orientation of a point c against edge j is twice the signed area of
+    the triangle p_j q_j c, ex_j (c_y - py_j) - ey_j (c_x - px_j): the float
+    expression (bx - ax)(cy - ay) - (by - ay)(cx - ax), with its first
+    differences read from e.
+    """
+    pix, piy, qix, qiy, eix, eiy = (row[i] for row in edges)
+    pjx, pjy, qjx, qjy, ejx, ejy = (row[j] for row in edges)
     with np.errstate(over="ignore", invalid="ignore"):
-        d1 = _orient(q1x, q1y, q2x, q2y, p1x, p1y)
-        d2 = _orient(q1x, q1y, q2x, q2y, p2x, p2y)
-        d3 = _orient(p1x, p1y, p2x, p2y, q1x, q1y)
-        d4 = _orient(p1x, p1y, p2x, p2y, q2x, q2y)
+        d1 = ejx * (piy - pjy) - ejy * (pix - pjx)
+        d2 = ejx * (qiy - pjy) - ejy * (qix - pjx)
+        d3 = eix * (pjy - piy) - eiy * (pjx - pix)
+        d4 = eix * (qjy - piy) - eiy * (qjx - pix)
     proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) & (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0)
     return bool(proper.any())
 
@@ -908,9 +936,12 @@ def _nonzero_measures(region: PlanarRegion, what: str = "region") -> tuple[float
     return a, sx, sy
 
 
-def _nonzero_length(curve: Curve, what: str = "curve") -> tuple[float, float, float]:
-    """curve.measures(), or DegenerateCurve when the length is 0."""
+def _nonzero_length(curve: Curve, what: str = "curve", measure: str = "perimeter") -> tuple[float, float, float]:
+    """curve.measures(); GeometryError, naming the length as ``measure``, when
+    it is not finite, or DegenerateCurve when it is 0."""
     length, mx, my = curve.measures()
+    if not math.isfinite(length):
+        raise _out_of_range(measure, curve, "is not finite")
     if length <= 0.0:
         raise DegenerateCurve(f"{what} has zero length")
     return length, mx, my

@@ -424,9 +424,7 @@ def oblique_cut_lateral_areas(boundary: Curve, cut_line: Line2, slope: float) ->
     """
     if slope <= 0.0:
         raise ValueError("cut slope must be positive")
-    length, _, _ = _nonzero_length(boundary, "boundary")
-    if not math.isfinite(length):
-        raise _out_of_range("length", boundary, "is not finite")
+    _nonzero_length(boundary, "boundary", "length")
     pos, neg = boundary.side_moments(cut_line)
     if not (math.isfinite(pos) and math.isfinite(neg)):
         raise _out_of_range("side moment", boundary, "is not finite")

@@ -55,13 +55,25 @@ def _document(body: list[str]) -> str:
 
 
 def render_unroll(r: float, n: int) -> str:
-    """The sawtooth unrolling: n teeth standing on a baseline of n chords."""
-    from .transforms import sawtooth_teeth, unroll_disk
+    """The sawtooth unrolling: n teeth standing on a baseline of n chords.
+
+    The teeth are read from the sawtooth's coordinate array, each drawn as
+    ``transforms.sawtooth_teeth`` stores it: its two base corners and then its
+    apex, reversed when the shoelace sum in that order is negative.
+    """
+    from .transforms import unroll_disk
 
     from .geometry import Disk
 
     saw = unroll_disk(Disk(Point2(0.0, 0.0), r), n)
-    teeth = sawtooth_teeth(saw)
+    xy = saw.xy()
+    # tooth k: its base corners, rows 2k and 2k + 2, then its apex, row 2k + 1
+    teeth = np.stack((xy[0:-1:2], xy[2::2], xy[1::2]), axis=1)
+    x, y = teeth[..., 0], teeth[..., 1]
+    with np.errstate(over="ignore", invalid="ignore"):  # as in Polygon's shoelace sum
+        cross = x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y
+        clockwise = 0.5 * (cross[:, 0] + cross[:, 1] + cross[:, 2]) < 0.0
+    teeth[clockwise] = teeth[clockwise, ::-1]
     # the baseline runs from the origin to the last chord end, the apexes reach the apothem
     (x0, x1), (y0, y1) = saw.box()
     m = _Mapper(x0, x1, y0, y1)
@@ -70,8 +82,8 @@ def render_unroll(r: float, n: int) -> str:
         f'x2="{m.xy(x1, 0.0)[0]}" y2="{m.xy(x1, 0.0)[1]}" '
         'stroke="black" stroke-width="1"/>'
     ]
-    for tooth in teeth:
-        pts = " ".join(m.pt(p.x, p.y) for p in tooth.vertices)
+    for tooth in teeth.tolist():
+        pts = " ".join(m.pt(px, py) for px, py in tooth)
         body.append(f'<polygon class="tooth" points="{pts}" fill="none" stroke="steelblue"/>')
     return _document(body)
 

@@ -12,7 +12,7 @@ import types
 import pytest
 
 import indivisibles
-from indivisibles import riemann_volume
+from indivisibles import riemann_volume, svg
 from indivisibles.cli import MEASURES, SHAPES, main
 from indivisibles.svg import render_unroll
 
@@ -435,6 +435,16 @@ class TestSvg:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_unroll_bytes_are_pinned(self, r, n, digest):
         assert hashlib.sha256(render_unroll(r, n).encode()).hexdigest() == digest
+
+    # the shoelace sums of the teeth underflow to 0 at r = 1e-170, and those
+    # of the first teeth only at r = 1e-162, so they keep their input order
+    @pytest.mark.parametrize("r,n", [(1.0, 16), (0.37, 4096), (1e-170, 16), (1e-162, 4096), (1e300, 16)])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_unroll_draws_the_teeth_of_sawtooth_teeth(self, r, n):
+        saw = indivisibles.unroll_disk(indivisibles.Disk(indivisibles.Point2(0.0, 0.0), r), n)
+        m = svg._Mapper(*saw.box()[0], *saw.box()[1])
+        want = [" ".join(m.pt(p.x, p.y) for p in tooth.vertices) for tooth in indivisibles.sawtooth_teeth(saw)]
+        assert re.findall(r'<polygon class="tooth" points="([^"]+)"', render_unroll(r, n)) == want
 
     def test_bounds_structure(self, tmp_path, capsys):
         out_path = tmp_path / "bounds.svg"

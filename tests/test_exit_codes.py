@@ -8,7 +8,8 @@ the suite's ``error::RuntimeWarning`` setting a numpy warning escapes ``main``
 and fails the property too.
 
 Files that cannot be read as UTF-8 text exit 4, scripts nested at any depth
-exit 0, 1, 2 or 3, and a tolerance must be finite.
+exit 0, 1, 2 or 3, a tolerance must be finite, and a --slices past its
+budget is a usage error.
 """
 
 import contextlib
@@ -126,6 +127,28 @@ def test_subcommands_exit_zero_or_three(scratch, command, shape, r, h, big_r, sl
     _assert_documented(code, out, err)
     if command == "svg":
         assert out_path.exists() == (code == 0)
+
+
+@pytest.mark.parametrize("command", ["bounds", "svg"])
+@pytest.mark.parametrize("over", [1, 10**20])
+def test_slices_past_the_budget_are_a_usage_error(scratch, monkeypatch, capsys, command, over):
+    # 10**20 slices used to stream slab blocks until the run was killed
+    budget = cli.SLICE_BUDGET[command]
+    out_path = scratch / "budget.svg"
+    argv = ["bounds", "--shape", "disk"] if command == "bounds" else [
+        "svg", "--construction", "bounds", "--shape", "disk", "--out", str(out_path)]
+
+    def no_work(*args):
+        raise AssertionError("the shape was built")
+
+    monkeypatch.setattr(cli, "_named_shape", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--slices", str(budget + over)])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"usage error: --slices must be at most {budget} for {command}\n")
+    assert not out_path.exists()
+    with pytest.raises(AssertionError, match="the shape was built"):  # the budget itself is taken
+        main([*argv, "--slices", str(budget)])
 
 
 # --- files that cannot be read -------------------------------------------------

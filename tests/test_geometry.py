@@ -143,6 +143,16 @@ class TestPerimeter:
         with pytest.raises(iv.GeometryError, match="^the perimeter of the circle arc is not finite at these dimensions$"):
             iv.perimeter(CircleArc(Point2(0, 0), 1e308))
 
+    @pytest.mark.parametrize("measure", ["perimeter", "centroid_curve", "first_moment_curve", "guldin_surface"])
+    def test_every_curve_measure_names_a_length_that_overflows(self, measure):
+        # the first edge is longer than the largest float; the centroid used to
+        # fail on Point2(nan, nan) and the first moment to return nan
+        ring = Polyline([(1e308, 0), (-1e308, 0), (0, 1)], closed=True)
+        axis = Line2(Point2(0, 0), (0, 1))
+        args = () if measure in ("perimeter", "centroid_curve") else (axis,)
+        with pytest.raises(GeometryError, match="^the perimeter of the polyline is not finite at these dimensions$"):
+            getattr(iv, measure)(ring, *args)
+
 
 class TestCentroid:
     def test_triangle_vertex_average(self):
@@ -376,6 +386,21 @@ def _reference_has_proper_self_intersection(pts):
     return False
 
 
+def _box_overlapping_pairs(xy):
+    """The pairs [k, l], k < l, of non-adjacent edges of the ring whose closed
+    bounding boxes overlap, sorted; edge k runs from vertex k to vertex k+1."""
+    n = len(xy)
+    q = np.roll(xy, -1, axis=0)
+    (xlo, ylo), (xhi, yhi) = np.minimum(xy, q).T, np.maximum(xy, q).T
+    pairs = []
+    for k in range(n - 1):
+        l = np.arange(k + 1, n)
+        keep = (xlo[k] <= xhi[l]) & (xlo[l] <= xhi[k]) & (ylo[k] <= yhi[l]) & (ylo[l] <= yhi[k])
+        keep &= (l != k + 1) & (l != k + n - 1)
+        pairs += ([k, m] for m in l[keep].tolist())
+    return pairs
+
+
 def _star_points(rng, n, r_min=0.5, r_max=2.0):
     jitter = rng.uniform(0.1, 0.9, n)
     angles = 2.0 * math.pi * (np.arange(n) + jitter) / n
@@ -426,6 +451,37 @@ class TestSimplicityCheck:
         with pytest.raises(ValueError, match="self-intersecting"):
             Polygon(verts)
         assert len(seen) > 1 and seen[-1] and not any(seen[:-1])
+
+    def test_narrow_phase_gets_each_box_overlapping_pair_once(self, monkeypatch):
+        # the spy declines every batch, so the sweep hands over all its pairs
+        batches = []
+
+        def spy(edges, i, j):
+            batches.append((edges, i.copy(), j.copy()))
+            return False
+
+        monkeypatch.setattr(geometry, "_properly_cross", spy)
+        rng = np.random.default_rng(16)
+        rings = [rng.uniform(-1.0, 1.0, (int(rng.integers(3, 41)), 2)) for _ in range(100)]
+        rings += [rng.integers(0, 5, (int(rng.integers(3, 41)), 2)).astype(np.float64) for _ in range(100)]
+        star = _star_points(rng, 512)
+        saw = iv.unroll_disk(Disk(Point2(0, 0), 1.0), 4096).xy()
+        for xy in [*rings, star, saw]:
+            batches.clear()
+            assert not geometry._has_proper_self_intersection(xy)
+            # sweep order is the stable order of the edges' lowest x
+            order = np.argsort(np.minimum(xy[:, 0], np.roll(xy[:, 0], -1)), kind="stable")
+            p, q = xy[order], np.roll(xy, -1, axis=0)[order]
+            pairs = []
+            for edges, i, j in batches:
+                assert edges.tobytes() == np.concatenate((p.T, q.T, q.T - p.T)).tobytes()
+                pairs += zip(order[i].tolist(), order[j].tolist())
+            assert sorted(map(sorted, pairs)) == _box_overlapping_pairs(xy)
+            # one call per full chunk, and one for the rest
+            full, rest = divmod(len(pairs), geometry._PAIR_CHUNK)
+            assert [len(i) for _, i, _ in batches] == [geometry._PAIR_CHUNK] * full + [rest] * (rest > 0)
+            if xy is star or xy is saw:
+                assert len(batches) > 1
 
     def test_large_star_with_swapped_vertices_rejected(self):
         # unit-radius star: swapping two neighbours makes two chords whose
