@@ -32,6 +32,7 @@ from .geometry import (
 from .oracle import mc_area, mc_volume, riemann_volume
 from .solids import Cone, Hoof, Point3, SolidOfRevolution, Sphere, lateral_area, volume
 from .svg import render_bounds, render_guldin, render_unroll
+from .transforms import UNROLL_BUDGET
 
 SCHEMA_VERSION = 1
 
@@ -41,15 +42,19 @@ EXIT_PARSE = 2
 EXIT_GEOMETRY = 3
 EXIT_IO = 4
 
-# Each --shape/--target name: its measure and the library object it stands for
-# at --r, --h and --R, which gives the closed form, section, membership and box.
+# Each --shape/--target name: its measure, the dimensions it reads, and the
+# library object it stands for at them, which gives the closed form, section,
+# membership and box.
 SHAPES = {
-    "disk": ("area", lambda args: Disk(Point2(0.0, 0.0), args.r)),
-    "sphere": ("volume", lambda args: Sphere(args.r)),
-    "cone": ("volume", lambda args: Cone(Disk(Point2(0.0, 0.0), args.r), Point3(0.0, 0.0, args.h))),
-    "hoof": ("volume", lambda args: Hoof(args.r, args.h)),
-    "torus": ("volume", lambda args: SolidOfRevolution(Profile(Disk(Point2(args.R, 0.0), args.r)))),
+    "disk": ("area", ("r",), lambda args: Disk(Point2(0.0, 0.0), args.r)),
+    "sphere": ("volume", ("r",), lambda args: Sphere(args.r)),
+    "cone": ("volume", ("r", "h"), lambda args: Cone(Disk(Point2(0.0, 0.0), args.r), Point3(0.0, 0.0, args.h))),
+    "hoof": ("volume", ("r", "h"), lambda args: Hoof(args.r, args.h)),
+    "torus": ("volume", ("r", "R"), lambda args: SolidOfRevolution(Profile(Disk(Point2(args.R, 0.0), args.r)))),
 }
+
+# the --shape names of bounds and svg, whose staircases slice these shapes
+STAIRCASE_SHAPES = ("disk", "sphere", "cone", "hoof")
 
 # closed form, certified enclosure and Monte Carlo estimate of each measure
 MEASURES = {
@@ -156,7 +161,7 @@ def _named_shape(name: str, args):
     """The measure, the library object and its closed form that a --shape/--target
     name stands for.  The closed form is checked by the library: one that is not
     finite or underflows to 0 raises a GeometryError."""
-    kind, build = SHAPES[name]
+    kind, _, build = SHAPES[name]
     shape = build(args)
     return kind, shape, MEASURES[kind][0](shape)
 
@@ -167,13 +172,8 @@ def cmd_bounds(args) -> int:
     kind, shape, closed = _named_shape(args.shape, args)
     _, bounds, _ = MEASURES[kind]
     interval = bounds(shape.section(), args.slices)
-    pairs = [
-        ("command", "bounds"),
-        ("shape", args.shape),
-        ("r", float(args.r)),
-    ]
-    if args.shape in ("cone", "hoof"):
-        pairs.append(("h", float(args.h)))
+    pairs = [("command", "bounds"), ("shape", args.shape)]
+    pairs += [(dim, float(getattr(args, dim))) for dim in SHAPES[args.shape][1]]
     pairs += [
         ("slices", args.slices),
         ("measure", kind),
@@ -239,7 +239,7 @@ def cmd_guldin(args) -> int:
         ("command", "guldin"),
         ("profile", args.profile),
         ("name", name),
-        ("points", len(polygon.vertices)),
+        ("points", len(polygon.xy())),
         ("area", area(polygon)),
         ("perimeter", perimeter(ring)),
         ("centroid_rho", c_region.x),
@@ -306,8 +306,8 @@ def cmd_oracle(args) -> int:
 def cmd_svg(args) -> int:
     if args.construction == "unroll":
         _require_positive("svg", r=args.r)
-        if args.n < 3:
-            _usage_error("--n must be at least 3 for svg --construction unroll")
+        if not 3 <= args.n <= UNROLL_BUDGET:
+            _usage_error(f"--n must lie in [3, {UNROLL_BUDGET}] for svg --construction unroll")
         content = render_unroll(args.r, args.n)
     elif args.construction == "bounds":
         _require_positive("svg", r=args.r, h=args.h, slices=args.slices)
@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_check)
 
     p_bounds = sub.add_parser("bounds", help="certified inner/outer enclosure of a named shape")
-    p_bounds.add_argument("--shape", choices=("disk", "sphere", "cone", "hoof"), required=True)
+    p_bounds.add_argument("--shape", choices=STAIRCASE_SHAPES, required=True)
     p_bounds.add_argument("--r", type=float, default=1.0)
     p_bounds.add_argument("--h", type=float, default=1.0)
     p_bounds.add_argument("--slices", type=int, default=1000)
@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_svg.add_argument("--r", type=float, default=1.0)
     p_svg.add_argument("--h", type=float, default=1.0)
     p_svg.add_argument("--n", type=int, default=16)
-    p_svg.add_argument("--shape", choices=("disk", "sphere", "cone", "hoof"), default="disk")
+    p_svg.add_argument("--shape", choices=STAIRCASE_SHAPES, default="disk")
     p_svg.add_argument("--slices", type=int, default=12)
     p_svg.add_argument("--profile", help="profile file for --construction guldin")
     p_svg.add_argument("--out", "-o", required=True)

@@ -397,7 +397,14 @@ def format_mexpr(node: MExpr) -> str:
     if isinstance(node, Neg):
         return f"(-{format_mexpr(node.operand)})"
     if isinstance(node, BinOp):
-        return f"({format_mexpr(node.left)} {node.op} {format_mexpr(node.right)})"
+        # a left-deep chain of + and - (or of * and /), such as 1 + 1 + ... + 1,
+        # folds in a loop, not by recursion, into one run that parses back left to right
+        chain, additive = [], node.op in "+-"
+        while isinstance(node, BinOp) and (node.op in "+-") == additive:
+            chain.append(node)
+            node = node.left
+        tail = "".join(f" {op.op} {format_mexpr(op.right)}" for op in reversed(chain))
+        return f"({format_mexpr(node)}{tail})"
     raise TypeError(f"unknown measure node {type(node).__name__}")
 
 

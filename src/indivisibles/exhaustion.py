@@ -125,10 +125,11 @@ def _widen(lo: float, hi: float, slabs: int) -> tuple[float, float]:
     )
 
 
-def _staircase_sums(f: WidthFunction, n: int) -> tuple[float, float, int]:
-    """Computed lower and upper staircase sums over the n-slab grid, and its slab count."""
-    lo = hi = 0.0
-    slabs = 0
+def _staircase_blocks(f: WidthFunction, n: int):
+    """The n-slab staircase, one block of ``_BLOCK`` slabs at a time: each
+    block's edges and the lower and upper heights of its slabs, the lesser and
+    the greater profile value at their two edges.  Each edge is evaluated once;
+    a negative value raises InvalidMonotonicity."""
     last = None
     for s in range(0, n, _BLOCK):
         edges = _block_edges(f, n, s, min(s + _BLOCK, n))
@@ -139,12 +140,19 @@ def _staircase_sums(f: WidthFunction, n: int) -> tuple[float, float, int]:
             vals = np.concatenate(([last], np.asarray(f(edges[1:]), dtype=np.float64)))
         if np.any(vals < 0.0):
             raise InvalidMonotonicity(f"profile is negative on [{edges[0]}, {edges[-1]}]")
-        heights = np.diff(edges)
-        left, right = vals[:-1], vals[1:]
-        lo = ordered_sum(np.minimum(left, right) * heights, lo)
-        hi = ordered_sum(np.maximum(left, right) * heights, hi)
-        slabs += len(heights)
         last = vals[-1]
+        yield edges, np.minimum(vals[:-1], vals[1:]), np.maximum(vals[:-1], vals[1:])
+
+
+def _staircase_sums(f: WidthFunction, n: int) -> tuple[float, float, int]:
+    """Computed lower and upper staircase sums over the n-slab grid, and its slab count."""
+    lo = hi = 0.0
+    slabs = 0
+    for edges, lower, upper in _staircase_blocks(f, n):
+        widths = np.diff(edges)
+        lo = ordered_sum(np.multiply(lower, widths, out=lower), lo)
+        hi = ordered_sum(np.multiply(upper, widths, out=upper), hi)
+        slabs += len(widths)
     return lo, hi, slabs
 
 

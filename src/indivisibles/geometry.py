@@ -817,7 +817,7 @@ def _has_opposite_loops(xy: np.ndarray) -> bool:
     """True when some vertex occurs twice and splits the ring into two loops of
     strictly opposite orientation (lobes that would cancel in the area)."""
     order = np.lexsort((xy[:, 1], xy[:, 0]))
-    ranked = xy[order]
+    ranked = np.take(xy, order, axis=0)
     repeat = (ranked[1:] == ranked[:-1]).all(axis=1)  # ranked[k + 1] repeats ranked[k]
     if not repeat.any():
         return False

@@ -148,29 +148,29 @@ def boundary_integral(curve: Curve, integrand, n: int) -> float:
     """Composite midpoint rule for an arclength integral along a curve.
 
     ``integrand(xs, ys)`` is vectorized; n is the subdivision count per
-    segment (polyline edge) or per arc.
+    segment (polyline edge of nonzero length) or per arc.  A polyline's
+    midpoints run edge after edge in one flat sequence of cells, so its
+    integrand sees them in pieces of ``_BLOCK`` that may span several edges.
     """
     if n < 1:
         raise ValueError("need at least one subdivision")
     if isinstance(curve, Polyline):
-        total = 0.0
-        any_length = False
-        for p, q in curve.edges():
-            seg = math.hypot(q.x - p.x, q.y - p.y)
-            if seg == 0.0:
-                continue
-            any_length = True
-
-            def values_at(k):
-                ts = k / n
-                xs = p.x + (q.x - p.x) * ts
-                ys = p.y + (q.y - p.y) * ts
-                return np.asarray(integrand(xs, ys), dtype=np.float64) * (seg / n)
-
-            total = _midpoint_sum(values_at, n, total)
-        if not any_length:
+        x0, y0, x1, y1, seg = curve._segments()
+        keep = np.flatnonzero(seg)  # an edge of zero length has no cells
+        if not len(keep):
             raise DegenerateCurve("curve has zero length")
-        return total
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is part of the result
+            dx, dy, ds = x1 - x0, y1 - y0, seg / n
+
+        def values_at(k):
+            # flat midpoint k of the kept edges' n cells each: kept edge k // n, at ts * n = k % n
+            edge, ts = np.divmod(k, n)
+            edge, ts = keep[edge.astype(np.intp)], ts / n
+            xs = x0[edge] + dx[edge] * ts
+            ys = y0[edge] + dy[edge] * ts
+            return np.asarray(integrand(xs, ys), dtype=np.float64) * ds[edge]
+
+        return _midpoint_sum(values_at, len(keep) * n)
     if isinstance(curve, CircleArc):
         ds = curve.radius * curve.span / n
 

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Point2, Polygon, WidthFunction, bounding_box, centroid_region
-from .exhaustion import _block_edges
+from .exhaustion import _staircase_blocks
+from .geometry import Disk, Point2, Polygon, WidthFunction, bounding_box, centroid_region
+from .transforms import _teeth, unroll_disk
 
 _WIDTH = 600.0
 _HEIGHT = 400.0
@@ -34,9 +35,7 @@ class _Mapper:
         self.x0, self.y1 = x0, y1
 
     def pt(self, x, y) -> str:
-        sx = (x - self.x0) * self.scale
-        sy = (self.y1 - y) * self.scale
-        return f"{_fmt(sx)},{_fmt(sy)}"
+        return ",".join(self.xy(x, y))
 
     def xy(self, x, y) -> tuple[str, str]:
         sx = (x - self.x0) * self.scale
@@ -57,23 +56,10 @@ def _document(body: list[str]) -> str:
 def render_unroll(r: float, n: int) -> str:
     """The sawtooth unrolling: n teeth standing on a baseline of n chords.
 
-    The teeth are read from the sawtooth's coordinate array, each drawn as
-    ``transforms.sawtooth_teeth`` stores it: its two base corners and then its
-    apex, reversed when the shoelace sum in that order is negative.
+    Each tooth is drawn as ``transforms.sawtooth_teeth`` stores it, from the
+    same ``(n, 3, 2)`` array of the sawtooth's rows.
     """
-    from .transforms import unroll_disk
-
-    from .geometry import Disk
-
     saw = unroll_disk(Disk(Point2(0.0, 0.0), r), n)
-    xy = saw.xy()
-    # tooth k: its base corners, rows 2k and 2k + 2, then its apex, row 2k + 1
-    teeth = np.stack((xy[0:-1:2], xy[2::2], xy[1::2]), axis=1)
-    x, y = teeth[..., 0], teeth[..., 1]
-    with np.errstate(over="ignore", invalid="ignore"):  # as in Polygon's shoelace sum
-        cross = x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y
-        clockwise = 0.5 * (cross[:, 0] + cross[:, 1] + cross[:, 2]) < 0.0
-    teeth[clockwise] = teeth[clockwise, ::-1]
     # the baseline runs from the origin to the last chord end, the apexes reach the apothem
     (x0, x1), (y0, y1) = saw.box()
     m = _Mapper(x0, x1, y0, y1)
@@ -82,34 +68,26 @@ def render_unroll(r: float, n: int) -> str:
         f'x2="{m.xy(x1, 0.0)[0]}" y2="{m.xy(x1, 0.0)[1]}" '
         'stroke="black" stroke-width="1"/>'
     ]
-    for tooth in teeth.tolist():
+    for tooth in _teeth(saw).tolist():
         pts = " ".join(m.pt(px, py) for px, py in tooth)
         body.append(f'<polygon class="tooth" points="{pts}" fill="none" stroke="steelblue"/>')
     return _document(body)
 
 
 def render_bounds(width: WidthFunction, n: int) -> str:
-    """Inner and outer staircase rectangles bracketing a width profile."""
-    edges = _block_edges(width, n, 0, n)
-    vals = np.asarray(width(edges), dtype=np.float64)
+    """Inner and outer staircase rectangles bracketing a width profile, as
+    ``exhaustion`` reads them off the n-slab grid."""
+    blocks = list(_staircase_blocks(width, n))
     a, b = width.domain
-    top = float(np.max(vals))
-    m = _Mapper(a, b, 0.0, top)
+    m = _Mapper(a, b, 0.0, float(np.max(np.concatenate([upper for *_, upper in blocks]))))
     body = []
-    for i in range(len(edges) - 1):
-        lo = float(min(vals[i], vals[i + 1]))
-        hi = float(max(vals[i], vals[i + 1]))
-        w_px = _fmt((edges[i + 1] - edges[i]) * m.scale)
-        x_, ytop = m.xy(edges[i], hi)
-        body.append(
-            f'<rect class="outer" x="{x_}" y="{ytop}" width="{w_px}" '
-            f'height="{_fmt(hi * m.scale)}" fill="none" stroke="firebrick"/>'
-        )
-        _, ytop_in = m.xy(edges[i], lo)
-        body.append(
-            f'<rect class="inner" x="{x_}" y="{ytop_in}" width="{w_px}" '
-            f'height="{_fmt(lo * m.scale)}" fill="none" stroke="seagreen"/>'
-        )
+    for edges, lower, upper in blocks:
+        for t0, t1, lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist(), lower.tolist(), upper.tolist()):
+            w_px = _fmt((t1 - t0) * m.scale)
+            for kind, height, stroke in (("outer", hi, "firebrick"), ("inner", lo, "seagreen")):
+                sx, sy = m.xy(t0, height)
+                body.append(f'<rect class="{kind}" x="{sx}" y="{sy}" width="{w_px}" '
+                            f'height="{_fmt(height * m.scale)}" fill="none" stroke="{stroke}"/>')
     ts = np.linspace(a, b, 257)
     ws = np.asarray(width(ts), dtype=np.float64)
     pts = " ".join(m.pt(float(t), float(w)) for t, w in zip(ts, ws))
@@ -128,7 +106,7 @@ def render_guldin(profile_polygon: Polygon) -> str:
         f'<line class="axis" x1="{ax_x}" y1="{ax_y0}" x2="{ax_x}" y2="{ax_y1}" '
         'stroke="black" stroke-dasharray="6,3"/>'
     ]
-    pts = " ".join(m.pt(p.x, p.y) for p in profile_polygon.vertices)
+    pts = " ".join(m.pt(px, py) for px, py in profile_polygon.xy().tolist())
     body.append(f'<polygon class="profile" points="{pts}" fill="none" stroke="steelblue"/>')
     c = centroid_region(profile_polygon)
     cx, cy = m.xy(c.x, c.y)

@@ -29,6 +29,10 @@ PRESERVED = {
     "unfold-revolution": frozenset({"volume", "lateral-area"}),
 }
 
+# The most slices ``unroll_disk`` takes: at 2**16 the sawtooth is about 0.1 s
+# and 26 MB, and its SVG about 8 MB.
+UNROLL_BUDGET = 2**16
+
 
 @dataclass(frozen=True)
 class Transform:
@@ -81,9 +85,12 @@ def unroll_disk(disk: Disk, n: int) -> Polygon:
     pi r^2 shrinks at order 1/n^2 (within pi r^2 * (3/2) (pi/n)^2 for n >= 8).
     Shearing every tooth apex onto a common point afterwards leaves the area
     unchanged and produces a single triangle of the same base and height.
+    At most ``UNROLL_BUDGET`` slices are taken.
     """
     if n < 3:
         raise ValueError("need at least 3 slices to unroll a disk")
+    if n > UNROLL_BUDGET:
+        raise ValueError(f"at most {UNROLL_BUDGET} slices unroll a disk, got {n}")
     r = disk.radius
     chord = 2.0 * r * math.sin(math.pi / n)
     apothem = r * math.cos(math.pi / n)
@@ -99,16 +106,30 @@ def unroll_disk(disk: Disk, n: int) -> Polygon:
     return Polygon(xy)
 
 
+def _teeth(sawtooth: Polygon) -> np.ndarray:
+    """The (n, 3, 2) tooth triangles of a sawtooth.
+
+    Tooth k is rows 2k and 2k + 2 of the sawtooth's array, its base corners,
+    then its apex, row 2k + 1; it is reversed when its shoelace sum in that
+    order is negative, as ``Polygon`` stores it.  That order runs clockwise
+    in the stored sawtooth, so a tooth is reversed unless its sum underflows.
+    """
+    xy = sawtooth.xy()
+    if len(xy) % 2 != 1:
+        raise ValueError("not a sawtooth polygon")
+    teeth = np.stack((xy[0:-1:2], xy[2::2], xy[1::2]), axis=1)
+    x, y = teeth[..., 0], teeth[..., 1]
+    with np.errstate(over="ignore", invalid="ignore"):  # as in Polygon's shoelace sum
+        cross = x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y
+        clockwise = 0.5 * (cross[:, 0] + cross[:, 1] + cross[:, 2]) < 0.0
+    teeth[clockwise] = teeth[clockwise, ::-1]
+    teeth.flags.writeable = False  # so a Polygon keeps its tooth's rows uncopied
+    return teeth
+
+
 def sawtooth_teeth(sawtooth: Polygon) -> list[Polygon]:
     """Split an unrolled sawtooth back into its n tooth triangles."""
-    verts = sawtooth.vertices
-    if len(verts) % 2 != 1:
-        raise ValueError("not a sawtooth polygon")
-    teeth = []
-    for i in range(len(verts) // 2):
-        base0, apex, base1 = verts[2 * i], verts[2 * i + 1], verts[2 * i + 2]
-        teeth.append(Polygon([base0, base1, apex]))
-    return teeth
+    return [Polygon(tooth) for tooth in _teeth(sawtooth)]
 
 
 def twist_column(cyl: Cylinder, twist: float) -> Solid:

@@ -9,12 +9,15 @@ import subprocess
 import sys
 import types
 
+import numpy as np
 import pytest
 
 import indivisibles
 from indivisibles import riemann_volume, svg
+from indivisibles._kernels import _BLOCK
 from indivisibles.cli import MEASURES, SHAPES, main
-from indivisibles.svg import render_unroll
+from indivisibles.exhaustion import _block_edges
+from indivisibles.svg import render_bounds, render_unroll
 
 from conftest import SCRIPTS_DIR
 
@@ -77,7 +80,7 @@ class TestShapeTable:
     @pytest.mark.parametrize("name", sorted(SHAPES))
     def test_closed_form_agrees_with_the_kinds_oracles(self, name, dims):
         r, h, big_r = dims
-        kind, build = SHAPES[name]
+        kind, _, build = SHAPES[name]
         closed_form, bounds, mc = MEASURES[kind]
         shape = build(argparse.Namespace(r=r, h=h, R=big_r))
         closed = closed_form(shape)
@@ -402,6 +405,29 @@ class TestOracle:
         assert report["within_5_stderr"] == "true"
 
 
+def _one_block_bounds(width, n):
+    """``render_bounds`` over one block of all n slabs: the profile at every
+    edge, and each slab's rectangles from the lesser and greater of its two."""
+    edges = _block_edges(width, n, 0, n)
+    vals = np.asarray(width(edges), dtype=np.float64)
+    a, b = width.domain
+    m = svg._Mapper(a, b, 0.0, float(np.max(vals)))
+    body = []
+    for i in range(len(edges) - 1):
+        lo, hi = float(min(vals[i], vals[i + 1])), float(max(vals[i], vals[i + 1]))
+        w_px = svg._fmt((edges[i + 1] - edges[i]) * m.scale)
+        x_, ytop = m.xy(edges[i], hi)
+        body.append(f'<rect class="outer" x="{x_}" y="{ytop}" width="{w_px}" '
+                    f'height="{svg._fmt(hi * m.scale)}" fill="none" stroke="firebrick"/>')
+        _, ytop_in = m.xy(edges[i], lo)
+        body.append(f'<rect class="inner" x="{x_}" y="{ytop_in}" width="{w_px}" '
+                    f'height="{svg._fmt(lo * m.scale)}" fill="none" stroke="seagreen"/>')
+    ts = np.linspace(a, b, 257)
+    pts = " ".join(m.pt(float(t), float(w)) for t, w in zip(ts, np.asarray(width(ts), dtype=np.float64)))
+    body.append(f'<polyline class="profile" points="{pts}" fill="none" stroke="black"/>')
+    return svg._document(body)
+
+
 class TestSvg:
     def test_unroll_structure(self, tmp_path, capsys):
         out_path = tmp_path / "unroll.svg"
@@ -445,6 +471,17 @@ class TestSvg:
         m = svg._Mapper(*saw.box()[0], *saw.box()[1])
         want = [" ".join(m.pt(p.x, p.y) for p in tooth.vertices) for tooth in indivisibles.sawtooth_teeth(saw)]
         assert re.findall(r'<polygon class="tooth" points="([^"]+)"', render_unroll(r, n)) == want
+
+    def test_bounds_draws_the_staircase_of_every_block(self):
+        # past one block, with a declared breakpoint inside each of the two
+        n = _BLOCK + 3
+        width = indivisibles.WidthFunction(
+            lambda t: 2.0 + np.sin(7.0 * t),
+            domain=(0.0, 3.0),
+            breakpoints=(0.3 * 3.0 / n + 1.0, 3.0 - 1.5 * 3.0 / n),
+            monotonicity=("increasing",) * 3,
+        )
+        assert render_bounds(width, n) == _one_block_bounds(width, n)
 
     def test_bounds_structure(self, tmp_path, capsys):
         out_path = tmp_path / "bounds.svg"

@@ -260,6 +260,22 @@ class TestRoundTrip:
         ast = dsl.parse(src)
         assert dsl.parse(dsl.format_script(ast)) == ast
 
+    def test_mixed_precedence_chains_round_trip(self):
+        src = "assert_close((1+2)*3/(4-5) - 6 - (7 - 8), 1 - (2 - 3) / (4 / 5 * 6), tol=1);"
+        ast = dsl.parse(src)
+        printed = dsl.format_script(ast)
+        assert printed == (
+            "assert_close((((1.0 + 2.0) * 3.0 / (4.0 - 5.0)) - 6.0 - (7.0 - 8.0)), "
+            "(1.0 - ((2.0 - 3.0) / (4.0 / 5.0 * 6.0))), tol=1.0);\n"
+        )
+        assert dsl.parse(printed) == ast
+
+    def test_thousand_term_sum_prints_and_round_trips(self):
+        # AST equality recurses once per operator, so the printed forms are compared
+        printed = dsl.format_script(dsl.parse("assert_close(" + "+".join(["1"] * 1000) + ", 1000, tol=0.5);"))
+        assert printed == "assert_close((" + " + ".join(["1.0"] * 1000) + "), 1000.0, tol=0.5);\n"
+        assert dsl.format_script(dsl.parse(printed)) == printed
+
 
 class TestCorpus:
     @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)

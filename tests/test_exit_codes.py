@@ -8,8 +8,8 @@ the suite's ``error::RuntimeWarning`` setting a numpy warning escapes ``main``
 and fails the property too.
 
 Files that cannot be read as UTF-8 text exit 4, scripts nested at any depth
-exit 0, 1, 2 or 3, a tolerance must be finite, and a --slices past its
-budget is a usage error.
+exit 0, 1, 2 or 3, a tolerance must be finite, a --slices or an svg --n past
+its budget is a usage error, and a script's unroll past it a located error.
 """
 
 import contextlib
@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from indivisibles import cli
 from indivisibles.cli import main, read_profile_file
+from indivisibles.transforms import UNROLL_BUDGET
 
 DIMS = st.sampled_from(["1e-170", "1e-100", "1", "1e100", "1e200"])
 
@@ -149,6 +150,33 @@ def test_slices_past_the_budget_are_a_usage_error(scratch, monkeypatch, capsys, 
     assert not out_path.exists()
     with pytest.raises(AssertionError, match="the shape was built"):  # the budget itself is taken
         main([*argv, "--slices", str(budget)])
+
+
+@pytest.mark.parametrize("n", [2, UNROLL_BUDGET + 1, 10**15])
+def test_unroll_outside_its_budget_is_a_usage_error(scratch, monkeypatch, capsys, n):
+    out_path = scratch / "unroll.svg"
+    argv = ["svg", "--construction", "unroll", "--out", str(out_path)]
+
+    def no_work(*args):
+        raise AssertionError("the sawtooth was drawn")
+
+    monkeypatch.setattr(cli, "render_unroll", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--n", str(n)])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == (
+        "", f"usage error: --n must lie in [3, {UNROLL_BUDGET}] for svg --construction unroll\n"
+    )
+    assert not out_path.exists()
+    with pytest.raises(AssertionError, match="the sawtooth was drawn"):  # the budget itself is taken
+        main([*argv, "--n", str(UNROLL_BUDGET)])
+
+
+@pytest.mark.parametrize("n", [UNROLL_BUDGET + 1, 10**15])
+def test_unroll_past_the_budget_is_a_located_script_error(scratch, n):
+    assert _check(scratch, f"let s = unroll(disk(r=1), n={n});\n") == (
+        3, "", f"error: line 1, column 9: at most {UNROLL_BUDGET} slices unroll a disk, got {n}\n"
+    )
 
 
 # --- files that cannot be read -------------------------------------------------

@@ -330,6 +330,69 @@ class TestBoundaryIntegral:
         assert peak < 4 * 2**20
 
 
+def _per_edge_integral(curve, integrand, n):
+    """The polyline rule edge by edge: each edge's n midpoints from its two
+    points, chained from the previous edge's total."""
+    total = 0.0
+    any_length = False
+    for p, q in curve.edges():
+        seg = math.hypot(q.x - p.x, q.y - p.y)
+        if seg == 0.0:
+            continue
+        any_length = True
+        for done in range(0, n, 1 << 14):
+            ts = (np.arange(done, min(done + (1 << 14), n), dtype=np.float64) + 0.5) / n
+            xs = p.x + (q.x - p.x) * ts
+            ys = p.y + (q.y - p.y) * ts
+            total = ordered_sum(np.asarray(integrand(xs, ys), dtype=np.float64) * (seg / n), total)
+    if not any_length:
+        raise iv.DegenerateCurve("curve has zero length")
+    return total
+
+
+def _wavy(xs, ys):
+    return np.sin(xs) * ys + xs * xs
+
+
+class TestPolylineBoundaryIntegral:
+    """The flat pass over all edges' midpoints against the per-edge rule."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n", [1, 3, 64, 1000])
+    @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+    def test_equals_the_per_edge_rule(self, seed, n, closed):
+        rng = np.random.default_rng(seed)
+        xy = rng.normal(size=(int(rng.integers(2, 30)), 2)) * 10.0 ** rng.uniform(-3, 3)
+        for curve in (iv.Polyline(xy, closed=closed), iv.Polyline([tuple(row) for row in xy.tolist()], closed)):
+            assert iv.boundary_integral(curve, _wavy, n) == _per_edge_integral(curve, _wavy, n)
+
+    @pytest.mark.parametrize("n", [1, 7, 4096])
+    def test_polygon_boundary_equals_the_per_edge_rule(self, n):
+        star = iv.Polygon([(math.cos(k * 0.7) * (1.5 + k % 2), math.sin(k * 0.7) * (1.5 + k % 2)) for k in range(9)])
+        ring = star.boundary()
+        assert iv.boundary_integral(ring, _wavy, n) == _per_edge_integral(ring, _wavy, n)
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+    def test_zero_length_edges_are_skipped(self, closed):
+        pts = [(0.0, 0.0), (0.0, 0.0), (1.0, 2.0), (3.0, -1.0), (3.0, -1.0), (0.0, 0.0)]
+        curve = iv.Polyline(pts, closed=closed)
+        assert iv.boundary_integral(curve, _wavy, 5) == _per_edge_integral(curve, _wavy, 5)
+
+    def test_flat_count_crossing_a_block_mid_edge(self):
+        # 3 edges of 10,000 midpoints each: the first piece of 2^14 cells ends
+        # inside the second edge
+        curve = iv.Polyline([(0.0, 0.0), (1.0, 0.5), (2.5, -0.25), (3.0, 1.0)])
+        n = 10_000
+        assert n < 1 << 14 < 2 * n
+        assert iv.boundary_integral(curve, _wavy, n) == _per_edge_integral(curve, _wavy, n)
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+    def test_zero_length_curve_is_degenerate(self, closed):
+        curve = iv.Polyline([(1.0, 2.0), (1.0, 2.0), (1.0, 2.0)], closed=closed)
+        with pytest.raises(iv.DegenerateCurve):
+            iv.boundary_integral(curve, _wavy, 4)
+
+
 def test_estimate_validation():
     with pytest.raises(ValueError):
         iv.Estimate(mean=1.0, stderr=-0.1, samples=10, seed=0)

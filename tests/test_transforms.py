@@ -23,7 +23,7 @@ from indivisibles import (
     Sphere,
     UnsupportedRegion,
 )
-from indivisibles.transforms import PRESERVED, Transform
+from indivisibles.transforms import PRESERVED, UNROLL_BUDGET, Transform
 
 from conftest import star_polygon
 
@@ -134,6 +134,25 @@ class TestUnrollDisk:
     def test_needs_three_slices(self):
         with pytest.raises(ValueError):
             iv.unroll_disk(Disk(Point2(0, 0), 1.0), 2)
+
+    def test_takes_at_most_its_budget_of_slices(self):
+        # raised before the sawtooth's array is allocated
+        for n in (UNROLL_BUDGET + 1, 10**15):
+            with pytest.raises(ValueError, match=f"at most {UNROLL_BUDGET} slices unroll a disk, got {n}"):
+                iv.unroll_disk(Disk(Point2(0, 0), 1.0), n)
+
+    # the shoelace sums of the teeth underflow to 0 at r = 1e-170
+    @pytest.mark.parametrize("r,n", [(1.0, 3), (0.37, 64), (1e-170, 16), (1e-162, 64), (1e300, 16)])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_teeth_are_the_point_triangles(self, r, n):
+        saw = iv.unroll_disk(Disk(Point2(0, 0), r), n)
+        v = saw.vertices
+        want = [Polygon([v[2 * k], v[2 * k + 2], v[2 * k + 1]]) for k in range(n)]
+        assert iv.sawtooth_teeth(saw) == want
+
+    def test_teeth_need_an_odd_vertex_count(self):
+        with pytest.raises(ValueError, match="not a sawtooth polygon"):
+            iv.sawtooth_teeth(Polygon([(0, 0), (1, 0), (1, 1), (0, 1)]))
 
 
 def _reference_shear(region, base, k):
