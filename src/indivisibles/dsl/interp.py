@@ -58,6 +58,7 @@ from .parser import (
     Reference,
     Script,
     Span,
+    left_chain,
     parse,
 )
 
@@ -321,12 +322,9 @@ class _Evaluator:
             return -self.eval_mexpr(node.operand)
         if isinstance(node, BinOp):
             # a left-deep chain such as 1 + 1 + ... + 1 folds in a loop, not by recursion
-            chain = []
-            while isinstance(node, BinOp):
-                chain.append(node)
-                node = node.left
-            value = self.eval_mexpr(node)
-            for op in reversed(chain):
+            first, ops = left_chain(node)
+            value = self.eval_mexpr(first)
+            for op in ops:
                 right = self.eval_mexpr(op.right)
                 try:
                     value = _OPERATORS[op.op](value, right)

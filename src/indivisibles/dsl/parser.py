@@ -44,65 +44,53 @@ class Token:
     column: int
 
 
+def _run_end(source: str, i: int, accept) -> int:
+    """The end of the run of characters from ``i`` on that ``accept`` takes."""
+    for end in range(i, len(source)):
+        if not accept(source[end]):
+            return end
+    return len(source)
+
+
 def tokenize(source: str) -> list[Token]:
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-    while i < n:
+    line, line_start, i = 1, 0, 0
+    while i < len(source):
         ch = source[i]
         if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+            line, line_start, i = line + 1, i + 1, i + 1
             continue
         if ch in " \t\r":
             i += 1
-            col += 1
             continue
         if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
+            i = _run_end(source, i, lambda c: c != "\n")
             continue
-        start_col = col
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            while j < n and (source[j].isdigit() or source[j] == "."):
-                j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    j = k
-                    while j < n and source[j].isdigit():
-                        j += 1
-            lexeme = source[i:j]
+        col = i - line_start + 1
+        if ch.isdigit() or (ch == "." and source[i + 1 : i + 2].isdigit()):
+            kind, end = "number", _run_end(source, i, lambda c: c.isdigit() or c == ".")
+            if source[end : end + 1] in ("e", "E"):
+                exponent = end + 1 + (source[end + 1 : end + 2] in ("+", "-"))
+                if source[exponent : exponent + 1].isdigit():
+                    end = _run_end(source, exponent, str.isdigit)
+        elif ch.isalpha() or ch == "_":
+            end = _run_end(source, i, lambda c: c.isalnum() or c == "_")
+            kind = "keyword" if source[i:end] in KEYWORDS else "ident"
+        elif ch in PUNCT:
+            kind, end = "punct", i + 1
+        else:
+            raise ParseError(line, col, "a token", repr(ch))
+        lexeme = source[i:end]
+        if kind == "number":
             try:
                 float(lexeme)
             except ValueError:
-                raise ParseError(line, start_col, "a number", lexeme) from None
-            tokens.append(Token("number", lexeme, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            lexeme = source[i:j]
-            kind = "keyword" if lexeme in KEYWORDS else "ident"
-            tokens.append(Token(kind, lexeme, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in PUNCT:
-            tokens.append(Token("punct", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(line, start_col, "a token", repr(ch))
-    tokens.append(Token("eof", "end of input", line, col))
+                raise ParseError(line, col, "a number", lexeme) from None
+        tokens.append(Token(kind, lexeme, line, col))
+        i = end
+    # eof stands past the last line, or at the '#' of a comment that ends the source
+    comment = source.find("#", line_start)
+    tokens.append(Token("eof", "end of input", line, (len(source) if comment < 0 else comment) - line_start + 1))
     return tokens
 
 
@@ -166,6 +154,30 @@ class BinOp:
     right: "MExpr"
     span: Span = field(default=Span(), compare=False)
 
+    # a left-deep chain such as 1 + 1 + ... + 1 compares and hashes in a loop, not by recursion
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._flat() == other._flat()
+
+    def __hash__(self):
+        return hash(self._flat())
+
+    def _flat(self) -> tuple:
+        first, ops = left_chain(self)
+        return (first, *((op.op, op.right) for op in ops))
+
+
+def left_chain(node: BinOp, ops: str | None = None) -> tuple["MExpr", list[BinOp]]:
+    """The left-deep chain of ``node``, taken down its left operands while they
+    are operations in ``ops`` (any, by default): the first operand, then the
+    operations first to last."""
+    chain = [node]
+    while isinstance(node.left, BinOp) and (ops is None or node.left.op in ops):
+        node = node.left
+        chain.append(node)
+    return node.left, chain[::-1]
+
 
 @dataclass(frozen=True)
 class Neg:
@@ -217,6 +229,11 @@ class _Parser:
         tok = self.peek()
         raise ParseError(tok.line, tok.column, expected, tok.lexeme)
 
+    def at(self, lexeme: str, offset: int = 0) -> bool:
+        """Whether the token ``offset`` ahead is the punctuation mark or keyword ``lexeme``."""
+        tok = self.tokens[self.pos + offset]
+        return tok.lexeme == lexeme and tok.kind in ("punct", "keyword")
+
     def expect(self, kind: str, lexeme: str | None = None, expected: str | None = None) -> Token:
         tok = self.peek()
         if tok.kind != kind or (lexeme is not None and tok.lexeme != lexeme):
@@ -236,14 +253,14 @@ class _Parser:
 
     def statement(self) -> Statement:
         tok = self.peek()
-        if tok.kind == "keyword" and tok.lexeme == "let":
+        if self.at("let"):
             self.advance()
             name = self.expect("ident", expected="a name").lexeme
             self.expect("punct", "=")
             expr = self.expression()
             self.expect("punct", ";")
             return LetBinding(name, expr, Span.of(tok))
-        if tok.kind == "keyword" and tok.lexeme == "assert_close":
+        if self.at("assert_close"):
             self.advance()
             self.expect("punct", "(")
             left = self.mexpr()
@@ -265,12 +282,12 @@ class _Parser:
 
     def expression(self) -> Expr:
         tok = self.expect("ident", expected="a constructor, transform or name")
-        if self.peek().kind == "punct" and self.peek().lexeme == "(":
+        if self.at("("):
             self.advance()
             args = []
-            if not (self.peek().kind == "punct" and self.peek().lexeme == ")"):
+            if not self.at(")"):
                 args.append(self.argument())
-                while self.peek().kind == "punct" and self.peek().lexeme == ",":
+                while self.at(","):
                     self.advance()
                     args.append(self.argument())
             self.expect("punct", ")")
@@ -279,31 +296,24 @@ class _Parser:
 
     def argument(self):
         tok = self.peek()
-        if tok.kind == "ident" and self._next_is("=", offset=1):
+        if tok.kind == "ident" and self.at("=", offset=1):  # an ident is followed by eof at least
             self.advance()
             self.advance()  # '='
             return (tok.lexeme, self.arg_value())
         return (None, self.arg_value())
 
-    def _next_is(self, lexeme: str, offset: int) -> bool:
-        idx = self.pos + offset
-        if idx >= len(self.tokens):
-            return False
-        t = self.tokens[idx]
-        return t.kind == "punct" and t.lexeme == lexeme
-
     def arg_value(self):
         tok = self.peek()
-        if tok.kind == "number" or (tok.kind == "punct" and tok.lexeme == "-"):
+        if tok.kind == "number" or self.at("-"):
             return self.signed_number()
-        if tok.kind == "punct" and tok.lexeme == "(":
+        if self.at("("):
             return self.number_tuple()
         if tok.kind == "ident":
             return self.expression()
         self.fail("a number, a tuple or an expression")
 
     def signed_number(self) -> float:
-        if self.peek().kind == "punct" and self.peek().lexeme == "-":
+        if self.at("-"):
             self.advance()
             return -float(self.expect("number", expected="a number").lexeme)
         return float(self.expect("number", expected="a number").lexeme)
@@ -313,7 +323,7 @@ class _Parser:
         values = [self.signed_number()]
         self.expect("punct", ",")
         values.append(self.signed_number())
-        while self.peek().kind == "punct" and self.peek().lexeme == ",":
+        while self.at(","):
             self.advance()
             values.append(self.signed_number())
         self.expect("punct", ")")
@@ -323,30 +333,30 @@ class _Parser:
 
     def mexpr(self) -> MExpr:
         node = self.term()
-        while self.peek().kind == "punct" and self.peek().lexeme in "+-":
+        while self.at("+") or self.at("-"):
             op = self.advance()
             node = BinOp(op.lexeme, node, self.term(), Span.of(op))
         return node
 
     def term(self) -> MExpr:
         node = self.factor()
-        while self.peek().kind == "punct" and self.peek().lexeme in "*/":
+        while self.at("*") or self.at("/"):
             op = self.advance()
             node = BinOp(op.lexeme, node, self.factor(), Span.of(op))
         return node
 
     def factor(self) -> MExpr:
         tok = self.peek()
-        if tok.kind == "punct" and tok.lexeme == "-":
+        if self.at("-"):
             self.advance()
             return Neg(self.factor(), Span.of(tok))
         if tok.kind == "number":
             self.advance()
             return Number(float(tok.lexeme), Span.of(tok))
-        if tok.kind == "keyword" and tok.lexeme == "pi":
+        if self.at("pi"):
             self.advance()
             return PiConst(Span.of(tok))
-        if tok.kind == "punct" and tok.lexeme == "(":
+        if self.at("("):
             self.advance()
             node = self.mexpr()
             self.expect("punct", ")")
@@ -398,13 +408,10 @@ def format_mexpr(node: MExpr) -> str:
         return f"(-{format_mexpr(node.operand)})"
     if isinstance(node, BinOp):
         # a left-deep chain of + and - (or of * and /), such as 1 + 1 + ... + 1,
-        # folds in a loop, not by recursion, into one run that parses back left to right
-        chain, additive = [], node.op in "+-"
-        while isinstance(node, BinOp) and (node.op in "+-") == additive:
-            chain.append(node)
-            node = node.left
-        tail = "".join(f" {op.op} {format_mexpr(op.right)}" for op in reversed(chain))
-        return f"({format_mexpr(node)}{tail})"
+        # prints in a loop, not by recursion, as one run that parses back left to right
+        first, ops = left_chain(node, "+-" if node.op in "+-" else "*/")
+        tail = "".join(f" {op.op} {format_mexpr(op.right)}" for op in ops)
+        return f"({format_mexpr(first)}{tail})"
     raise TypeError(f"unknown measure node {type(node).__name__}")
 
 

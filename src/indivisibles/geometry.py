@@ -101,8 +101,18 @@ class Line2:
         return (-dy, dx)
 
     def signed_distance(self, p: Point2) -> float:
+        return self.signed_distances(p.x, p.y)
+
+    def signed_distances(self, xs, ys):
+        """Signed distances of the points ``(xs, ys)``, floats or arrays."""
         nx, ny = self.normal()
-        return nx * (p.x - self.point.x) + ny * (p.y - self.point.y)
+        return nx * (xs - self.point.x) + ny * (ys - self.point.y)
+
+    def first_moment(self, m: float, mx: float, my: float) -> float:
+        """First moment about the line of a mass ``m`` whose first moments about
+        the axes are ``mx`` (of x) and ``my`` (of y)."""
+        nx, ny = self.normal()
+        return nx * (mx - self.point.x * m) + ny * (my - self.point.y * m)
 
 
 @dataclass(frozen=True)
@@ -236,18 +246,16 @@ class Polyline(Curve):
 
     def side_moments(self, line: Line2) -> tuple[float, float]:
         *_, seg = self._segments()
-        nx, ny = line.normal()
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is part of the result
-            f = nx * (self._xy[:, 0] - line.point.x) + ny * (self._xy[:, 1] - line.point.y)
+            f = line.signed_distances(self._xy[:, 0], self._xy[:, 1])
             fa, fb = (f, np.roll(f, -1)) if self.closed else (f[:-1], f[1:])
             keep = seg != 0.0
             fa, fb, seg = fa[keep], fb[keep], seg[keep]
             return _segment_side_moments(0.5 * (fa + fb), (fb - fa) / seg, seg / 2.0)
 
     def min_distance(self, line: Line2) -> float:
-        nx, ny = line.normal()
         with np.errstate(over="ignore", invalid="ignore"):
-            d = nx * (self._xy[:, 0] - line.point.x) + ny * (self._xy[:, 1] - line.point.y)
+            d = line.signed_distances(self._xy[:, 0], self._xy[:, 1])
         return min(d.tolist())  # the first least value, as over the points
 
 
@@ -442,13 +450,11 @@ class Polygon(PlanarRegion):
 
     def side_moments(self, line: Line2) -> tuple[float, float]:
         xy = self.xy()
-        (nx, ny), px, py = line.normal(), line.point.x, line.point.y
-        d = nx * (xy[:, 0] - px) + ny * (xy[:, 1] - py)
+        d = line.signed_distances(xy[:, 0], xy[:, 1])
         moments = [0.0, 0.0]
         for side, ring in enumerate((_clip_polygon(xy, d), _clip_polygon(xy, -d))):
             if len(ring) >= 3:  # the integral of the signed distance over the (weakly simple) ring
-                a, sx, sy = _shoelace(ring)
-                moments[side] = nx * (sx - px * a) + ny * (sy - py * a)
+                moments[side] = line.first_moment(*_shoelace(ring))
         return max(moments[0], 0.0), max(-moments[1], 0.0)
 
 
@@ -578,8 +584,7 @@ class HalfDisk(PlanarRegion):
         half_lens = np.sqrt(np.maximum(self.radius**2 - ts**2, 0.0))
         cx = self.center.x + bx * ts
         cy = self.center.y + by * ts
-        f_mid = nx * (cx - line.point.x) + ny * (cy - line.point.y)
-        return _segment_side_moments(f_mid, nx * -by + ny * bx, half_lens, h)
+        return _segment_side_moments(line.signed_distances(cx, cy), nx * -by + ny * bx, half_lens, h)
 
 
 @dataclass(frozen=True)
@@ -636,12 +641,10 @@ class SlabRegion(PlanarRegion):
         return self.box()[0][0]
 
     def side_moments(self, line: Line2) -> tuple[float, float]:
-        nx, ny = line.normal()
         mids, h = self._grid()
         half_lens = np.asarray(self.width(mids), dtype=np.float64) / 2.0
         # slab midline at height y runs along +x from (0, y)
-        f_mid = nx * (0.0 - line.point.x) + ny * (mids - line.point.y)
-        return _segment_side_moments(f_mid, nx, half_lens, h)
+        return _segment_side_moments(line.signed_distances(0.0, mids), line.normal()[0], half_lens, h)
 
 
 @dataclass(frozen=True)
@@ -962,16 +965,12 @@ def first_moment(region: PlanarRegion, line: Line2) -> float:
 
     Zero exactly when the line passes through the region centroid.
     """
-    a, sx, sy = _nonzero_measures(region)
-    nx, ny = line.normal()
-    return nx * (sx - line.point.x * a) + ny * (sy - line.point.y * a)
+    return line.first_moment(*_nonzero_measures(region))
 
 
 def first_moment_curve(curve: Curve, line: Line2) -> float:
     """Integral of the signed distance to ``line`` over the curve (ds)."""
-    length, mx, my = _nonzero_length(curve)
-    nx, ny = line.normal()
-    return nx * (mx - line.point.x * length) + ny * (my - line.point.y * length)
+    return line.first_moment(*_nonzero_length(curve))
 
 
 def bounding_box(region: PlanarRegion) -> tuple[tuple[float, float], tuple[float, float]]:

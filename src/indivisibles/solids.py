@@ -40,6 +40,9 @@ from .geometry import (
     _require_finite,
 )
 
+# How far, relative to the height's scale, a height field may dip below its base.
+_HEIGHT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Point3:
@@ -322,13 +325,13 @@ class HeightFieldCylinder(Solid):
         self._check_nonnegative()
         return self.rho_coeff * mx + self.offset * length
 
-    def _check_nonnegative(self, tol: float = 1e-9):
+    def _check_nonnegative(self):
         """The affine height must not dip below zero anywhere over the base."""
         (x0, x1), _ = self.base.box()
         extreme_x = self.base.min_rho() if self.rho_coeff >= 0.0 else x1
         h_min = self.rho_coeff * extreme_x + self.offset
         scale = abs(self.rho_coeff) * max(abs(x0), abs(x1), 1.0) + abs(self.offset)
-        if h_min < -tol * max(scale, 1.0):
+        if h_min < -_HEIGHT_TOL * max(scale, 1.0):
             raise DegenerateSolid(f"height field reaches {h_min!r} below the base plane")
 
 

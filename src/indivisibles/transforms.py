@@ -57,9 +57,9 @@ def shear_region(region: PlanarRegion, base: Line2, shift_per_unit_distance: flo
     if not isinstance(region, Polygon):
         raise UnsupportedRegion("shear is defined for polygons only")
     xy, k = region.xy(), shift_per_unit_distance
-    (dx, dy), (nx, ny) = base.direction, base.normal()
+    dx, dy = base.direction
     with np.errstate(over="ignore", invalid="ignore"):  # a vertex that overflows is rejected by Polygon
-        d = nx * (xy[:, 0] - base.point.x) + ny * (xy[:, 1] - base.point.y)
+        d = base.signed_distances(xy[:, 0], xy[:, 1])
         moved = np.column_stack((xy[:, 0] + k * d * dx, xy[:, 1] + k * d * dy))
     return Polygon(moved)
 

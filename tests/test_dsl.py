@@ -71,6 +71,67 @@ class TestParse:
         assert toks[0].line == 1 and toks[0].column == 1
         assert all(t.lexeme for t in toks)
 
+    # str.isdigit/isalpha/isalnum decide the classes: '²' is a digit that is no
+    # number, '½' is neither digit nor letter, Arabic-Indic digits make a number
+    @pytest.mark.parametrize(
+        "source, tokens",
+        [
+            ("١٢", [("number", "١٢", 1, 1), ("eof", "end of input", 1, 3)]),
+            ("é1", [("ident", "é1", 1, 1), ("eof", "end of input", 1, 3)]),
+            (".5", [("number", ".5", 1, 1), ("eof", "end of input", 1, 3)]),
+            ("1e", [("number", "1", 1, 1), ("ident", "e", 1, 2), ("eof", "end of input", 1, 3)]),
+            (
+                "1e+",
+                [("number", "1", 1, 1), ("ident", "e", 1, 2), ("punct", "+", 1, 3), ("eof", "end of input", 1, 4)],
+            ),
+            ("1e5x", [("number", "1e5", 1, 1), ("ident", "x", 1, 4), ("eof", "end of input", 1, 5)]),
+            ("\tlet", [("keyword", "let", 1, 2), ("eof", "end of input", 1, 5)]),
+            ("\rx", [("ident", "x", 1, 2), ("eof", "end of input", 1, 3)]),
+            # a comment that ends the source leaves eof at its '#'
+            (
+                "let s = 1 # c",
+                [
+                    ("keyword", "let", 1, 1),
+                    ("ident", "s", 1, 5),
+                    ("punct", "=", 1, 7),
+                    ("number", "1", 1, 9),
+                    ("eof", "end of input", 1, 11),
+                ],
+            ),
+            (
+                "let s = 1 # c\n",
+                [
+                    ("keyword", "let", 1, 1),
+                    ("ident", "s", 1, 5),
+                    ("punct", "=", 1, 7),
+                    ("number", "1", 1, 9),
+                    ("eof", "end of input", 2, 1),
+                ],
+            ),
+            ("let\n  s # c", [("keyword", "let", 1, 1), ("ident", "s", 2, 3), ("eof", "end of input", 2, 5)]),
+            ("x # a # b", [("ident", "x", 1, 1), ("eof", "end of input", 1, 3)]),
+            ("# a\nx", [("ident", "x", 2, 1), ("eof", "end of input", 2, 2)]),
+            ("#", [("eof", "end of input", 1, 1)]),
+        ],
+    )
+    def test_tokens_pinned(self, source, tokens):
+        assert [(t.kind, t.lexeme, t.line, t.column) for t in dsl.tokenize(source)] == tokens
+
+    @pytest.mark.parametrize(
+        "source, error",
+        [
+            ("²", (1, 1, "a number", "²")),
+            ("½", (1, 1, "a token", "'½'")),
+            (".", (1, 1, "a token", "'.'")),
+            ("1.2.3", (1, 1, "a number", "1.2.3")),
+            ("x\n$", (2, 1, "a token", "'$'")),
+        ],
+    )
+    def test_token_errors_pinned(self, source, error):
+        with pytest.raises(dsl.ParseError) as err:
+            dsl.tokenize(source)
+        assert (err.value.line, err.value.column, err.value.expected, err.value.found) == error
+
     @given(st.text(alphabet=st.sampled_from("lets=();,.#\n 0123456789+-*/abxyzpi_"), max_size=80))
     @settings(max_examples=400, deadline=None)
     def test_parser_never_crashes(self, source):
@@ -271,10 +332,29 @@ class TestRoundTrip:
         assert dsl.parse(printed) == ast
 
     def test_thousand_term_sum_prints_and_round_trips(self):
-        # AST equality recurses once per operator, so the printed forms are compared
         printed = dsl.format_script(dsl.parse("assert_close(" + "+".join(["1"] * 1000) + ", 1000, tol=0.5);"))
         assert printed == "assert_close((" + " + ".join(["1.0"] * 1000) + "), 1000.0, tol=0.5);\n"
         assert dsl.format_script(dsl.parse(printed)) == printed
+
+    @pytest.mark.parametrize("op", ["+", "*"])
+    def test_thousand_term_chain_compares_and_hashes(self, op):
+        src = "assert_close(" + op.join(["1"] * 1000) + ", 1, tol=0.5);"
+        ast = dsl.parse(src)
+        assert ast == dsl.parse(src) and hash(ast) == hash(dsl.parse(src))
+        assert dsl.parse(dsl.format_script(ast)) == ast
+        other = {"+": "-", "*": "/"}[op]
+        # the 100th of 999 operators changes, 899 links below the top of the chain
+        changed = dsl.parse(src.replace(op, other, 100).replace(other, op, 99))
+        assert changed != ast and not changed == ast
+        assert dsl.parse(src.replace("1", "2", 1)) != ast  # the first operand differs
+
+    def test_operation_equality_keeps_dataclass_rules(self):
+        one, two = dsl.Number(1.0), dsl.Number(2.0)
+        a = dsl.BinOp("+", one, two, dsl.Span(1, 1))
+        assert a == dsl.BinOp("+", one, two, dsl.Span(5, 9)) and hash(a) == hash(dsl.BinOp("+", one, two))
+        assert a != dsl.BinOp("-", one, two) and a != dsl.BinOp("+", two, one)
+        assert a != dsl.BinOp("+", dsl.BinOp("+", one, one), two)
+        assert a.__eq__(dsl.Neg(one)) is NotImplemented and a.__eq__(("+", one, two)) is NotImplemented
 
 
 class TestCorpus:

@@ -919,3 +919,125 @@ class TestArrayMeasuresMatchThePointLoops:
         ]:
             square = Polygon(pts)
             assert repr(square.box()) == box and repr(square.min_rho()) == least
+
+
+def _inline_distances(line, xs, ys):
+    """The signed-distance formula as each caller wrote it before Line2 held it."""
+    nx, ny = line.normal()
+    return nx * (xs - line.point.x) + ny * (ys - line.point.y)
+
+
+def _inline_polygon_side_moments(poly, line):
+    xy = poly.xy()
+    (nx, ny), px, py = line.normal(), line.point.x, line.point.y
+    d = nx * (xy[:, 0] - px) + ny * (xy[:, 1] - py)
+    moments = [0.0, 0.0]
+    for side, ring in enumerate((geometry._clip_polygon(xy, d), geometry._clip_polygon(xy, -d))):
+        if len(ring) >= 3:
+            a, sx, sy = geometry._shoelace(ring)
+            moments[side] = nx * (sx - px * a) + ny * (sy - py * a)
+    return max(moments[0], 0.0), max(-moments[1], 0.0)
+
+
+def _inline_halfdisk_side_moments(half, line):
+    nx, ny = line.normal()
+    bx, by = half.bulge
+    h = half.radius / 4096
+    ts = (np.arange(4096, dtype=np.float64) + 0.5) * h
+    half_lens = np.sqrt(np.maximum(half.radius**2 - ts**2, 0.0))
+    cx = half.center.x + bx * ts
+    cy = half.center.y + by * ts
+    f_mid = nx * (cx - line.point.x) + ny * (cy - line.point.y)
+    return geometry._segment_side_moments(f_mid, nx * -by + ny * bx, half_lens, h)
+
+
+def _inline_slab_side_moments(slab, line):
+    nx, ny = line.normal()
+    mids, h = slab._grid()
+    half_lens = np.asarray(slab.width(mids), dtype=np.float64) / 2.0
+    f_mid = nx * (0.0 - line.point.x) + ny * (mids - line.point.y)
+    return geometry._segment_side_moments(f_mid, nx, half_lens, h)
+
+
+def _inline_first_moment(measures, line):
+    a, sx, sy = measures
+    nx, ny = line.normal()
+    return nx * (sx - line.point.x * a) + ny * (sy - line.point.y * a)
+
+
+def _outcome(rule):
+    """The repr of what ``rule()`` returns, or of the error it raises."""
+    try:
+        return repr(rule())
+    except (GeometryError, ValueError) as exc:
+        return repr(exc)
+
+
+def _inline_shear(poly, base, k):
+    xy = poly.xy()
+    (dx, dy), (nx, ny) = base.direction, base.normal()
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = nx * (xy[:, 0] - base.point.x) + ny * (xy[:, 1] - base.point.y)
+        moved = np.column_stack((xy[:, 0] + k * d * dx, xy[:, 1] + k * d * dy))
+    return Polygon(moved)
+
+
+class TestLine2Callers:
+    """Each caller of Line2.signed_distances and Line2.first_moment gives the
+    bits of the formula it wrote out before.  Scales reach 1e200, where the
+    moment integrals overflow inside the callers' own errstate blocks, so a
+    lost errstate fails under -W error::RuntimeWarning."""
+
+    def lines(self, rng, scale):
+        for _ in range(3):
+            yield Line2(Point2(*(rng.uniform(-1.0, 1.0, 2) * scale).tolist()), tuple(rng.normal(size=2).tolist()))
+        yield Line2.horizontal(float(rng.uniform(-1.0, 1.0)) * scale)
+        yield Line2.vertical(float(rng.uniform(-1.0, 1.0)) * scale)
+
+    def scales(self, rng):
+        return [1.0, 1e200, *(10.0 ** rng.uniform(-150.0, 200.0, 6)).tolist()]
+
+    def test_polygons_and_polylines(self):
+        rng = np.random.default_rng(20261019)
+        for scale in self.scales(rng):
+            for _ in range(4):
+                pts = (_star_points(rng, int(rng.integers(3, 30))) * scale).tolist()
+                poly = Polygon(pts)
+                for line in self.lines(rng, scale):
+                    assert repr(poly.side_moments(line)) == repr(_inline_polygon_side_moments(poly, line))
+                    assert _outcome(lambda: iv.first_moment(poly, line)) == _outcome(
+                        lambda: _inline_first_moment(geometry._nonzero_measures(poly), line)
+                    )
+                    for closed in (False, True):
+                        curve = Polyline(pts, closed=closed)
+                        with np.errstate(over="ignore", invalid="ignore"):  # as the callers hold it
+                            d = _inline_distances(line, curve._xy[:, 0], curve._xy[:, 1])
+                            want = _reference_polyline_side_moments(curve, line)
+                        assert repr(curve.min_distance(line)) == repr(min(d.tolist()))
+                        assert repr(curve.side_moments(line)) == repr(want)
+                        assert _outcome(lambda: iv.first_moment_curve(curve, line)) == _outcome(
+                            lambda: _inline_first_moment(geometry._nonzero_length(curve), line)
+                        )
+                    p = Point2(*pts[0])
+                    assert repr(line.signed_distance(p)) == repr(_inline_distances(line, p.x, p.y))
+
+    def test_half_disk_and_slab_region(self):
+        rng = np.random.default_rng(20261018)
+        slab = upper_halfdisk_slab()
+        for scale in self.scales(rng):
+            half = HalfDisk(Point2(*(rng.uniform(-1.0, 1.0, 2) * scale).tolist()), 1.5, tuple(rng.normal(size=2).tolist()))
+            for line in self.lines(rng, scale):
+                assert repr(half.side_moments(line)) == repr(_inline_halfdisk_side_moments(half, line))
+                assert repr(iv.first_moment(half, line)) == repr(_inline_first_moment(half.measures(), line))
+                assert repr(slab.side_moments(line)) == repr(_inline_slab_side_moments(slab, line))
+
+    def test_shear(self):
+        from indivisibles.transforms import shear_region
+
+        rng = np.random.default_rng(20261017)
+        for scale in self.scales(rng):
+            poly = Polygon((_star_points(rng, int(rng.integers(3, 30))) * scale).tolist())
+            for line in self.lines(rng, scale):
+                for k in (0.0, float(rng.normal()), 1e110):  # 1e110 overflows at 1e200
+                    want = _outcome(lambda: _inline_shear(poly, line, k).vertices)
+                    assert _outcome(lambda: shear_region(poly, line, k).vertices) == want
