@@ -154,7 +154,8 @@ class BinOp:
     right: "MExpr"
     span: Span = field(default=Span(), compare=False)
 
-    # a left-deep chain such as 1 + 1 + ... + 1 compares and hashes in a loop, not by recursion
+    # a left-deep chain such as 1 + 1 + ... + 1 compares, hashes, prints,
+    # copies and pickles in a loop, not by recursion
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -163,9 +164,29 @@ class BinOp:
     def __hash__(self):
         return hash(self._flat())
 
+    def __repr__(self):
+        # the dataclass repr, the innermost operation's nested in each later one's ``left``
+        first, ops = left_chain(self)
+        heads = [f"BinOp(op={op.op!r}, left=" for op in reversed(ops)]
+        tails = [f", right={op.right!r}, span={op.span!r})" for op in ops]
+        return "".join((*heads, repr(first), *tails))
+
+    def __reduce__(self):
+        first, ops = left_chain(self)
+        return _chained, (first, tuple((op.op, op.right, op.span) for op in ops))
+
     def _flat(self) -> tuple:
         first, ops = left_chain(self)
         return (first, *((op.op, op.right) for op in ops))
+
+
+def _chained(first: "MExpr", links: tuple) -> BinOp:
+    """The left-deep chain whose first operand is ``first``, with one
+    operation per (op, right, span) of ``links``, first to last."""
+    node = first
+    for op, right, span in links:
+        node = BinOp(op, node, right, span)
+    return node
 
 
 def left_chain(node: BinOp, ops: str | None = None) -> tuple["MExpr", list[BinOp]]:

@@ -89,29 +89,25 @@ def _base_area(region: PlanarRegion) -> float:
 
 @dataclass(frozen=True)
 class Cone(Solid):
-    """Cone over ``base`` (in the z = 0 plane) with apex anywhere above it."""
+    """Cone over ``base`` (in the z = 0 plane) with apex anywhere off that plane."""
 
     base: PlanarRegion
     apex: Point3
 
-    def _height(self) -> float:
-        h = abs(self.apex.z)
-        if h == 0.0:
+    def __post_init__(self):
+        if self.apex.z == 0.0:
             raise DegenerateSolid("cone apex lies in the base plane")
-        return h
 
     def volume(self) -> float:
-        h = self._height()
-        return _base_area(self.base) * h / 3.0
+        return _base_area(self.base) * abs(self.apex.z) / 3.0
 
     def section(self) -> SectionFunction:
         # the slice at distance z from the base is the base scaled by 1 - z/h
-        h = self._height()
+        h = abs(self.apex.z)
         a = _base_area(self.base)
         return SectionFunction(lambda z: a * (1.0 - z / h) ** 2, domain=(0.0, h), monotonicity=("decreasing",))
 
     def contains(self, xs, ys, zs) -> np.ndarray:
-        self._height()
         ax, ay, az = self.apex.x, self.apex.y, self.apex.z
         t = zs / az  # 0 in the base plane, 1 at the apex
         s = 1.0 - t

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ApexHeightChanged, UnsupportedRegion
-from .geometry import TWO_PI, Disk, Line2, PlanarRegion, Polygon, Profile
+from .geometry import TWO_PI, Disk, Line2, PlanarRegion, Polygon, Profile, _ring_next
 from .solids import Cone, Cylinder, DoubleHoof, HeightFieldCylinder, Point3, Solid, Sphere, TwistedColumn
 
 # What each construction preserves (the discretized ones preserve their
@@ -118,10 +118,10 @@ def _teeth(sawtooth: Polygon) -> np.ndarray:
     if len(xy) % 2 != 1:
         raise ValueError("not a sawtooth polygon")
     teeth = np.stack((xy[0:-1:2], xy[2::2], xy[1::2]), axis=1)
-    x, y = teeth[..., 0], teeth[..., 1]
+    x, y = teeth[..., 0].T, teeth[..., 1].T  # row k: corner k of every tooth
     with np.errstate(over="ignore", invalid="ignore"):  # as in Polygon's shoelace sum
-        cross = x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y
-        clockwise = 0.5 * (cross[:, 0] + cross[:, 1] + cross[:, 2]) < 0.0
+        cross = x * _ring_next(y) - _ring_next(x) * y
+        clockwise = 0.5 * (cross[0] + cross[1] + cross[2]) < 0.0
     teeth[clockwise] = teeth[clockwise, ::-1]
     teeth.flags.writeable = False  # so a Polygon keeps its tooth's rows uncopied
     return teeth

@@ -1,6 +1,8 @@
 """Script language: lexer, parser, evaluator, report, corpus."""
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -355,6 +357,41 @@ class TestRoundTrip:
         assert a != dsl.BinOp("-", one, two) and a != dsl.BinOp("+", two, one)
         assert a != dsl.BinOp("+", dsl.BinOp("+", one, one), two)
         assert a.__eq__(dsl.Neg(one)) is NotImplemented and a.__eq__(("+", one, two)) is NotImplemented
+
+    # dataclass reprs of operations, as printed before BinOp had its own __repr__
+    REPRS = [
+        ("assert_close(1 + 2*3 - 4/5, 1, tol=0.5);",
+         "BinOp(op='-', left=BinOp(op='+', left=Number(value=1.0, span=Span(line=1, column=14)), "
+         "right=BinOp(op='*', left=Number(value=2.0, span=Span(line=1, column=18)), "
+         "right=Number(value=3.0, span=Span(line=1, column=20)), span=Span(line=1, column=19)), "
+         "span=Span(line=1, column=16)), right=BinOp(op='/', left=Number(value=4.0, span=Span(line=1, column=24)), "
+         "right=Number(value=5.0, span=Span(line=1, column=26)), span=Span(line=1, column=25)), "
+         "span=Span(line=1, column=22))"),
+        ("assert_close(-(1 - pi) / 2, 1, tol=1);",
+         "BinOp(op='/', left=Neg(operand=BinOp(op='-', left=Number(value=1.0, span=Span(line=1, column=16)), "
+         "right=PiConst(span=Span(line=1, column=20)), span=Span(line=1, column=18)), "
+         "span=Span(line=1, column=14)), right=Number(value=2.0, span=Span(line=1, column=26)), "
+         "span=Span(line=1, column=24))"),
+    ]
+
+    @pytest.mark.parametrize("src, want", REPRS, ids=["chains", "negation"])
+    def test_operation_repr_is_the_dataclass_repr(self, src, want):
+        assert repr(dsl.parse(src).statements[0].left) == want
+        one, two = dsl.Number(1.0), dsl.Number(2.0)
+        assert repr(dsl.BinOp("+", dsl.BinOp("*", one, two), two)) == (
+            "BinOp(op='+', left=BinOp(op='*', left=Number(value=1.0, span=Span(line=0, column=0)), "
+            "right=Number(value=2.0, span=Span(line=0, column=0)), span=Span(line=0, column=0)), "
+            "right=Number(value=2.0, span=Span(line=0, column=0)), span=Span(line=0, column=0))"
+        )
+
+    @pytest.mark.parametrize("op", ["+", "*"])
+    def test_thousand_term_chain_prints_copies_and_pickles(self, op):
+        ast = dsl.parse("assert_close(" + op.join(["1"] * 1000) + ", 1, tol=0.5);")
+        text = repr(ast)
+        assert text.count(f"BinOp(op='{op}', left=") == 999
+        assert text.startswith(f"Script(statements=(Assertion(left=BinOp(op='{op}', left=BinOp(op='{op}', left=")
+        for copied in (copy.copy(ast), copy.deepcopy(ast), pickle.loads(pickle.dumps(ast))):
+            assert copied == ast and repr(copied) == text  # the repr shows every span
 
 
 class TestCorpus:

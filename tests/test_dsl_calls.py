@@ -116,6 +116,7 @@ ERRORS = [
     ('let x = cone(r=-1, h=1);', 'ScriptTypeError', 2, 9, 'disk radius must be positive'),
     ('let x = cone(d, h=(1,2));', 'ScriptTypeError', 2, 9, 'h must be a number'),
     ('let x = cone(triangle((0,0),(1,0),(2,0)), h=1);', 'ScriptGeometryError', 2, 9, 'region has zero area'),
+    ('let x = cone(r=1, h=0);', 'ScriptGeometryError', 2, 9, 'cone apex lies in the base plane'),
     ('let x = hoof(r=1);', 'ScriptTypeError', 2, 9, "missing argument 'h'"),
     ('let x = hoof(h=1);', 'ScriptTypeError', 2, 9, "missing argument 'r'"),
     ('let x = hoof(1, r=1, h=1);', 'ScriptTypeError', 2, 9, 'hoof takes named arguments only'),
@@ -235,7 +236,7 @@ ERRORS = [
     ('assert_close(1 + volume(q), 1, tol=1);', 'ScriptNameError', 2, 25, "name 'q' is not bound"),
     ('assert_close(1, 2 * area(disk(r=-1)), tol=1);', 'ScriptTypeError', 2, 26, 'disk radius must be positive'),
     ('assert_close(area(profile(d)), 1, tol=1);', 'ScriptGeometryError', 2, 19, 'profile reaches rho = -1.0 past the revolution axis'),
-    ('assert_close(volume(cone(r=1, h=0)), 1, tol=1);', 'ScriptGeometryError', 2, 14, 'cone apex lies in the base plane'),
+    ('assert_close(volume(cone(r=1, h=0)), 1, tol=1);', 'ScriptGeometryError', 2, 21, 'cone apex lies in the base plane'),
     ('assert_close(centroid_rho(triangle((0,0),(1,0),(2,0))), 1, tol=1);', 'ScriptGeometryError', 2, 14, 'region has zero area'),
     ('assert_close(lateral_area(tangent_polyhedron(faces=(1,2,3,4), r=1)), 1, tol=1);', 'ScriptGeometryError', 2, 14, 'no lateral area rule for TangentPolyhedron'),
     ('assert_close(surface(twist(y, rate=1)), 1, tol=1);', 'ScriptGeometryError', 2, 14, 'no surface area rule for TwistedColumn'),

@@ -6,6 +6,8 @@ import math
 import pickle
 import re
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -712,8 +714,9 @@ class TestPolylineArray:
 
 
 def _row_built(kind, xy, **kwargs):
-    """``kind`` built row by row from ``xy``, as from a list of points."""
-    return kind(list(xy), **kwargs)
+    """``kind`` built row by row from ``xy``, as from a list of points: the
+    rows come from a generator, since a list of pairs is read as one array."""
+    return kind((row for row in xy), **kwargs)
 
 
 def _unbuilt(shape) -> bool:
@@ -1041,3 +1044,150 @@ class TestLine2Callers:
                 for k in (0.0, float(rng.normal()), 1e110):  # 1e110 overflows at 1e200
                     want = _outcome(lambda: _inline_shear(poly, line, k).vertices)
                     assert _outcome(lambda: shear_region(poly, line, k).vertices) == want
+
+
+def _per_point_read(items):
+    """The point-by-point read of a polygon's or polyline's vertices, as
+    construction read every list of pairs before it read one as a single
+    array: the points, then the array built from them."""
+    pts = tuple(p if isinstance(p, Point2) else Point2(float(p[0]), float(p[1])) for p in items)
+    return pts, geometry._coords(pts)
+
+
+def _shape_outcome(build):
+    """The points of the shape ``build()`` makes (each coordinate's type and
+    repr) and its array's bytes, or the type and message of its error."""
+    try:
+        shape = build()
+    except Exception as exc:  # any error, compared by type and message
+        return type(exc), str(exc)
+    pts = shape.vertices if isinstance(shape, Polygon) else shape.points
+    return [(type(c), repr(c)) for p in pts for c in (p.x, p.y)], shape._xy.tobytes()
+
+
+ODD_INPUTS = {
+    "ints": lambda: [(0, 0), (3, 0), (0, 2)],
+    "bools": lambda: [(False, False), (True, False), (False, True)],
+    "2**53+1": lambda: [(0, 0), (2**53 + 1, 0), (0, 1)],
+    "2**64+1": lambda: [(0, 0), (2**64 + 1, 0), (0, -(2**64 + 1))],
+    "10**400": lambda: [(0, 0), (10**400, 0), (0, 1)],
+    "fraction": lambda: [(Fraction(1, 3), 0), (1, Fraction(2, 7)), (0, 1)],
+    "decimal": lambda: [(Decimal("0.1"), 0), (1, Decimal("1e-400")), (0, 1)],
+    "decimal-overflow": lambda: [(0, 0), (Decimal("1e400"), 0), (0, 1)],
+    "numpy-scalars": lambda: [(np.float32(0.1), np.int8(0)), (np.float64(1), np.uint64(0)),
+                              (np.int64(0), np.float16(1))],
+    "strings": lambda: [("1.5", "0"), ("1_5", "0"), (" 2 ", "3")],
+    "bad-string": lambda: [("0", "0"), ("x", "0"), ("0", "1")],
+    "infinite-string": lambda: [("0", "0"), ("inf", "0"), ("0", "1")],
+    "nan": lambda: [(0, 0), (math.nan, 0), (0, 1)],
+    "complex": lambda: [(0, 0), (1 + 0j, 0), (0, 1)],
+    "signed-zeros": lambda: [(-0.0, 0), (3, -0.0), (0, 2)],
+    "clockwise": lambda: [(0, 0), (0, 2), (3, 0)],
+    "repeat": lambda: [(0, 0), (0.0, -0.0), (1, 1)],
+    "crossing": lambda: [(0, 0), (2, 2), (2, 0), (0, 2)],
+    "3-tuples": lambda: [(0, 0, 9), (3, 0, 9), (0, 2, 9)],
+    "ragged-long": lambda: [(0, 0), (3, 0, 9), (0, 2)],
+    "ragged-short": lambda: [(0, 0), (3,), (0, 2)],
+    "nested-rows": lambda: [((0, 0), (1, 1)), ((3, 0), (1, 1)), ((0, 2), (1, 1))],
+    "none": lambda: [(0, 0), None, (0, 2)],
+    "strings-as-points": lambda: ["00", "30", "02"],
+    "generator": lambda: (p for p in [(0, 0), (3, 0), (0, 2)]),
+    "empty-list": lambda: [],
+    "empty-tuple": lambda: (),
+    "one-pair": lambda: [(0, 1)],
+    "tuple-of-lists": lambda: ([0, 0], [3, 0], [0, 2]),
+    "list-of-arrays": lambda: [np.array([0, 0]), np.array([3.5, 0]), np.array([0, 2])],
+    "points": lambda: [Point2(0, 0), Point2(3, 0), Point2(0, 2.5)],
+    "point-first": lambda: [Point2(0, 0), (3, 0), (0, 2)],
+    "point-later": lambda: [(0, 0), Point2(3, 0), (0, 2)],
+}
+
+
+class TestPairsReadAsOneArray:
+    """A list or tuple of pairs is read as one float64 array and its points
+    are built on first read; every outcome (point values and types, array
+    bytes, error type and message) is that of the point-by-point read."""
+
+    @pytest.mark.parametrize("kind, kwargs", [(Polygon, {}), (Polyline, {}), (Polyline, {"closed": True})],
+                             ids=["polygon", "polyline", "closed-polyline"])
+    @pytest.mark.parametrize("items", ODD_INPUTS.values(), ids=ODD_INPUTS.keys())
+    def test_outcome_is_that_of_the_point_by_point_read(self, kind, kwargs, items):
+        def by_point():
+            return kind(_per_point_read(items())[0], **kwargs)
+
+        assert _shape_outcome(lambda: kind(items(), **kwargs)) == _shape_outcome(by_point)
+
+    def test_pairs_build_their_points_on_first_read(self, monkeypatch):
+        calls = []
+        coords = geometry._coords
+        monkeypatch.setattr(geometry, "_coords", lambda pts: calls.append(len(pts)) or coords(pts))
+        poly, line = Polygon([(0, 0), (3, 0), (0, 2)]), Polyline(((0, 0), (1, 1)))
+        assert _unbuilt(poly) and _unbuilt(line) and calls == []
+        assert poly.vertices == (Point2(0.0, 0.0), Point2(3.0, 0.0), Point2(0.0, 2.0))
+        assert all(type(c) is float for p in poly.vertices for c in (p.x, p.y))
+        # points keep their coordinates as given, so they are read one by one
+        Polygon([Point2(0, 0), Point2(3, 0), Point2(0, 2)])
+        assert calls == [3]
+
+
+def _unstaged_properly_cross(edges, i, j):
+    """The narrow phase before it was staged: all four orientations for
+    every pair."""
+    pix, piy, qix, qiy, eix, eiy = (row[i] for row in edges)
+    pjx, pjy, qjx, qjy, ejx, ejy = (row[j] for row in edges)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1 = ejx * (piy - pjy) - ejy * (pix - pjx)
+        d2 = ejx * (qiy - pjy) - ejy * (qix - pjx)
+        d3 = eix * (pjy - piy) - eiy * (pjx - pix)
+        d4 = eix * (qjy - piy) - eiy * (qjx - pix)
+    proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) & (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0)
+    return bool(proper.any())
+
+
+def _edge_rows(xy):
+    """The rows px, py, qx, qy, ex, ey of the edges of the ring ``xy``."""
+    q = np.roll(xy, -1, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.concatenate((xy.T, q.T, (q - xy).T))
+
+
+class TestStagedNarrowPhase:
+    """The staged narrow phase decides every batch as the unstaged one, on
+    zero orientations and on products that overflow (run under
+    -W error::RuntimeWarning, a lost errstate fails here)."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "grid", "1e200", "1e300"])
+    def test_decides_like_the_unstaged_test(self, kind):
+        rng = np.random.default_rng(20261020)
+        decided = [0, 0]
+        for _ in range(300):
+            n = int(rng.integers(3, 60))
+            if kind == "grid":
+                xy = rng.integers(0, 5, (n, 2)).astype(np.float64)
+            else:
+                xy = rng.uniform(-1.0, 1.0, (n, 2)) * {"uniform": 1.0, "1e200": 1e200, "1e300": 1e300}[kind]
+            edges = _edge_rows(xy)
+            for size in (1, 2, int(rng.integers(3, 40))):
+                i, j = rng.integers(0, n, (2, size))
+                want = _unstaged_properly_cross(edges, i, j)
+                assert geometry._properly_cross(edges, i, j) == want, (xy.tolist(), i.tolist(), j.tolist())
+                decided[want] += 1
+        assert min(decided) > 50  # crossing and not crossing are both well represented
+
+    def test_full_batches(self):
+        rng = np.random.default_rng(20261021)
+        for scale in (1.0, 1e200, 1e300):
+            xy = _star_points(rng, 512) * scale
+            edges = _edge_rows(xy)
+            i, j = rng.integers(0, 512, (2, geometry._PAIR_CHUNK))
+            assert geometry._properly_cross(edges, i, j) == _unstaged_properly_cross(edges, i, j)
+            for k in range(0, geometry._PAIR_CHUNK, 64):  # small batches, mostly without a crossing
+                assert geometry._properly_cross(edges, i[k:k + 64], j[k:k + 64]) == _unstaged_properly_cross(
+                    edges, i[k:k + 64], j[k:k + 64])
+
+
+@pytest.mark.parametrize("shape", [(1,), (5,), (1, 2), (7, 2), (4, 3, 2)])
+def test_ring_successors_are_the_rows_rolled_back_one(shape):
+    a = np.arange(math.prod(shape), dtype=np.float64).reshape(shape)
+    got = geometry._ring_next(a)
+    assert got.shape == a.shape and got.tobytes() == np.roll(a, -1, axis=0).tobytes()

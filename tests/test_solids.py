@@ -125,8 +125,10 @@ class TestVolumes:
     def test_degenerate_cone(self):
         from indivisibles import DegenerateSolid
 
-        with pytest.raises(DegenerateSolid):
-            iv.volume(Cone(Disk(Point2(0, 0), 1.0), Point3(1, 1, 0)))
+        # rejected at construction, as a cylinder of height 0 is
+        for z in (0, -0.0):
+            with pytest.raises(DegenerateSolid, match="^cone apex lies in the base plane$"):
+                Cone(Disk(Point2(0, 0), 1.0), Point3(1, 1, z))
 
     def test_twisted_column_has_no_lateral_rule(self):
         col = iv.twist_column(Cylinder(Disk(Point2(0, 0), 1.0), 1.0), 1.0)
