@@ -45,13 +45,25 @@ def _require_finite(*values):
             raise ValueError("coordinates must be finite")
 
 
+def _unit(direction, what: str):
+    """``direction`` checked finite and nonzero (else ValueError naming
+    ``what``), divided by its length when that is off 1 by more than 1e-12,
+    and returned as given otherwise."""
+    dx, dy = direction
+    _require_finite(dx, dy)
+    norm = math.hypot(dx, dy)
+    if norm == 0.0:
+        raise ValueError(f"{what} direction must be nonzero")
+    return (dx / norm, dy / norm) if abs(norm - 1.0) > 1e-12 else direction
+
+
 @dataclass(frozen=True)
 class Point2:
-    """A point of the plane with finite coordinates, kept as given.
+    """A point of the plane with finite coordinates.
 
-    Polygons and polylines given as points hold one per vertex.  One given
-    its coordinate array or a list of pairs builds its points from its array,
-    as floats, only when ``vertices`` or ``points`` is first read.  The class defines its own
+    A polygon's or polyline's points are not kept from its input: they are
+    built from its coordinate array, as ``Point2``s of floats, when
+    ``vertices`` or ``points`` is first read.  The class defines its own
     ``__init__`` (the dataclass keeps it): it checks finiteness inline and
     sets both fields, with no ``__post_init__`` call.
     """
@@ -78,13 +90,7 @@ class Line2:
     direction: tuple[float, float]
 
     def __post_init__(self):
-        dx, dy = self.direction
-        _require_finite(dx, dy)
-        norm = math.hypot(dx, dy)
-        if norm == 0.0:
-            raise ValueError("line direction must be nonzero")
-        if abs(norm - 1.0) > 1e-12:
-            object.__setattr__(self, "direction", (dx / norm, dy / norm))
+        object.__setattr__(self, "direction", _unit(self.direction, "line"))
 
     @staticmethod
     def through(p: Point2, q: Point2) -> "Line2":
@@ -206,28 +212,28 @@ class Polyline(Curve):
 
     Like ``Polygon``, a polyline is its read-only (n, 2) float64 coordinate
     array, which its measures, side moments and least distance read.  It is
-    given either as points (``Point2`` or pairs), from which the array is
-    built once, or as that array itself; given pairs or the array, it builds
-    ``points`` from the array when they are first read.
+    given as points (``Point2`` or pairs) or as that array, read as
+    ``Polygon`` reads its vertices, and its ``points`` are ``Point2``s of
+    floats built from the array when first read.
     """
 
     points: tuple[Point2, ...]
     closed: bool = False
 
     def __init__(self, points: Sequence | np.ndarray, closed: bool = False):
-        pts, xy = _points_and_coords(points)
+        xy = _read_xy(points)
         if len(xy) < 2:
             raise ValueError("polyline needs at least 2 points")
         xy.flags.writeable = False
         object.__setattr__(self, "closed", bool(closed))
-        _keep(self, "points", pts, xy)
+        object.__setattr__(self, "_xy", xy)
 
     def __getattr__(self, name):
         return _built_points(self, "points", name)
 
     def __reduce__(self):
         # copies and pickles rebuild the read-only array through __init__
-        return type(self), (self.points, self.closed)
+        return type(self), (self._xy, self.closed)
 
     def edges(self):
         pts = self.points + (self.points[0],) if self.closed else self.points
@@ -343,11 +349,15 @@ class CircleArc(Curve):
 
 class PlanarRegion:
     """Base of the planar region kinds, which give ``measures()`` (area,
-    integral x dA, integral y dA), ``box()`` ((xlo, xhi), (ylo, yhi)),
-    ``contains(xs, ys)`` on float64 arrays, ``min_rho()`` (the least x) and
+    integral x dA, integral y dA), ``box()`` ((xlo, xhi), (ylo, yhi)), whose
+    sides the region reaches, ``contains(xs, ys)`` on float64 arrays and
     ``side_moments(line)`` (the positive-side first moment about ``line`` and
     the size of the negative-side one).  The rules below are those some kind
     lacks, which raise UnsupportedRegion."""
+
+    def min_rho(self) -> float:
+        """The least x over the region, the low x side of its box."""
+        return self.box()[0][0]
 
     def area(self) -> float:
         return self.measures()[0]
@@ -379,39 +389,36 @@ class Polygon(PlanarRegion):
     touches itself at isolated points without reversing orientation (as in
     the sawtooth construction), are allowed.
 
-    The polygon's data is its (n, 2) float64 array of the stored vertices,
-    which ``xy()`` returns: read-only, so copy it before writing.  Given as
-    vertices (``Point2`` or pairs), the polygon builds that array once; given
-    the array itself (2-D, two real columns), it keeps it, copied unless it
-    is already a read-only C-contiguous float64 array.  Given pairs or the
-    array, it builds ``vertices``, as ``Point2``s of floats, only when they
-    are first read.  Either way the checks are the same, in the same order,
-    with the same messages.
+    The polygon is its (n, 2) float64 array of the stored vertices, which
+    ``xy()`` returns: read-only, so copy it before writing.  Given as vertices
+    (``Point2`` or pairs), the polygon builds that array once; given the array
+    itself (2-D, two real columns), it keeps it, copied unless it is already a
+    read-only C-contiguous float64 array.  Either way the checks are the same,
+    in the same order, with the same messages, and ``vertices`` are
+    ``Point2``s of floats built from the array when first read.
     """
 
     vertices: tuple[Point2, ...]
 
     def __init__(self, vertices: Sequence | np.ndarray):
-        pts, xy = _points_and_coords(vertices)
+        xy = _read_xy(vertices)
         if len(xy) < 3:
             raise ValueError("polygon needs at least 3 vertices")
         if (xy == _ring_next(xy)).all(axis=1).any():
             raise ValueError("polygon has a repeated consecutive vertex")
         if _shoelace(xy)[0] < 0.0:
             xy = np.ascontiguousarray(xy[::-1])
-            if pts is not None:
-                pts = pts[::-1]
         if _has_proper_self_intersection(xy) or _has_opposite_loops(xy):
             raise ValueError("polygon is self-intersecting")
         xy.flags.writeable = False
-        _keep(self, "vertices", pts, xy)
+        object.__setattr__(self, "_xy", xy)
 
     def __getattr__(self, name):
         return _built_points(self, "vertices", name)
 
     def __reduce__(self):
         # copies and pickles rebuild the read-only array through __init__
-        return type(self), (self.vertices,)
+        return type(self), (self._xy,)
 
     def xy(self) -> np.ndarray:
         return self._xy
@@ -420,16 +427,8 @@ class Polygon(PlanarRegion):
         return _shoelace(self.xy())
 
     def box(self):
-        return ((self._extreme(0, np.min), self._extreme(0, np.max)),
-                (self._extreme(1, np.min), self._extreme(1, np.max)))
-
-    def _extreme(self, axis: int, extreme: Callable[[np.ndarray], float]):
-        """Coordinate ``axis`` of the first vertex where it takes its
-        ``extreme``, as that vertex holds it (an ``int`` stays an ``int``), or
-        as a float from the array while ``vertices`` is not built."""
-        i = _first(self._xy[:, axis], extreme)
-        pts = vars(self).get("vertices")
-        return self._xy[i, axis].item() if pts is None else (pts[i].x, pts[i].y)[axis]
+        x, y = self._xy.T
+        return (_first(x, np.min), _first(x, np.max)), (_first(y, np.min), _first(y, np.max))
 
     def contains(self, xs, ys) -> np.ndarray:
         pts = self.xy()
@@ -445,9 +444,6 @@ class Polygon(PlanarRegion):
             inside ^= crosses & (xs < xcross)
             j = i
         return inside
-
-    def min_rho(self) -> float:
-        return self._extreme(0, np.min)
 
     def boundary(self) -> Curve:
         return Polyline(self._xy, closed=True)
@@ -484,9 +480,6 @@ class Disk(PlanarRegion):
         r = self.radius
         dx, dy = xs - self.center.x, ys - self.center.y
         return dx * dx + dy * dy <= r * r
-
-    def min_rho(self) -> float:
-        return self.center.x - self.radius
 
     def boundary(self) -> Curve:
         return CircleArc(self.center, self.radius)
@@ -540,12 +533,7 @@ class HalfDisk(PlanarRegion):
         _require_finite(self.radius, *self.bulge)
         if self.radius <= 0.0:
             raise ValueError("half-disk radius must be positive")
-        bx, by = self.bulge
-        norm = math.hypot(bx, by)
-        if norm == 0.0:
-            raise ValueError("bulge direction must be nonzero")
-        if abs(norm - 1.0) > 1e-12:
-            object.__setattr__(self, "bulge", (bx / norm, by / norm))
+        object.__setattr__(self, "bulge", _unit(self.bulge, "bulge"))
 
     def measures(self) -> tuple[float, float, float]:
         a = 0.5 * math.pi * self.radius**2
@@ -555,21 +543,19 @@ class HalfDisk(PlanarRegion):
         return a, a * cx, a * cy
 
     def box(self):
-        return Disk(self.center, self.radius).box()  # a valid (slightly loose) cover
+        """Exact: the ends c -/+ r (-by, bx) of the flat edge, and each axis
+        extreme c +/- r of the circle that the arc reaches (u . bulge >= 0)."""
+        r, (bx, by) = self.radius, self.bulge
+        sides = []
+        for c, b, e in ((self.center.x, bx, by), (self.center.y, by, bx)):
+            reach = [c - r * e, c + r * e] + [c + r] * (b >= 0.0) + [c - r] * (b <= 0.0)
+            sides.append((min(reach), max(reach)))
+        return tuple(sides)
 
     def contains(self, xs, ys) -> np.ndarray:
         dx, dy = xs - self.center.x, ys - self.center.y
         inside = dx**2 + dy**2 <= self.radius**2
         return inside & (dx * self.bulge[0] + dy * self.bulge[1] >= 0.0)
-
-    def min_rho(self) -> float:
-        bx, by = self.bulge
-        # Extremes occur at flat-edge endpoints or at the leftmost arc point.
-        ex, ey = -by, bx
-        cands = [self.center.x + self.radius * ex, self.center.x - self.radius * ex]
-        if bx < 0.0:
-            cands.append(self.center.x + self.radius * bx)
-        return min(cands)
 
     def revolving_boundary(self) -> Curve:
         """The semicircular arc alone, for a half-disk whose flat edge lies on
@@ -641,9 +627,6 @@ class SlabRegion(PlanarRegion):
             half[band] = np.asarray(self.width(ys[band]), dtype=np.float64) / 2.0
         return band & (np.abs(xs) <= half)
 
-    def min_rho(self) -> float:
-        return self.box()[0][0]
-
     def side_moments(self, line: Line2) -> tuple[float, float]:
         mids, h = self._grid()
         half_lens = np.asarray(self.width(mids), dtype=np.float64) / 2.0
@@ -682,21 +665,19 @@ def _coords(pts: Sequence[Point2]) -> np.ndarray:
     return np.column_stack(tuple(columns))
 
 
-def _points_and_coords(items) -> tuple[tuple[Point2, ...] | None, np.ndarray]:
-    """The points of a polygon or polyline and its (n, 2) float64 array.
+def _read_xy(items) -> np.ndarray:
+    """The (n, 2) float64 array of a polygon or polyline given ``items``.
 
     A 2-D numpy array of two real columns is the coordinate array itself:
     it is kept when already read-only, C-contiguous and float64 (a polygon's
-    own array) and copied as one otherwise, and its points are left unbuilt
-    (None).  A list or tuple of pairs is first read as one array, each
-    coordinate converted by ``float`` as the per-point read converts it; when
-    that gives n finite pairs, its points are left unbuilt too.  Anything
-    else (``Point2``s, which keep their coordinates as given, rows of another
-    length, a generator, a coordinate that does not convert or is not finite)
-    is read point by point, each a ``Point2`` or a pair, and the array is
-    built from the points.  So every error is the one the point-by-point read
-    raises, among them the ``Point2`` error for a coordinate that is not
-    finite.
+    own array) and copied as one otherwise.  A list or tuple of pairs is
+    first read as one array, each coordinate converted by ``float`` as the
+    per-point read converts it, and kept when that gives n finite pairs.
+    Anything else (``Point2``s, rows of another length, a generator, a
+    coordinate that does not convert or is not finite) is read point by
+    point, each a ``Point2`` or a pair, and the array is built from the
+    points.  So every error is the one the point-by-point read raises, among
+    them the ``Point2`` error for a coordinate that is not finite.
     """
     if isinstance(items, np.ndarray) and items.ndim == 2 and items.shape[1] == 2 and items.dtype.kind in "fiu":
         xy = items
@@ -704,31 +685,23 @@ def _points_and_coords(items) -> tuple[tuple[Point2, ...] | None, np.ndarray]:
             xy = np.array(items, dtype=np.float64, order="C")
         if not np.isfinite(xy).all():
             raise ValueError("coordinates must be finite")
-        return None, xy
+        return xy
     if isinstance(items, (list, tuple)) and items and not isinstance(items[0], Point2):
         try:
             xy = np.array(items, dtype=np.float64)
         except Exception:  # the point-by-point read below raises the error, in its order
             xy = None
         if xy is not None and xy.ndim == 2 and xy.shape[1] == 2 and np.isfinite(xy).all():
-            return None, xy
-    pts = tuple(p if isinstance(p, Point2) else Point2(float(p[0]), float(p[1])) for p in items)
-    return pts, _coords(pts)
-
-
-def _keep(shape, field_name: str, pts: tuple[Point2, ...] | None, xy: np.ndarray) -> None:
-    """Store the read-only ``xy`` of ``shape`` and, when given, its points."""
-    if pts is not None:  # else built from xy when first read
-        object.__setattr__(shape, field_name, pts)
-    # not a field, so equality, hash, repr and replace() see the points alone
-    object.__setattr__(shape, "_xy", xy)
+            return xy
+    return _coords([p if isinstance(p, Point2) else Point2(float(p[0]), float(p[1])) for p in items])
 
 
 def _built_points(shape, field_name: str, name: str) -> tuple[Point2, ...]:
-    """``shape.__getattr__(name)``: the points field ``field_name`` of a shape
-    given its array, built from the array on first read and kept, one
-    ``Point2`` of Python floats per row, as the row-by-row path builds them.
-    The field has no class default, so only an unbuilt field gets here."""
+    """``shape.__getattr__(name)``: the points field ``field_name`` of a
+    polygon or polyline, built from its array ``_xy`` (not a field, so
+    equality, hash, repr and replace() see the points alone) on first read
+    and kept, one ``Point2`` of Python floats per row.  The field has no
+    class default, so only an unbuilt field gets here."""
     if name != field_name:
         raise AttributeError(f"{type(shape).__name__!r} object has no attribute {name!r}")
     xy = shape._xy
@@ -744,10 +717,11 @@ def _ring_next(a: np.ndarray) -> np.ndarray:
     return np.concatenate((a[1:], a[:1]))
 
 
-def _first(values: np.ndarray, extreme: Callable[[np.ndarray], float]) -> int:
-    """Index of the first of the finite ``values`` equal to ``extreme(values)``:
-    the element that Python's ``min`` or ``max`` picks, signed zero included."""
-    return int(np.argmax(values == extreme(values)))
+def _first(values: np.ndarray, extreme: Callable[[np.ndarray], float]) -> float:
+    """The first of the finite ``values`` equal to ``extreme(values)``, as a
+    float: the element that Python's ``min`` or ``max`` picks, signed zero
+    included."""
+    return values[np.argmax(values == extreme(values))].item()
 
 
 def _has_proper_self_intersection(xy: np.ndarray) -> bool:

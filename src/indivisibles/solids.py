@@ -324,7 +324,7 @@ class HeightFieldCylinder(Solid):
     def _check_nonnegative(self):
         """The affine height must not dip below zero anywhere over the base."""
         (x0, x1), _ = self.base.box()
-        extreme_x = self.base.min_rho() if self.rho_coeff >= 0.0 else x1
+        extreme_x = x0 if self.rho_coeff >= 0.0 else x1
         h_min = self.rho_coeff * extreme_x + self.offset
         scale = abs(self.rho_coeff) * max(abs(x0), abs(x1), 1.0) + abs(self.offset)
         if h_min < -_HEIGHT_TOL * max(scale, 1.0):
@@ -386,8 +386,7 @@ def sphere_zone_vs_band(r: float, z1: float, z2: float) -> tuple[float, float]:
     constant 2*pi*r, so both areas reduce to the same expression and the
     equality is exact, not approximate.
     """
-    if r <= 0.0:
-        raise ValueError("sphere radius must be positive")
+    Sphere(r)  # the radius rule of a sphere
     if not (-r <= z1 < z2 <= r):
         raise SlabOutOfRange(f"slab [{z1}, {z2}] is not a nonempty slab of [-{r}, {r}]")
     zone = TWO_PI * r * (z2 - z1)
@@ -399,6 +398,12 @@ def sphere_zone_vs_band(r: float, z1: float, z2: float) -> tuple[float, float]:
 # oblique cuts (the moment lemma behind Guldin's theorems)
 
 
+def _check_slope(slope: float) -> None:
+    """ValueError unless the cut plane's ``slope`` lies in (0, inf)."""
+    if not 0.0 < slope < math.inf:
+        raise ValueError(f"cut slope must be positive and finite, not {slope!r}")
+
+
 def oblique_cut_volumes(base: PlanarRegion, cut_line: Line2, slope: float) -> tuple[float, float]:
     """Volumes of the two cylinder pieces cut off by the oblique plane.
 
@@ -408,8 +413,7 @@ def oblique_cut_volumes(base: PlanarRegion, cut_line: Line2, slope: float) -> tu
     slope * (side moment), so they are equal exactly when the cut line passes
     through the centroid of the base.
     """
-    if slope <= 0.0:
-        raise ValueError("cut slope must be positive")
+    _check_slope(slope)
     _nonzero_measures(base, "base region")
     pos, neg = base.side_moments(cut_line)
     return slope * pos, slope * neg
@@ -421,8 +425,7 @@ def oblique_cut_lateral_areas(boundary: Curve, cut_line: Line2, slope: float) ->
     Equal exactly when the cut line passes through the curve centroid.  A
     length or side moment that overflows raises GeometryError.
     """
-    if slope <= 0.0:
-        raise ValueError("cut slope must be positive")
+    _check_slope(slope)
     _nonzero_length(boundary, "boundary", "length")
     pos, neg = boundary.side_moments(cut_line)
     if not (math.isfinite(pos) and math.isfinite(neg)):

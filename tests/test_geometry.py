@@ -315,6 +315,21 @@ class TestLine2:
         with pytest.raises(ValueError):
             Line2(Point2(0, 0), (0, 0))
 
+    @pytest.mark.parametrize("build, what", [(lambda d: Line2(Point2(0, 0), d).direction, "line"),
+                                             (lambda d: HalfDisk(Point2(0, 0), 1.0, d).bulge, "bulge")],
+                             ids=["line", "half-disk"])
+    def test_unit_directions(self, rng, build, what):
+        # divided by the length when it is off 1 by more than 1e-12, else as given
+        for d in [tuple(rng.normal(size=2).tolist()) for _ in range(200)] + [(3, 4), (0.6, 0.8), (1.0 + 1e-13, 0.0)]:
+            norm = math.hypot(*d)
+            want = (d[0] / norm, d[1] / norm) if abs(norm - 1.0) > 1e-12 else d
+            assert repr(build(d)) == repr(want)
+        with pytest.raises(ValueError, match=f"^{what} direction must be nonzero$"):
+            build((0.0, -0.0))
+        for bad in [(math.nan, 1.0), (0.0, math.inf)]:
+            with pytest.raises(ValueError, match="^coordinates must be finite$"):
+                build(bad)
+
 
 class TestSlabRegionCover:
     def test_box_and_min_rho_reach_a_peak_at_a_breakpoint(self):
@@ -331,6 +346,49 @@ class TestSlabRegionCover:
         assert geometry.min_rho(slab) == -1.0
         # the tip is inside the region, and so inside its box
         assert iv.contains(slab, [0.9999], [0.3]).all()
+
+
+def _halfdisk_boundary(half, n=2049):
+    """Points of the boundary of ``half``: the arc sampled by angle across the
+    half-turn about the bulge, plus each multiple of pi/2 inside that range,
+    and the flat edge sampled from end to end."""
+    cx, cy, r, (bx, by) = half.center.x, half.center.y, half.radius, half.bulge
+    phi = math.atan2(by, bx)
+    lo, hi = phi - 0.5 * math.pi, phi + 0.5 * math.pi
+    quarters = [0.5 * math.pi * k for k in range(math.ceil(lo / (0.5 * math.pi)), math.floor(hi / (0.5 * math.pi)) + 1)]
+    t = np.concatenate((np.linspace(lo, hi, n), quarters))
+    s = np.linspace(-1.0, 1.0, n)
+    return np.concatenate((cx + r * np.cos(t), cx - r * by * s)), np.concatenate((cy + r * np.sin(t), cy + r * bx * s))
+
+
+class TestHalfDiskBox:
+    """A half-disk's box is exact: it covers the boundary, and the boundary
+    reaches each of its sides, within a few ulps."""
+
+    @staticmethod
+    def check(half):
+        (x0, x1), (y0, y1) = half.box()
+        xs, ys = _halfdisk_boundary(half)
+        tol = 4.0 * np.spacing(max(abs(half.center.x), abs(half.center.y), half.radius))
+        assert x0 - tol <= xs.min() <= x0 + tol and x1 - tol <= xs.max() <= x1 + tol
+        assert y0 - tol <= ys.min() <= y0 + tol and y1 - tol <= ys.max() <= y1 + tol
+        assert half.min_rho() == x0
+
+    @pytest.mark.parametrize("bulge", [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (-0.6, 0.8), (0.6, -0.8)])
+    def test_axis_and_pinned_bulges(self, bulge):
+        self.check(HalfDisk(Point2(0.9, -0.3), 1.0, bulge))
+
+    def test_random_centres_radii_and_bulges(self):
+        rng = np.random.default_rng(20261019)
+        for _ in range(300):
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            centre = Point2(*(rng.uniform(-2.0, 2.0, 2) * scale).tolist())
+            self.check(HalfDisk(centre, float(rng.uniform(0.1, 3.0) * scale), tuple(rng.normal(size=2).tolist())))
+
+    def test_least_x_of_an_arc_reaching_left(self):
+        # the arc reaches c.x - r, left of both ends of the flat edge
+        half = HalfDisk(Point2(0.9, 0.0), 1.0, (-0.6, 0.8))
+        assert half.box() == ((0.9 - 1.0, 0.9 + 0.8), (-0.6, 1.0))
 
 
 class TestWidthFunction:
@@ -742,8 +800,11 @@ class TestArrayConstruction:
         assert not _unbuilt(got)
         fresh = kind(xy, **kwargs)  # ==, hash and repr build the points themselves
         assert fresh == want and hash(fresh) == hash(want) and repr(fresh) == repr(want)
-        for copied in (dataclasses.replace(kind(xy, **kwargs)), copy.copy(kind(xy, **kwargs)),
-                       copy.deepcopy(kind(xy, **kwargs)), pickle.loads(pickle.dumps(kind(xy, **kwargs)))):
+        # copies, of a shape with its points built (got) or not, read the array alone
+        for copied in (dataclasses.replace(kind(xy, **kwargs)), copy.copy(kind(xy, **kwargs)), copy.copy(got),
+                       copy.deepcopy(kind(xy, **kwargs)), pickle.loads(pickle.dumps(kind(xy, **kwargs))),
+                       pickle.loads(pickle.dumps(got))):
+            assert _unbuilt(copied)
             assert copied == want and repr(copied) == repr(want)
             assert copied._xy.tobytes() == want._xy.tobytes() and not copied._xy.flags.writeable
 
@@ -755,13 +816,18 @@ class TestArrayConstruction:
             assert repr(poly) == repr(want) and poly.box() == ((0.0, 3.0), (0.0, 2.0))
             assert all(type(c) is float for p in poly.vertices for c in (p.x, p.y))
 
-    def test_other_inputs_keep_the_point_path(self):
-        # Point2s keep their coordinates as given, and an array of another
-        # shape is read row by row, its first two entries each
+    def test_other_inputs_keep_the_point_path(self, monkeypatch):
+        # Point2s, and an array of another shape (its first two entries of
+        # each row), are read row by row; their points are then built as
+        # floats from the array, as for any other input
+        calls = []
+        coords = geometry._coords
+        monkeypatch.setattr(geometry, "_coords", lambda pts: calls.append(len(pts)) or coords(pts))
         ints = Polygon([Point2(0, 0), Point2(3, 0), Point2(0, 2)])
-        assert type(ints.vertices[1].x) is int and ints.box() == ((0, 3), (0, 2))
         wide = Polygon(np.array([[0, 0, 9], [3, 0, 9], [0, 2, 9]]))
-        assert not _unbuilt(wide) and wide == ints
+        assert calls == [3, 3] and _unbuilt(ints) and _unbuilt(wide)
+        assert repr(ints.box()) == repr(((0.0, 3.0), (0.0, 2.0)))
+        assert repr(ints.vertices) == repr(wide.vertices) == repr((Point2(0.0, 0.0), Point2(3.0, 0.0), Point2(0.0, 2.0)))
 
     def test_the_array_is_copied_unless_read_only(self, rng):
         xy = _star_points(rng, 12)
@@ -1125,7 +1191,7 @@ class TestPairsReadAsOneArray:
         assert _unbuilt(poly) and _unbuilt(line) and calls == []
         assert poly.vertices == (Point2(0.0, 0.0), Point2(3.0, 0.0), Point2(0.0, 2.0))
         assert all(type(c) is float for p in poly.vertices for c in (p.x, p.y))
-        # points keep their coordinates as given, so they are read one by one
+        # Point2s are read one by one, and the array is built from them
         Polygon([Point2(0, 0), Point2(3, 0), Point2(0, 2)])
         assert calls == [3]
 

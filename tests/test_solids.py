@@ -1,6 +1,7 @@
 """Closed-form solids, hat-box equality, oblique cuts, Pappus-Guldin."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -251,6 +252,13 @@ class TestHatBox:
         with pytest.raises(SlabOutOfRange):
             iv.sphere_zone_vs_band(1.0, 0.5, 0.5)
 
+    @pytest.mark.parametrize("r", [math.inf, math.nan, 0.0, -1.0])
+    def test_radius_checked_by_the_sphere_rule(self, r):
+        with pytest.raises(ValueError) as want:
+            Sphere(r)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            iv.sphere_zone_vs_band(r, -0.5, 0.5)
+
 
 class TestObliqueCutVolumes:
     def test_unit_disk_through_center(self):
@@ -312,6 +320,14 @@ class TestObliqueCutVolumes:
             a = iv.area(poly)
             assert above - below == pytest.approx(-slope * a * delta, rel=1e-10, abs=1e-12)
             assert above - below == pytest.approx(slope * iv.first_moment(poly, line), rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("slope", [0.0, -0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_slope_outside_zero_to_inf_rejected(self, slope):
+        sq = Polygon([(0, 0), (2, 0), (2, 2), (0, 2)])
+        with pytest.raises(ValueError, match="^cut slope must be positive"):
+            iv.oblique_cut_volumes(sq, Line2.vertical(1.0), slope)
+        with pytest.raises(ValueError, match="^cut slope must be positive"):
+            iv.oblique_cut_lateral_areas(sq.boundary(), Line2.vertical(1.0), slope)
 
     def test_degenerate_region(self):
         flat = Polygon([(0, 0), (1, 0), (2, 0)])
@@ -602,6 +618,11 @@ class TestGuldin:
     def test_guldin_volume_axis_crossing(self):
         with pytest.raises(AxisCrossing):
             Profile(Disk(Point2(0.5, 0), 1.0))
+
+    def test_halfdisk_whose_arc_crosses_the_axis_rejected(self):
+        # both ends of the flat edge lie at rho >= 0.42, but the arc reaches rho = 0.9 - 1
+        with pytest.raises(AxisCrossing, match=f"^profile reaches rho = {0.9 - 1.0!r} past"):
+            Profile(HalfDisk(Point2(0.9, 0.0), 1.0, (-0.6, 0.8)))
 
     def test_solid_of_revolution_dispatch(self):
         solid = iv.SolidOfRevolution(Profile(Disk(Point2(3, 0), 1.0)))
