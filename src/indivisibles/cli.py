@@ -17,7 +17,7 @@ from . import __version__
 from ._kernels import BACKEND
 from .dsl import ParseError, RunReport, ScriptError, run_script
 from .errors import GeometryError
-from .exhaustion import area_bounds, volume_bounds
+from .exhaustion import SLAB_BUDGET, area_bounds, volume_bounds
 from .geometry import (
     Disk,
     Point2,
@@ -62,10 +62,10 @@ MEASURES = {
     "volume": (volume, volume_bounds, mc_volume),
 }
 
-# The most --slices each subcommand takes: 2**26 slabs are about two seconds
-# of staircase; svg draws two rectangles per slab, and 2**16 of them are about
-# a second and 15 MB of SVG.
-SLICE_BUDGET = {"bounds": 2**26, "svg": 2**16}
+# The most --slices each subcommand takes: bounds takes the library's slab
+# budget; svg draws two rectangles per slab, and 2**16 of them are about a
+# second and 15 MB of SVG.
+SLICE_BUDGET = {"bounds": SLAB_BUDGET, "svg": 2**16}
 
 
 class _FileError(Exception):

@@ -47,6 +47,10 @@ _UNIT_ROUNDOFF = 2.0**-53
 _SUBNORMAL_STEP = 2.0**-1074
 _MONOTONE_SAMPLES = 17
 
+# The most slabs refine_until may reach (n_max) and the CLI's bounds may take:
+# 2^26 slabs are about two seconds of staircase.
+SLAB_BUDGET = 2**26
+
 
 @dataclass(frozen=True)
 class MeasureInterval:
@@ -214,10 +218,13 @@ def refine_until(target: WidthFunction, tol: float, n_max: int) -> MeasureInterv
     in turn before giving up, so refine_until never raises where plain
     doubling would return.  Raises ToleranceNotReached (carrying the
     intersection of all computed enclosures, or None when n_max < 16) when
-    no slab count up to n_max reaches tol.
+    no slab count up to n_max reaches tol.  An n_max above ``SLAB_BUDGET``
+    (2^26) raises ValueError before any work.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
+    if n_max > SLAB_BUDGET:
+        raise ValueError(f"n_max must be at most {SLAB_BUDGET} slabs")
     method = target.enclosure_method
     best = None
 

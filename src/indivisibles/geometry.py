@@ -431,19 +431,33 @@ class Polygon(PlanarRegion):
         return (_first(x, np.min), _first(x, np.max)), (_first(y, np.min), _first(y, np.max))
 
     def contains(self, xs, ys) -> np.ndarray:
-        pts = self.xy()
-        inside = np.zeros(np.broadcast(xs, ys).shape, dtype=bool)
-        n = len(pts)
-        j = n - 1
-        for i in range(n):
-            xi, yi = pts[i]
-            xj, yj = pts[j]
-            crosses = (yi > ys) != (yj > ys)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xcross = (xj - xi) * (ys - yi) / (yj - yi) + xi
-            inside ^= crosses & (xs < xcross)
-            j = i
-        return inside
+        """Even-odd rule on a rightward ray: a point is inside when an odd
+        number of edges cross the ray right of it.  Edge j -> i crosses the
+        ray at height y exactly when min(yi, yj) <= y < max(yi, yj), so a
+        horizontal edge never does, a vertex counts once for the edge that
+        leaves it upward or arrives from above, and a point with a nan
+        coordinate is outside.  The points are sorted by y once, so each edge
+        tests only the slice of them at its heights."""
+        xs, ys = np.asarray(xs), np.asarray(ys)
+        shape = np.broadcast_shapes(xs.shape, ys.shape)
+        dtype = np.result_type(xs, ys, np.float64)  # the vertices are float64, so no narrower type
+        xs, ys = (np.broadcast_to(a.astype(dtype, copy=False), shape).ravel() for a in (xs, ys))
+        order = np.argsort(ys)
+        xs, ys = xs[order], ys[order]  # nans sort last, past every edge's slice
+        xj, yj = self._xy.T
+        xi, yi = _ring_next(xj), _ring_next(yj)
+        starts = np.searchsorted(ys, np.minimum(yi, yj))
+        stops = np.searchsorted(ys, np.maximum(yi, yj))
+        k = np.flatnonzero(starts < stops)
+        edges = zip(starts[k].tolist(), stops[k].tolist(), (xj - xi)[k].tolist(), (yj - yi)[k].tolist(),
+                    xi[k].tolist(), yi[k].tolist())
+        inside = np.zeros(len(ys), dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for s, e, dx, dy, x0, y0 in edges:
+                inside[s:e] ^= xs[s:e] < dx * (ys[s:e] - y0) / dy + x0
+        out = np.empty_like(inside)
+        out[order] = inside
+        return out.reshape(shape)
 
     def boundary(self) -> Curve:
         return Polyline(self._xy, closed=True)

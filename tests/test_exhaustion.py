@@ -226,6 +226,25 @@ class TestRefineUntil:
         with pytest.raises(ValueError):
             refine_until(disk_width(), 0.0, 64)
 
+    def test_n_max_past_the_slab_budget_raises_before_any_work(self):
+        from indivisibles import cli, exhaustion
+
+        calls = []
+
+        def identity(t):
+            calls.append(np.size(t))
+            return np.asarray(t, dtype=float)
+
+        w = WidthFunction(identity, domain=(0.0, 1.0), monotonicity=("increasing",))
+        calls.clear()  # the declaration's own checks
+        with pytest.raises(ValueError, match="n_max must be at most 67108864 slabs"):
+            refine_until(w, 1e-30, 2**40)
+        assert calls == []
+        with pytest.raises(ValueError):
+            refine_until(w, 1e-30, exhaustion.SLAB_BUDGET + 1)
+        assert refine_until(w, 1.0, exhaustion.SLAB_BUDGET).slabs == 16
+        assert exhaustion.SLAB_BUDGET == 2**26 and cli.SLICE_BUDGET["bounds"] == exhaustion.SLAB_BUDGET
+
 
 def reference_refine(target, tol, n_max):
     """refine_until as plain doubling from 16: every level computed and

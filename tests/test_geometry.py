@@ -625,6 +625,95 @@ class TestPolygonArray:
         assert calls == [len(poly.vertices)]  # construction builds it once
 
 
+def _reference_contains(poly, xs, ys):
+    """The per-edge loop over every point that ``Polygon.contains`` replaced:
+    edge j -> i, j the vertex before i, tested against all points."""
+    pts = poly.xy()
+    inside = np.zeros(np.broadcast(xs, ys).shape, dtype=bool)
+    n = len(pts)
+    j = n - 1
+    for i in range(n):
+        xi, yi = pts[i]
+        xj, yj = pts[j]
+        crosses = (yi > ys) != (yj > ys)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xcross = (xj - xi) * (ys - yi) / (yj - yi) + xi
+        inside ^= crosses & (xs < xcross)
+        j = i
+    return inside
+
+
+class TestPolygonContains:
+    """Point-in-polygon over the y-sorted points decides every point as the
+    per-edge loop over all points does, with the same shape and dtype."""
+
+    SPECIAL = (np.nan, 0.0, -0.0, np.inf, -np.inf)
+
+    @staticmethod
+    def _rings():
+        rng = np.random.default_rng(20261019)
+        stars = [Polygon(_star_points(rng, int(rng.integers(3, 65)))) for _ in range(40)]
+        grids = []  # rings on the 5x5 grid, many with horizontal edges and vertices at one height
+        while len(grids) < 60:
+            try:
+                grids.append(Polygon(rng.integers(-2, 3, (int(rng.integers(3, 10)), 2)).astype(np.float64)))
+            except ValueError:
+                pass
+        return rng, stars, grids
+
+    @staticmethod
+    def _same(poly, xs, ys):
+        want = _reference_contains(poly, xs, ys)
+        got = poly.contains(xs, ys)
+        assert type(got) is np.ndarray and got.dtype == np.bool_ and got.shape == want.shape
+        assert np.array_equal(got, want), poly.xy().tolist()
+
+    def test_stars_at_vertices_edges_and_random_points(self):
+        rng, stars, _ = self._rings()
+        for poly in stars:
+            xy = poly.xy()
+            mids = 0.5 * (xy + geometry._ring_next(xy))  # on the edges, up to rounding
+            (x0, x1), (y0, y1) = poly.box()
+            xs = np.concatenate((xy[:, 0], mids[:, 0], rng.uniform(x0, x1, 300), rng.choice(xy[:, 0], 50)))
+            ys = np.concatenate((xy[:, 1], mids[:, 1], rng.uniform(y0, y1, 300), rng.choice(xy[:, 1], 50)))
+            self._same(poly, xs, ys)
+            self._same(poly, xs.reshape(-1, 1)[::7], ys.reshape(1, -1))  # broadcast (m, 1) x (1, k)
+
+    def test_grid_rings_on_their_vertices_edges_and_half_steps(self):
+        _, _, grids = self._rings()
+        steps = np.concatenate((np.arange(-6, 7) / 2.0, self.SPECIAL))
+        gx, gy = (a.ravel() for a in np.meshgrid(steps, steps))
+        for poly in grids:
+            self._same(poly, gx, gy)
+            self._same(poly, steps[:, None], steps[None, :])
+            self._same(poly, gx.reshape(3, -1), gy.reshape(3, -1))
+
+    def test_int_scalar_and_empty_inputs(self):
+        _, stars, grids = self._rings()
+        ints = np.arange(-3, 4)
+        for poly in grids[:20] + stars[:5]:
+            self._same(poly, ints[:, None], ints[None, :])
+            self._same(poly, ints.tolist(), 0)
+            for x, y in ((0, 0), (0.5, -0.0), (1, 1.5), (np.nan, 0.0), (0.25, np.nan)):
+                self._same(poly, x, y)
+            self._same(poly, np.empty(0), np.empty(0))
+            self._same(poly, np.empty((3, 0)), 0.5)
+
+    def test_inputs_are_not_written(self):
+        _, stars, _ = self._rings()
+        xs = np.linspace(-2.0, 2.0, 101)
+        ys = xs[::-1].copy()
+        keep = xs.copy(), ys.copy()
+        stars[0].contains(xs, ys)
+        assert np.array_equal(xs, keep[0]) and np.array_equal(ys, keep[1])
+
+    def test_library_contains_reads_float64(self):
+        _, _, grids = self._rings()
+        xs, ys = [0, 1, 2, -1], [1, 1, 0, 2]
+        for poly in grids[:10]:
+            assert np.array_equal(iv.contains(poly, xs, ys), _reference_contains(poly, np.array(xs, float), np.array(ys, float)))
+
+
 class TestPolygonVertexChecks:
     """The vertex checks run on the coordinate array with the messages of the
     per-point loop they replace."""

@@ -80,6 +80,45 @@ def test_row_layout_validation():
     assert _kernels.uniform01(1, 0, 3, np.int64(2)).tobytes() == _kernels.uniform01(1, 0, 3, 2).tobytes()
 
 
+@pytest.mark.parametrize("dims", [1, 2, 3, 4])
+def test_shared_buffers_give_the_stream_chunk_by_chunk(dims):
+    # chunks of one StreamBuffers, the last one partial, equal one flat call:
+    # from 0, and ending one value short of the 2^64 wrap
+    block = _kernels._BLOCK
+    n = 2 * block + 5
+    for seed, start in ((42, 0), (2**64 - 1, 2**64 - 1 - dims * n)):
+        flat = _kernels.uniform01(seed, start, dims * n)
+        buffers = _kernels.StreamBuffers(dims, block)
+        for done in range(0, n, block):
+            m = min(block, n - done)
+            chunk = _kernels.uniform01(seed, start + done * dims, m, dims, buffers=buffers)
+            assert chunk.shape == ((m,) if dims == 1 else (dims, m)) and chunk.flags.c_contiguous
+            want = flat[done * dims:(done + m) * dims].reshape(m, dims).T
+            assert chunk.tobytes() == np.ascontiguousarray(want).tobytes(), (seed, start, done)
+            chunk[...] = np.nan  # the next chunk reads nothing the last one held
+
+
+def test_scale_replaces_two_to_the_minus_53():
+    # each value is k * 2^-53 for an integer k < 2^53; row d of a scaled call
+    # is k * scale[d], one rounding, subnormal scales included
+    k = _kernels.uniform01(7, 11, 1000, 3) * 2.0**53
+    assert np.array_equal(k, np.floor(k)) and k.max() < 2.0**53
+    scales = [3.0 * 2.0**-60, 2.0**-1070, 1e-310]
+    got = _kernels.uniform01(7, 11, 1000, 3, scale=scales)
+    assert got.tobytes() == (k * np.array(scales)[:, None]).tobytes()
+    one = _kernels.uniform01(7, 11, 1000, scale=0.25)
+    assert one.tobytes() == (_kernels.uniform01(7, 11, 1000) * 2.0**53 * 0.25).tobytes()
+
+
+def test_buffers_must_fit_the_call():
+    buffers = _kernels.StreamBuffers(2, 100)
+    assert _kernels.uniform01(1, 0, 100, 2, buffers=buffers).shape == (2, 100)
+    with pytest.raises(ValueError, match="buffers hold 100 samples of 2, not 101 of 2"):
+        _kernels.uniform01(1, 0, 101, 2, buffers=buffers)
+    with pytest.raises(ValueError, match="not 50 of 3"):
+        _kernels.uniform01(1, 0, 50, 3, buffers=buffers)
+
+
 def test_stream_is_counter_based():
     whole = _kernels.uniform01(7, 0, 100)
     part = _kernels.uniform01(7, 37, 21)

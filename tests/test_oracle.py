@@ -184,33 +184,50 @@ class TestMonteCarlo:
                 est = run(seed)
                 assert abs(est.mean - truth) <= 5 * est.stderr, f"{name} seed {seed}"
 
-    def test_chunk_edges_match_a_single_stream_call(self):
+    @pytest.mark.parametrize(
+        "box",
+        [
+            ((-1.0, 1.0),),
+            ((0.0, 2.0**-1000),),  # span * 2^-53 is subnormal but exact
+            ((1e-300, 3e-300), (-1e150, 1e150)),  # span * 2^-53 is subnormal and inexact
+            ((-1.0, 1.0), (0.0, 2.0), (-3.0, 1.0)),
+            ((-1.0, 1.0), (0.0, 2.0), (-3.0, 1.0), (0.5, 0.75)),
+        ],
+    )
+    def test_chunk_edges_match_a_single_stream_call(self, box):
         from indivisibles import _kernels
         from indivisibles.oracle import _BLOCK
 
+        dims = len(box)
         samples = 3 * _BLOCK + 1
-        box = ((-1.0, 1.0), (0.0, 2.0), (-3.0, 1.0))
         calls = []
 
-        def ball(x, y, z):
-            for axis in (x, y, z):
+        def lower_half(*axes):
+            for axis in axes:
                 assert axis.dtype == np.float64
                 assert axis.ndim == 1 and axis.flags.c_contiguous
-                assert axis.shape == x.shape
-            calls.append((x.copy(), y.copy(), z.copy()))
-            return x * x + y * y + z * z <= 1.0
+                assert axis.shape == axes[0].shape
+            calls.append([axis.copy() for axis in axes])
+            inside = axes[0] < 0.5 * (box[0][0] + box[0][1])
+            for axis in axes:  # a membership that writes into its arguments changes no later chunk
+                axis[:] = np.nan
+            return inside
 
-        est = iv.mc_volume(ball, box, samples, seed=5)
-        assert [len(x) for x, _, _ in calls] == [_BLOCK, _BLOCK, _BLOCK, 1]
-        # sample i, axis d is lo_d + span_d * (stream value 3*i + d), bit for bit
-        u = _kernels.uniform01(5, 0, 3 * samples).reshape(samples, 3)
+        est = iv.mc_volume(lower_half, box, samples, seed=5)
+        assert [len(call[0]) for call in calls] == [_BLOCK, _BLOCK, _BLOCK, 1]
+        # sample i, axis d is lo_d + span_d * (stream value dims*i + d), bit for bit
+        u = _kernels.uniform01(5, 0, dims * samples).reshape(samples, dims)
         coords = [lo + (hi - lo) * u[:, d] for d, (lo, hi) in enumerate(box)]
-        for d in range(3):
+        for d in range(dims):
             got = np.concatenate([call[d] for call in calls])
             assert got.tobytes() == coords[d].tobytes()
-        hits = int(np.count_nonzero(ball(*coords)))
-        assert est.mean == 16.0 * hits / samples
-        assert est.samples == samples
+        hits = int(np.count_nonzero(coords[0] < 0.5 * (box[0][0] + box[0][1])))
+        measure = math.prod(hi - lo for lo, hi in box)
+        assert est == _indicator_estimate(hits, samples, measure, 5)
+
+    def test_the_boxes_above_take_both_scale_paths(self):
+        exact = [math.ldexp(math.ldexp(span, -53), 53) == span for span in (2.0, 2.0**-1000, 3e-300 - 1e-300)]
+        assert exact == [True, True, False]
 
     def test_membership_must_return_one_value_per_sample(self):
         box = ((0, 1), (0, 1))
