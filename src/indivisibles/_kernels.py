@@ -49,7 +49,7 @@ class StreamBuffers:
         self.steps = np.arange(count, dtype=np.uint64) * np.uint64(dims * _GAMMA_INT % _MAX_UINT64)
 
 
-def uniform01(seed, start, count, dims=1, *, scale=_SCALE, buffers=None):
+def uniform01(seed, start, count, dims=1, *, buffers=None):
     """Values start .. start+count*dims-1 of the uniform [0,1) stream for ``seed``.
 
     With ``dims`` 1 this is the flat run of ``count`` values.  Otherwise it is
@@ -60,11 +60,9 @@ def uniform01(seed, start, count, dims=1, *, scale=_SCALE, buffers=None):
     reproduces the same floats.  ``seed``, ``start``, ``count`` and ``dims``
     must be integers (numpy integers too); floats raise ``TypeError``.
 
-    Each value is a 53-bit integer k times 2^-53.  ``scale`` (a float, or one
-    per row) replaces that 2^-53, so row d holds ``k * scale[d]``, rounded
-    once.  ``buffers``, a ``StreamBuffers`` for ``dims`` and at least
-    ``count`` samples, holds the result and the scratch; without it both are
-    allocated for this call.
+    ``buffers``, a ``StreamBuffers`` for ``dims`` and at least ``count``
+    samples, holds the result and the scratch; without it both are allocated
+    for this call.
     """
     seed, start = operator.index(seed), operator.index(start)
     count, dims = operator.index(count), operator.index(dims)
@@ -95,7 +93,7 @@ def uniform01(seed, start, count, dims=1, *, scale=_SCALE, buffers=None):
     np.bitwise_xor(z, t, out=z)
     # k = z >> 11 is below 2^53, so its int64 view converts to float64 exactly
     np.right_shift(z, np.uint64(11), out=t)
-    np.multiply(t.view(np.int64), np.reshape(scale, (-1, 1)), out=out)
+    np.multiply(t.view(np.int64), _SCALE, out=out)
     return out.reshape(-1) if dims == 1 else out
 
 

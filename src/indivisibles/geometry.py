@@ -436,8 +436,12 @@ class Polygon(PlanarRegion):
         ray at height y exactly when min(yi, yj) <= y < max(yi, yj), so a
         horizontal edge never does, a vertex counts once for the edge that
         leaves it upward or arrives from above, and a point with a nan
-        coordinate is outside.  The points are sorted by y once, so each edge
-        tests only the slice of them at its heights."""
+        coordinate is outside.  On a ring of more than eight edges the
+        points are sorted by y once, so each edge tests only the slice of
+        them at its heights; a smaller ring tests every point against each
+        edge, which is faster than the sort there."""
+        if len(self._xy) < _SORT_FROM_EDGES:
+            return _contains_each_edge(self._xy, xs, ys)
         xs, ys = np.asarray(xs), np.asarray(ys)
         shape = np.broadcast_shapes(xs.shape, ys.shape)
         dtype = np.result_type(xs, ys, np.float64)  # the vertices are float64, so no narrower type
@@ -722,6 +726,27 @@ def _built_points(shape, field_name: str, name: str) -> tuple[Point2, ...]:
     pts = tuple(map(Point2, xy[:, 0].tolist(), xy[:, 1].tolist()))
     object.__setattr__(shape, field_name, pts)
     return pts
+
+
+# Sorting 2^14 points by y costs about what eight passes of the per-edge test
+# over all of them do, so Polygon.contains sorts from nine edges on.
+_SORT_FROM_EDGES = 9
+
+
+def _contains_each_edge(xy: np.ndarray, xs, ys) -> np.ndarray:
+    """``Polygon.contains`` for the ring ``xy`` without the sort: edge j -> i,
+    j the vertex before i, tested against every point."""
+    inside = np.zeros(np.broadcast(xs, ys).shape, dtype=bool)
+    j = len(xy) - 1
+    for i in range(len(xy)):
+        xi, yi = xy[i]
+        xj, yj = xy[j]
+        crosses = (yi > ys) != (yj > ys)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xcross = (xj - xi) * (ys - yi) / (yj - yi) + xi
+        inside ^= crosses & (xs < xcross)
+        j = i
+    return inside
 
 
 def _ring_next(a: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 # Monte Carlo chunks and midpoint pieces stream in _BLOCK (2^14) samples or
 # cells, so a chunk's coordinates, membership mask and midpoints stay in cache.
-from ._kernels import _BLOCK, _SCALE, StreamBuffers, ordered_sum, uniform01
+from ._kernels import _BLOCK, StreamBuffers, ordered_sum, uniform01
 from .errors import DegenerateCurve, EmptyBox
 from .geometry import CircleArc, Curve, Polyline
 
@@ -90,22 +90,14 @@ def _mc_membership(membership, bounds, samples: int, seed: int) -> Estimate:
     if samples < 1:
         raise ValueError("need at least one sample")
     dims = len(bounds)
-    # k*2^-53 is exact, so (k*2^-53)*span rounds the real k*span*2^-53 once;
-    # so does k*(span*2^-53) when span*2^-53 is exact, and then the stream's
-    # own multiply takes the span.  A box with a span whose 2^-53 multiple is
-    # subnormal and inexact keeps the two multiplies.
-    folded = [math.ldexp(span, -53) for span in spans.tolist()]
-    exact = all(math.ldexp(f, 53) == span for f, span in zip(folded, spans.tolist()))
-    scale = folded if exact else _SCALE
     lows, spans = lows[:, None], spans[:, None]
     buffers = StreamBuffers(dims, min(_BLOCK, samples))
     hits = 0
     done = 0
     while done < samples:
         m = min(_BLOCK, samples - done)
-        coords = uniform01(seed, done * dims, m, dims, scale=scale, buffers=buffers).reshape(dims, m)
-        if not exact:
-            coords *= spans
+        coords = uniform01(seed, done * dims, m, dims, buffers=buffers).reshape(dims, m)
+        coords *= spans
         coords += lows
         inside = membership(*coords)
         if np.shape(inside) != (m,):

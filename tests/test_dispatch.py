@@ -24,8 +24,10 @@ from conftest import star_polygon
 from test_oracle import GOLDEN, _golden_estimate
 
 
-def _dispatched_features() -> list[str]:
-    """The CPU features above numpy's baseline that this host has."""
+def dispatched_features() -> list[str]:
+    """The CPU features above numpy's baseline that this host has.  The CI
+    step that reruns the golden-pin tests at numpy's baseline reads its list
+    from here."""
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
     return [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
@@ -47,7 +49,7 @@ def pinned_values() -> dict:
 
 
 def test_pinned_values_match_at_numpy_baseline():
-    features = _dispatched_features()
+    features = dispatched_features()
     if not features:
         pytest.skip("numpy dispatches to no SIMD feature this host has")
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features))

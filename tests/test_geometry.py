@@ -5,6 +5,7 @@ import dataclasses
 import math
 import pickle
 import re
+import sys
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -645,9 +646,14 @@ def _reference_contains(poly, xs, ys):
 
 class TestPolygonContains:
     """Point-in-polygon over the y-sorted points decides every point as the
-    per-edge loop over all points does, with the same shape and dtype."""
+    per-edge loop over all points does, with the same shape and dtype.  Each
+    test runs once with every ring sorted and once with none."""
 
     SPECIAL = (np.nan, 0.0, -0.0, np.inf, -np.inf)
+
+    @pytest.fixture(autouse=True, params=[3, sys.maxsize], ids=["sorted", "each-edge"])
+    def _sort_from(self, request, monkeypatch):
+        monkeypatch.setattr(geometry, "_SORT_FROM_EDGES", request.param)
 
     @staticmethod
     def _rings():

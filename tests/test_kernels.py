@@ -98,18 +98,6 @@ def test_shared_buffers_give_the_stream_chunk_by_chunk(dims):
             chunk[...] = np.nan  # the next chunk reads nothing the last one held
 
 
-def test_scale_replaces_two_to_the_minus_53():
-    # each value is k * 2^-53 for an integer k < 2^53; row d of a scaled call
-    # is k * scale[d], one rounding, subnormal scales included
-    k = _kernels.uniform01(7, 11, 1000, 3) * 2.0**53
-    assert np.array_equal(k, np.floor(k)) and k.max() < 2.0**53
-    scales = [3.0 * 2.0**-60, 2.0**-1070, 1e-310]
-    got = _kernels.uniform01(7, 11, 1000, 3, scale=scales)
-    assert got.tobytes() == (k * np.array(scales)[:, None]).tobytes()
-    one = _kernels.uniform01(7, 11, 1000, scale=0.25)
-    assert one.tobytes() == (_kernels.uniform01(7, 11, 1000) * 2.0**53 * 0.25).tobytes()
-
-
 def test_buffers_must_fit_the_call():
     buffers = _kernels.StreamBuffers(2, 100)
     assert _kernels.uniform01(1, 0, 100, 2, buffers=buffers).shape == (2, 100)
