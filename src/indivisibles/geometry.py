@@ -436,12 +436,8 @@ class Polygon(PlanarRegion):
         ray at height y exactly when min(yi, yj) <= y < max(yi, yj), so a
         horizontal edge never does, a vertex counts once for the edge that
         leaves it upward or arrives from above, and a point with a nan
-        coordinate is outside.  On a ring of more than eight edges the
-        points are sorted by y once, so each edge tests only the slice of
-        them at its heights; a smaller ring tests every point against each
-        edge, which is faster than the sort there."""
-        if len(self._xy) < _SORT_FROM_EDGES:
-            return _contains_each_edge(self._xy, xs, ys)
+        coordinate is outside.  The points are sorted by y once, so each edge
+        tests only the slice of them at its heights."""
         xs, ys = np.asarray(xs), np.asarray(ys)
         shape = np.broadcast_shapes(xs.shape, ys.shape)
         dtype = np.result_type(xs, ys, np.float64)  # the vertices are float64, so no narrower type
@@ -487,7 +483,7 @@ class Disk(PlanarRegion):
             raise ValueError("disk radius must be positive")
 
     def measures(self) -> tuple[float, float, float]:
-        a = math.pi * self.radius**2
+        a = math.pi * (self.radius * self.radius)
         return a, a * self.center.x, a * self.center.y
 
     def box(self):
@@ -554,7 +550,7 @@ class HalfDisk(PlanarRegion):
         object.__setattr__(self, "bulge", _unit(self.bulge, "bulge"))
 
     def measures(self) -> tuple[float, float, float]:
-        a = 0.5 * math.pi * self.radius**2
+        a = 0.5 * math.pi * (self.radius * self.radius)
         d = 4.0 * self.radius / (3.0 * math.pi)
         cx = self.center.x + d * self.bulge[0]
         cy = self.center.y + d * self.bulge[1]
@@ -572,7 +568,7 @@ class HalfDisk(PlanarRegion):
 
     def contains(self, xs, ys) -> np.ndarray:
         dx, dy = xs - self.center.x, ys - self.center.y
-        inside = dx**2 + dy**2 <= self.radius**2
+        inside = dx * dx + dy * dy <= self.radius * self.radius
         return inside & (dx * self.bulge[0] + dy * self.bulge[1] >= 0.0)
 
     def revolving_boundary(self) -> Curve:
@@ -584,12 +580,14 @@ class HalfDisk(PlanarRegion):
         return CircleArc(self.center, self.radius, start_angle=-0.5 * math.pi, span=math.pi)
 
     def side_moments(self, line: Line2) -> tuple[float, float]:
-        # 4096 slabs parallel to the flat edge, at distance t from it
+        """A midpoint sum over 4096 slabs parallel to the flat edge, at
+        distance t from it, not a closed form: on the unit half-disk the two
+        pieces of a cut through the centroid differ by about 2e-6 relative."""
         nx, ny = line.normal()
         bx, by = self.bulge
         h = self.radius / 4096
         ts = (np.arange(4096, dtype=np.float64) + 0.5) * h
-        half_lens = np.sqrt(np.maximum(self.radius**2 - ts**2, 0.0))
+        half_lens = np.sqrt(np.maximum(self.radius * self.radius - ts * ts, 0.0))
         cx = self.center.x + bx * ts
         cy = self.center.y + by * ts
         return _segment_side_moments(line.signed_distances(cx, cy), nx * -by + ny * bx, half_lens, h)
@@ -726,27 +724,6 @@ def _built_points(shape, field_name: str, name: str) -> tuple[Point2, ...]:
     pts = tuple(map(Point2, xy[:, 0].tolist(), xy[:, 1].tolist()))
     object.__setattr__(shape, field_name, pts)
     return pts
-
-
-# Sorting 2^14 points by y costs about what eight passes of the per-edge test
-# over all of them do, so Polygon.contains sorts from nine edges on.
-_SORT_FROM_EDGES = 9
-
-
-def _contains_each_edge(xy: np.ndarray, xs, ys) -> np.ndarray:
-    """``Polygon.contains`` for the ring ``xy`` without the sort: edge j -> i,
-    j the vertex before i, tested against every point."""
-    inside = np.zeros(np.broadcast(xs, ys).shape, dtype=bool)
-    j = len(xy) - 1
-    for i in range(len(xy)):
-        xi, yi = xy[i]
-        xj, yj = xy[j]
-        crosses = (yi > ys) != (yj > ys)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xcross = (xj - xi) * (ys - yi) / (yj - yi) + xi
-        inside ^= crosses & (xs < xcross)
-        j = i
-    return inside
 
 
 def _ring_next(a: np.ndarray) -> np.ndarray:

@@ -157,7 +157,7 @@ class Sphere(Solid):
         return self.surface_area() * self.radius / 3.0
 
     def surface_area(self) -> float:
-        return 4.0 * math.pi * self.radius**2
+        return 4.0 * math.pi * (self.radius * self.radius)
 
     lateral_area = surface_area
 
@@ -187,7 +187,7 @@ class Hoof(Solid):
             raise ValueError("hoof dimensions must be positive")
 
     def volume(self) -> float:
-        return (2.0 / 3.0) * self.radius**2 * self.height
+        return (2.0 / 3.0) * (self.radius * self.radius) * self.height
 
     def lateral_area(self) -> float:
         return 2.0 * self.radius * self.height
@@ -195,7 +195,7 @@ class Hoof(Solid):
     def surface_area(self) -> float:
         r, h = self.radius, self.height
         # curved wall + half-disk base + half-ellipse cut face
-        return 2.0 * r * h + 0.5 * math.pi * r**2 + 0.5 * math.pi * r * math.hypot(r, h)
+        return 2.0 * r * h + 0.5 * math.pi * (r * r) + 0.5 * math.pi * r * math.hypot(r, h)
 
     def section(self) -> SectionFunction:
         # slices across y are rectangles of width 2*sqrt(r^2 - y^2), height slope*y

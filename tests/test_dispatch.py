@@ -1,9 +1,12 @@
-"""Pinned bits do not depend on which SIMD kernels numpy dispatches to.
+"""Point-in-polygon decisions do not depend on which SIMD kernels numpy
+dispatches to.
 
-The golden Monte Carlo estimates and a seeded point-in-polygon sample are
-recomputed in a subprocess that disables every dispatched CPU feature the
-host has (numpy's ``NPY_DISABLE_CPU_FEATURES``), so numpy runs its baseline
-kernels there, and compared with the same values computed in this process.
+A seeded ``contains`` sample on a triangle, a 4-vertex ring and a 64-vertex
+star is recomputed in a subprocess that disables every dispatched CPU feature
+the host has (numpy's ``NPY_DISABLE_CPU_FEATURES``), so numpy runs its
+baseline kernels there, sort included, and compared with the same sample
+computed in this process.  The golden Monte Carlo estimates are rerun at the
+baseline by a CI step that reads its feature list from here.
 
 Run as a script, this module prints those values as JSON.
 """
@@ -21,7 +24,6 @@ import pytest
 import indivisibles as iv
 
 from conftest import star_polygon
-from test_oracle import GOLDEN, _golden_estimate
 
 
 def dispatched_features() -> list[str]:
@@ -34,17 +36,20 @@ def dispatched_features() -> list[str]:
 
 
 def pinned_values() -> dict:
-    """repr of each golden estimate's mean and stderr, and the sha256 of a
-    seeded ``contains`` sample on a 64-vertex star."""
-    values = {}
-    for name in sorted(GOLDEN):
-        est = _golden_estimate(name)
-        values[name] = [repr(est.mean), repr(est.stderr)]
+    """The sha256 of a seeded ``contains`` sample on each ring.  A tenth of
+    the points sit at vertex heights, so the sort meets ties; ties share
+    every edge's slice, so no decision depends on their order."""
     rng = np.random.default_rng(20261019)
-    poly = star_polygon(rng, 64, 64, center=(3.0, 0.0), r_min=0.5, r_max=1.0)
-    xs, ys = rng.uniform(1.5, 4.5, 1 << 15), rng.uniform(-1.5, 1.5, 1 << 15)
-    ys[::97] = rng.choice(poly.xy()[:, 1], len(ys[::97]))  # at vertex heights
-    values["contains"] = hashlib.sha256(iv.contains(poly, xs, ys).tobytes()).hexdigest()
+    rings = {
+        "triangle": iv.Polygon([(1.5, -1.5), (4.5, -1.0), (2.0, 1.5)]),
+        "quad": iv.Polygon([(1.5, -1.0), (4.5, -1.5), (4.0, 1.5), (2.5, 1.0)]),
+        "star64": star_polygon(rng, 64, 64, center=(3.0, 0.0), r_min=0.5, r_max=1.0),
+    }
+    values = {}
+    for name, poly in rings.items():
+        xs, ys = rng.uniform(1.5, 4.5, 1 << 15), rng.uniform(-1.5, 1.5, 1 << 15)
+        ys[::10] = rng.choice(poly.xy()[:, 1], len(ys[::10]))  # at vertex heights
+        values[name] = hashlib.sha256(iv.contains(poly, xs, ys).tobytes()).hexdigest()
     return values
 
 

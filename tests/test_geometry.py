@@ -5,7 +5,6 @@ import dataclasses
 import math
 import pickle
 import re
-import sys
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -65,6 +64,20 @@ class TestArea:
 
     def test_halfdisk(self):
         assert iv.area(HalfDisk(Point2(0, 0), 1.0)) == pytest.approx(math.pi / 2, abs=1e-12)
+
+    def test_radius_squared_with_one_rounding(self):
+        # 2.759 ** 2 goes through libm pow, which can round the square to the
+        # float below 2.759 * 2.759
+        r = 2.759
+        assert iv.area(Disk(Point2(0, 0), r)) == math.pi * (r * r)
+        assert iv.area(HalfDisk(Point2(0, 0), r)) == 0.5 * math.pi * (r * r)
+
+    def test_rim_point_inside_at_radius_squared_with_one_rounding(self):
+        # the rim point's dx * dx is 2.759 * 2.759, so a pow-rounded r ** 2
+        # below it would leave the point outside
+        r = 2.759
+        for region in (Disk(Point2(0, 0), r), HalfDisk(Point2(0, 0), r)):
+            assert iv.contains(region, np.array([r, 0.0]), np.array([0.0, r])).all()
 
     def test_slab_region_has_no_exact_area(self):
         with pytest.raises(UnsupportedExact):
@@ -646,14 +659,10 @@ def _reference_contains(poly, xs, ys):
 
 class TestPolygonContains:
     """Point-in-polygon over the y-sorted points decides every point as the
-    per-edge loop over all points does, with the same shape and dtype.  Each
-    test runs once with every ring sorted and once with none."""
+    per-edge loop over all points does, with the same shape and dtype, on
+    rings of every size from the triangle up."""
 
     SPECIAL = (np.nan, 0.0, -0.0, np.inf, -np.inf)
-
-    @pytest.fixture(autouse=True, params=[3, sys.maxsize], ids=["sorted", "each-edge"])
-    def _sort_from(self, request, monkeypatch):
-        monkeypatch.setattr(geometry, "_SORT_FROM_EDGES", request.param)
 
     @staticmethod
     def _rings():
@@ -704,6 +713,17 @@ class TestPolygonContains:
                 self._same(poly, x, y)
             self._same(poly, np.empty(0), np.empty(0))
             self._same(poly, np.empty((3, 0)), 0.5)
+
+    def test_decisions_follow_the_points_not_their_order(self):
+        # many points share a vertex height, so the sort by y meets ties;
+        # shuffling the points must shuffle the decisions and nothing else
+        rng, stars, grids = self._rings()
+        for poly in grids + stars:
+            xy = poly.xy()
+            xs = np.concatenate((rng.choice(xy[:, 0], 200), rng.uniform(-2.5, 2.5, 200)))
+            ys = np.concatenate((rng.choice(xy[:, 1], 200), rng.choice(xy[:, 1], 200)))
+            order = rng.permutation(len(xs))
+            assert np.array_equal(poly.contains(xs[order], ys[order]), poly.contains(xs, ys)[order]), xy.tolist()
 
     def test_inputs_are_not_written(self):
         _, stars, _ = self._rings()

@@ -68,6 +68,16 @@ class TestVolumes:
     def test_hoof_value(self):
         assert iv.volume(Hoof(1.0, 1.0)) == pytest.approx(2 / 3, rel=1e-12)
 
+    def test_radius_squared_with_one_rounding(self):
+        # 2.759 ** 2 goes through libm pow, which can round the square to the
+        # float below 2.759 * 2.759
+        r, h = 2.759, 1.5
+        assert iv.surface_area(Sphere(r)) == 4.0 * math.pi * (r * r)
+        assert iv.volume(Sphere(r)) == 4.0 * math.pi * (r * r) * r / 3.0
+        assert iv.volume(Hoof(r, h)) == (2.0 / 3.0) * (r * r) * h
+        wall, base, face = 2.0 * r * h, 0.5 * math.pi * (r * r), 0.5 * math.pi * r * math.hypot(r, h)
+        assert iv.surface_area(Hoof(r, h)) == wall + base + face
+
     def test_hoof_vs_riemann_oracle(self):
         from indivisibles import SectionFunction, riemann_volume
 
@@ -265,6 +275,14 @@ class TestObliqueCutVolumes:
         above, below = iv.oblique_cut_volumes(Disk(Point2(0, 0), 1.0), Line2.vertical(0.0), 1.0)
         assert above == pytest.approx(2 / 3, rel=1e-12)
         assert below == pytest.approx(2 / 3, rel=1e-12)
+
+    def test_unit_halfdisk_through_centroid(self):
+        # the half-disk's side moments are a midpoint sum over 4096 slabs, so
+        # the two pieces agree to about 2e-6 relative, not to rounding
+        half = HalfDisk(Point2(0, 0), 1.0)
+        line = Line2.vertical(4.0 / (3.0 * math.pi))
+        above, below = iv.oblique_cut_volumes(half, line, 1.0)
+        assert above == pytest.approx(below, rel=1e-5)
 
     def test_square_cut_through_centroid(self):
         sq = Polygon([(0, 0), (2, 0), (2, 2), (0, 2)])
