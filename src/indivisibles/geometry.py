@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._kernels import ordered_sum
+from ._kernels import _BLOCK, ordered_sum
 from .errors import (
     AxisCrossing,
     DegenerateCurve,
@@ -29,14 +29,6 @@ from .errors import (
 )
 
 TWO_PI = 2.0 * math.pi
-
-# Candidate edge pairs (those overlapping in x) enumerated per step of the
-# polygon crossing check: a wider step makes fewer numpy calls per ring, for
-# a few hundred kB of scratch arrays.
-_CANDIDATE_CHUNK = 1 << 14
-# Surviving pairs (boxes overlapping, not ring neighbours) handed to the
-# narrow phase per call, so that a crossing found early ends the check early.
-_PAIR_CHUNK = 1 << 12
 
 
 def _require_finite(*values):
@@ -750,13 +742,13 @@ def _has_proper_self_intersection(xy: np.ndarray) -> bool:
     phase (Shamos & Hoey, FOCS 1976) pairs each edge with the later edges
     whose lowest x lies inside its own closed x range, so every pair with
     overlapping x ranges is visited once; these candidates are enumerated
-    ``_CANDIDATE_CHUNK`` at a time.  Pairs whose y ranges are disjoint are
-    dropped, then pairs of ring neighbours, found from the sweep positions of
-    each edge's two neighbours; no step leaves sweep order.  The survivors
-    are buffered and handed to ``_properly_cross`` ``_PAIR_CHUNK`` at a time,
-    each pair as (earlier edge, later edge) in sweep order.  That test is
-    staged: it takes two orientations for every pair and the other two only
-    for the few pairs the first two leave open.
+    ``_kernels._BLOCK`` at a time.  In each step, pairs whose y ranges are
+    disjoint are dropped, then pairs of ring neighbours, found from the sweep
+    positions of each edge's two neighbours; no step leaves sweep order.  The
+    step's survivors go to ``_properly_cross`` in one call, each pair as
+    (earlier edge, later edge) in sweep order, and the first crossing ends the
+    check.  That test is staged: it takes two orientations for every pair and
+    the other two only for the few pairs the first two leave open.
 
     So the pairs tested are exactly the non-adjacent pairs whose closed
     bounding boxes overlap, each once, and each is decided by the same float
@@ -788,13 +780,10 @@ def _has_proper_self_intersection(xy: np.ndarray) -> bool:
     first = last - counts
     shift = np.arange(1, n + 1) - first  # candidate k of edge a pairs it with edge k + shift[a]
     # the candidate pairs, numbered flat in sweep order, are enumerated in
-    # fixed steps (one long edge can own thousands of them); the survivors
-    # fill the buffer, which is tested whenever it is full, and which is no
-    # larger than the candidates, so a small ring allocates little
+    # fixed steps (one long edge can own thousands of them)
     total = int(last[-1])
-    held, buffer = 0, np.empty((2, min(total, _PAIR_CHUNK)), dtype=np.intp)
-    for start in range(0, total, _CANDIDATE_CHUNK):
-        stop = min(start + _CANDIDATE_CHUNK, total)
+    for start in range(0, total, _BLOCK):
+        stop = min(start + _BLOCK, total)
         a0, a1 = np.searchsorted(last, (start, stop - 1), side="right") + (0, 1)
         owned = np.minimum(last[a0:a1], stop) - np.maximum(first[a0:a1], start)
         a = np.repeat(np.arange(a0, a1), owned)
@@ -802,16 +791,9 @@ def _has_proper_self_intersection(xy: np.ndarray) -> bool:
         near = np.flatnonzero((ylo[a] <= yhi[b]) & (ylo[b] <= yhi[a]))
         a, b = a[near], b[near]
         apart = np.flatnonzero((b != before[a]) & (b != after[a]))
-        a, b = a[apart], b[apart]
-        while len(a):
-            take = min(len(a), _PAIR_CHUNK - held)
-            buffer[0, held:held + take], buffer[1, held:held + take] = a[:take], b[:take]
-            a, b, held = a[take:], b[take:], held + take
-            if held == _PAIR_CHUNK:
-                if _properly_cross(edges, *buffer):
-                    return True
-                held = 0
-    return held > 0 and _properly_cross(edges, *buffer[:, :held])
+        if len(apart) and _properly_cross(edges, a[apart], b[apart]):
+            return True
+    return False
 
 
 def _properly_cross(edges: np.ndarray, i: np.ndarray, j: np.ndarray) -> bool:

@@ -1,16 +1,21 @@
-"""Point-in-polygon decisions do not depend on which SIMD kernels numpy
-dispatches to.
+"""Results do not depend on which SIMD kernels numpy dispatches to.
 
 A seeded ``contains`` sample on a triangle, a 4-vertex ring and a 64-vertex
-star is recomputed in a subprocess that disables every dispatched CPU feature
-the host has (numpy's ``NPY_DISABLE_CPU_FEATURES``), so numpy runs its
-baseline kernels there, sort included, and compared with the same sample
-computed in this process.  The golden Monte Carlo estimates are rerun at the
-baseline by a CI step that reads its feature list from here.
+star, and seeded values of the numpy functions whose float64 bits IEEE 754
+does not fix, are recomputed in a subprocess that disables every dispatched
+CPU feature the host has (numpy's ``NPY_DISABLE_CPU_FEATURES``), so numpy
+runs its baseline kernels there, sort included, and compared with the same
+values computed in this process.  The golden Monte Carlo estimates are rerun
+at the baseline by a CI step that reads its feature list from here.
+
+An AST scan keeps ``src/`` to the numpy names in ``NUMPY_NAMES``, so a
+function that is not backed here cannot slip in.  ``np.exp``, for one, gives
+different bits on numpy's AVX-512 path than at its baseline.
 
 Run as a script, this module prints those values as JSON.
 """
 
+import ast
 import hashlib
 import json
 import os
@@ -23,7 +28,33 @@ import pytest
 
 import indivisibles as iv
 
-from conftest import star_polygon
+from conftest import REPO_ROOT, star_polygon
+
+# Every np.<name> and np.<name>.<attr> that src/ uses.  Each is exact
+# (indexing, integer and comparison functions, dtypes), one IEEE 754 operation
+# per element (arithmetic, sqrt), or a fixed sequence of those (cumsum,
+# add.accumulate, linspace, divmod), except those in UNFIXED, which
+# pinned_values hashes at both dispatch levels.  Add a name only with that
+# backing.
+NUMPY_NAMES = frozenset({
+    "abs", "add", "add.accumulate", "any", "arange", "argmax", "argsort", "array", "asarray",
+    "ascontiguousarray", "bitwise_xor", "broadcast_shapes", "broadcast_to", "column_stack",
+    "concatenate", "cos", "count_nonzero", "cumsum", "diff", "divmod", "empty", "empty_like",
+    "errstate", "flatnonzero", "float64", "fromiter", "hypot", "int64", "intp", "isfinite",
+    "lexsort", "linspace", "max", "maximum", "min", "minimum", "multiply", "ndarray", "prod",
+    "repeat", "result_type", "right_shift", "searchsorted", "shape", "sin", "sort", "split",
+    "sqrt", "stack", "subtract", "sum", "take", "uint64", "where", "zeros", "zeros_like",
+})
+# sin, cos and hypot are approximations whose last bit is the library's
+# choice; sum and prod reduce in an order that numpy picks.  Each is taken
+# over seeded x and y: sum over rows of 4096, as the quadrature sums run.
+UNFIXED = {
+    "sin": lambda x, y: np.sin(x),
+    "cos": lambda x, y: np.cos(x),
+    "hypot": np.hypot,
+    "sum": lambda x, y: np.sum(x.reshape(-1, 4096), axis=1),
+    "prod": lambda x, y: np.prod(x.reshape(-1, 8), axis=1),
+}
 
 
 def dispatched_features() -> list[str]:
@@ -36,9 +67,10 @@ def dispatched_features() -> list[str]:
 
 
 def pinned_values() -> dict:
-    """The sha256 of a seeded ``contains`` sample on each ring.  A tenth of
-    the points sit at vertex heights, so the sort meets ties; ties share
-    every edge's slice, so no decision depends on their order."""
+    """The sha256 of a seeded ``contains`` sample on each ring, and of each
+    ``UNFIXED`` function over seeded values.  A tenth of the points sit at
+    vertex heights, so the sort meets ties; ties share every edge's slice,
+    so no decision depends on their order."""
     rng = np.random.default_rng(20261019)
     rings = {
         "triangle": iv.Polygon([(1.5, -1.5), (4.5, -1.0), (2.0, 1.5)]),
@@ -50,7 +82,35 @@ def pinned_values() -> dict:
         xs, ys = rng.uniform(1.5, 4.5, 1 << 15), rng.uniform(-1.5, 1.5, 1 << 15)
         ys[::10] = rng.choice(poly.xy()[:, 1], len(ys[::10]))  # at vertex heights
         values[name] = hashlib.sha256(iv.contains(poly, xs, ys).tobytes()).hexdigest()
+    # magnitudes from 1e-3 to 1e3
+    x, y = rng.uniform(-1.0, 1.0, (2, 1 << 16)) * 10.0 ** rng.integers(-3, 4, (2, 1 << 16))
+    for name, f in UNFIXED.items():
+        values[f"np.{name}"] = hashlib.sha256(f(x, y).tobytes()).hexdigest()
     return values
+
+
+def test_src_uses_only_backed_numpy_names():
+    used = set()
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        names = set()  # each np.<name> as <name>, each np.<name>.<attr> also as <name>.<attr>
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            # numpy reached under another name would escape the scan
+            if isinstance(node, ast.ImportFrom):
+                assert not (node.module or "").startswith("numpy"), f"{path}:{node.lineno}"
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    assert (alias.name, alias.asname) == ("numpy", "np") or not alias.name.startswith("numpy"), \
+                        f"{path}:{node.lineno}"
+            elif isinstance(node, ast.Attribute):
+                inner = node.value
+                if isinstance(inner, ast.Name) and inner.id == "np":
+                    names.add(node.attr)
+                elif isinstance(inner, ast.Attribute) and isinstance(inner.value, ast.Name) and inner.value.id == "np":
+                    names.add(f"{inner.attr}.{node.attr}")
+        assert names <= NUMPY_NAMES, f"{path} uses numpy names with no dispatch backing: {sorted(names - NUMPY_NAMES)}"
+        used |= names
+    assert UNFIXED.keys() <= NUMPY_NAMES
+    assert used == NUMPY_NAMES, f"allow-listed but unused: {sorted(NUMPY_NAMES - used)}"
 
 
 def test_pinned_values_match_at_numpy_baseline():

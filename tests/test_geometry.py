@@ -32,6 +32,7 @@ from indivisibles import (
     UnsupportedExact,
     WidthFunction,
 )
+from indivisibles._kernels import _BLOCK
 
 from conftest import rigid_motion, star_polygon
 
@@ -551,10 +552,9 @@ class TestSimplicityCheck:
                 assert edges.tobytes() == np.concatenate((p.T, q.T, q.T - p.T)).tobytes()
                 pairs += zip(order[i].tolist(), order[j].tolist())
             assert sorted(map(sorted, pairs)) == _box_overlapping_pairs(xy)
-            # one call per full chunk, and one for the rest
-            full, rest = divmod(len(pairs), geometry._PAIR_CHUNK)
-            assert [len(i) for _, i, _ in batches] == [geometry._PAIR_CHUNK] * full + [rest] * (rest > 0)
-            if xy is star or xy is saw:
+            # one call per enumeration step that leaves a pair
+            assert all(1 <= len(i) <= _BLOCK for _, i, _ in batches)
+            if xy is star:
                 assert len(batches) > 1
 
     def test_large_star_with_swapped_vertices_rejected(self):
@@ -1360,9 +1360,9 @@ class TestStagedNarrowPhase:
         for scale in (1.0, 1e200, 1e300):
             xy = _star_points(rng, 512) * scale
             edges = _edge_rows(xy)
-            i, j = rng.integers(0, 512, (2, geometry._PAIR_CHUNK))
+            i, j = rng.integers(0, 512, (2, 4096))
             assert geometry._properly_cross(edges, i, j) == _unstaged_properly_cross(edges, i, j)
-            for k in range(0, geometry._PAIR_CHUNK, 64):  # small batches, mostly without a crossing
+            for k in range(0, 4096, 64):  # small batches, mostly without a crossing
                 assert geometry._properly_cross(edges, i[k:k + 64], j[k:k + 64]) == _unstaged_properly_cross(
                     edges, i[k:k + 64], j[k:k + 64])
 
