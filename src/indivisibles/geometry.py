@@ -1,10 +1,11 @@
 """Exact planar primitives: regions, curves, areas, lengths, centroids, moments.
 
 Regions and curves are immutable value types; each kind holds its own facts
-as methods, and the module-level functions defer to them.  Polygons and disks
-(and half-disks) carry exact closed-form measures; slab regions carry a width
-profile and a declared quadrature resolution, since no exact form exists for
-them.  First moments about a line use the left-of-direction sign convention.
+as methods, and the module-level functions defer to them.  Polygons, disks
+and half-disks carry exact closed-form measures and side moments, the latter
+from one boundary rule; slab regions carry a width profile and a declared
+quadrature resolution, since no exact form exists for them.  First moments
+about a line use the left-of-direction sign convention.
 """
 
 from __future__ import annotations
@@ -231,10 +232,13 @@ class Polyline(Curve):
         pts = self.points + (self.points[0],) if self.closed else self.points
         yield from zip(pts, pts[1:])
 
+    def _edge_ends(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``values``, one per point, at the start and at the end of each edge."""
+        return (values, _ring_next(values)) if self.closed else (values[:-1], values[1:])
+
     def _segments(self):
         """(x0, y0, x1, y1, length) of the edges, as arrays in edge order."""
-        x, y = self._xy[:, 0], self._xy[:, 1]
-        x0, y0, x1, y1 = (x, y, _ring_next(x), _ring_next(y)) if self.closed else (x[:-1], y[:-1], x[1:], y[1:])
+        (x0, x1), (y0, y1) = self._edge_ends(self._xy[:, 0]), self._edge_ends(self._xy[:, 1])
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is part of the result
             dx, dy = x1 - x0, y1 - y0
         # math.hypot, not np.hypot, which can differ in the last bit
@@ -248,12 +252,22 @@ class Polyline(Curve):
 
     def side_moments(self, line: Line2) -> tuple[float, float]:
         *_, seg = self._segments()
+        keep = seg != 0.0  # so that no 0 * inf gives nan
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is part of the result
-            f = line.signed_distances(self._xy[:, 0], self._xy[:, 1])
-            fa, fb = (f, _ring_next(f)) if self.closed else (f[:-1], f[1:])
-            keep = seg != 0.0
-            fa, fb, seg = fa[keep], fb[keep], seg[keep]
-            return _segment_side_moments(0.5 * (fa + fb), (fb - fa) / seg, seg / 2.0)
+            s0, s1 = self._edge_ends(line.signed_distances(*self._xy.T))
+            return tuple(ordered_sum(seg[keep] * mean) for mean in _part_means(s0[keep], s1[keep], 1))
+
+    def _flux(self, line: Line2) -> tuple[float, float]:
+        """The chain's shares of the fluxes of ``PlanarRegion.side_moments``:
+        edge p -> q, e = q - p, gives (n x e) / 2 times the mean of
+        max(s, 0)^2 over it, and -(n x e) / 2 times that of max(-s, 0)^2."""
+        x, y = self._xy.T
+        nx, ny = line.normal()
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is part of the result
+            (x0, x1), (y0, y1) = self._edge_ends(x), self._edge_ends(y)
+            half_cross = 0.5 * (nx * (y1 - y0) - ny * (x1 - x0))
+            pos, neg = _part_means(*self._edge_ends(line.signed_distances(x, y)), 2)
+            return ordered_sum(half_cross * pos), -ordered_sum(half_cross * neg)
 
     def min_distance(self, line: Line2) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -298,35 +312,38 @@ class CircleArc(Curve):
         u0 = self.start_angle - math.atan2(ny, nx)
         return line.signed_distance(self.center), u0, u0 + self.span
 
-    def side_moments(self, line: Line2) -> tuple[float, float]:
-        # integrate the two signs of s0 + r*cos(u) exactly
-        r = self.radius
+    def _side_integrals(self, line: Line2, antiderivative) -> tuple[float, float]:
+        """For the positive and then the negative side of ``line``, the sum of
+        antiderivative(s0, u) from lo to hi over the intervals [lo, hi] of
+        the arc where that side's signed distance s0 + r*cos(u) is positive.
+        The negative side's distance -s is that form with -s0 and u + pi."""
         s0, u0, u1 = self._angles(line)
+        sums = []
+        for s0, u0, u1 in ((s0, u0, u1), (-s0, u0 + math.pi, u1 + math.pi)):
+            uc = math.acos(min(max(-s0 / self.radius, -1.0), 1.0))  # s > 0 on (-uc, uc) mod 2*pi
+            ks = range(math.floor((u0 - uc) / TWO_PI) - 1, math.ceil((u1 + uc) / TWO_PI) + 2)
+            spans = [(max(u0, -uc + TWO_PI * k), min(u1, uc + TWO_PI * k)) for k in ks]
+            sums.append(sum(antiderivative(s0, hi) - antiderivative(s0, lo) for lo, hi in spans if lo < hi))
+        return tuple(sums)
 
-        def antiderivative(u):
-            return s0 * u + r * math.sin(u)
+    def side_moments(self, line: Line2) -> tuple[float, float]:
+        # r times the integral of s0 + r*cos(u) du on each side
+        r = self.radius
+        pos, neg = self._side_integrals(line, lambda s0, u: s0 * u + r * math.sin(u))
+        return max(r * pos, 0.0), max(r * neg, 0.0)
 
-        def positive_part(u0, u1):
-            # integral over [u0, u1] of max(s0 + r cos u, 0) du  (u = theta-phi)
-            if s0 >= r:
-                return antiderivative(u1) - antiderivative(u0)
-            if s0 <= -r:
-                return 0.0
-            uc = math.acos(-s0 / r)  # f > 0 on (-uc, uc) mod 2*pi
-            total = 0.0
-            k_lo = math.floor((u0 - uc) / TWO_PI) - 1
-            k_hi = math.ceil((u1 + uc) / TWO_PI) + 1
-            for k in range(k_lo, k_hi + 1):
-                lo = max(u0, -uc + TWO_PI * k)
-                hi = min(u1, uc + TWO_PI * k)
-                if lo < hi:
-                    total += antiderivative(hi) - antiderivative(lo)
-            return total
+    def _flux(self, line: Line2) -> tuple[float, float]:
+        """The arc's shares of the fluxes of ``PlanarRegion.side_moments``:
+        (r/2) times the integral of max(s0 + r*cos(u), 0)^2 cos(u) du, on
+        each side, cos(u) being n dotted with the outward normal."""
+        r = self.radius
 
-        full = antiderivative(u1) - antiderivative(u0)
-        pos = positive_part(u0, u1) * r
-        neg = pos - full * r
-        return max(pos, 0.0), max(neg, 0.0)
+        def antiderivative(s0, u):  # of (s0 + r*cos(u))^2 cos(u)
+            sin = math.sin(u)
+            return s0 * s0 * sin + s0 * r * (u + sin * math.cos(u)) + r * r * (sin - sin * sin * sin / 3.0)
+
+        pos, neg = self._side_integrals(line, antiderivative)
+        return 0.5 * r * pos, 0.5 * r * neg
 
     def min_distance(self, line: Line2) -> float:
         # the ends, or the first u = pi (mod 2*pi) in the range; the span is at most 2*pi
@@ -344,8 +361,28 @@ class PlanarRegion:
     integral x dA, integral y dA), ``box()`` ((xlo, xhi), (ylo, yhi)), whose
     sides the region reaches, ``contains(xs, ys)`` on float64 arrays and
     ``side_moments(line)`` (the positive-side first moment about ``line`` and
-    the size of the negative-side one).  The rules below are those some kind
-    lacks, which raise UnsupportedRegion."""
+    the size of the negative-side one).  The rules below that raise
+    UnsupportedRegion are those some kind lacks."""
+
+    def side_moments(self, line: Line2) -> tuple[float, float]:
+        """The integrals over the region of max(s, 0) and max(-s, 0), s the
+        signed distance to ``line``: the outward fluxes through the boundary,
+        counterclockwise, of max(s, 0)^2 n / 2 and max(-s, 0)^2 (-n) / 2, n
+        the line's normal, whose divergences they are (Steger, TR FGBV-96-05,
+        1996); both fields vanish on the line, so nothing is clipped.  Where
+        the box lies on one side, whose fluxes would cancel, that side has
+        the whole first moment."""
+        (x0, x1), (y0, y1) = self.box()
+        corners = [line.signed_distances(x, y) for x in (x0, x1) for y in (y0, y1)]
+        if min(corners) >= 0.0 or max(corners) <= 0.0:
+            moment = line.first_moment(*self.measures())
+            return max(moment, 0.0), max(-moment, 0.0)
+        pos, neg = map(sum, zip(*(piece._flux(line) for piece in self._pieces())))
+        return max(pos, 0.0), max(neg, 0.0)
+
+    def _pieces(self) -> tuple[Curve, ...]:
+        """The boundary as counterclockwise curve pieces."""
+        return (self.boundary(),)
 
     def min_rho(self) -> float:
         """The least x over the region, the low x side of its box."""
@@ -454,15 +491,6 @@ class Polygon(PlanarRegion):
     def boundary(self) -> Curve:
         return Polyline(self._xy, closed=True)
 
-    def side_moments(self, line: Line2) -> tuple[float, float]:
-        xy = self.xy()
-        d = line.signed_distances(xy[:, 0], xy[:, 1])
-        moments = [0.0, 0.0]
-        for side, ring in enumerate((_clip_polygon(xy, d), _clip_polygon(xy, -d))):
-            if len(ring) >= 3:  # the integral of the signed distance over the (weakly simple) ring
-                moments[side] = line.first_moment(*_shoelace(ring))
-        return max(moments[0], 0.0), max(-moments[1], 0.0)
-
 
 @dataclass(frozen=True)
 class Disk(PlanarRegion):
@@ -490,21 +518,6 @@ class Disk(PlanarRegion):
     def boundary(self) -> Curve:
         return CircleArc(self.center, self.radius)
 
-    def side_moments(self, line: Line2) -> tuple[float, float]:
-        r = self.radius
-        s = line.signed_distance(self.center)
-        if s >= r:  # whole disk on the positive side
-            return math.pi * r * r * s, 0.0
-        if s <= -r:
-            return 0.0, math.pi * r * r * (-s)
-        # moment of the circular segment u > d (d = -s) about the cut chord:
-        # integral over [d, r] of (u - d) * 2*sqrt(r^2 - u^2) du
-        d = -s
-        seg_area = r * r * math.acos(d / r) - d * math.sqrt(r * r - d * d)
-        pos = (2.0 / 3.0) * (r * r - d * d) ** 1.5 - d * seg_area
-        total = math.pi * r * r * s
-        return pos, pos - total
-
     def section(self) -> WidthFunction:
         r, cy = self.radius, self.center.y
 
@@ -528,7 +541,8 @@ class HalfDisk(PlanarRegion):
 
     ``center`` is the midpoint of the flat edge; ``bulge`` is the outward unit
     direction of the curved side.  Exact area pi r^2 / 2 and exact centroid at
-    distance 4r/(3 pi) from the flat edge.
+    distance 4r/(3 pi) from the flat edge; its side moments are the boundary
+    rule's over the flat edge and the half arc.
     """
 
     center: Point2
@@ -571,18 +585,12 @@ class HalfDisk(PlanarRegion):
             raise UnsupportedRegion("half-disk profiles are supported only with the flat edge on the axis")
         return CircleArc(self.center, self.radius, start_angle=-0.5 * math.pi, span=math.pi)
 
-    def side_moments(self, line: Line2) -> tuple[float, float]:
-        """A midpoint sum over 4096 slabs parallel to the flat edge, at
-        distance t from it, not a closed form: on the unit half-disk the two
-        pieces of a cut through the centroid differ by about 2e-6 relative."""
-        nx, ny = line.normal()
-        bx, by = self.bulge
-        h = self.radius / 4096
-        ts = (np.arange(4096, dtype=np.float64) + 0.5) * h
-        half_lens = np.sqrt(np.maximum(self.radius * self.radius - ts * ts, 0.0))
-        cx = self.center.x + bx * ts
-        cy = self.center.y + by * ts
-        return _segment_side_moments(line.signed_distances(cx, cy), nx * -by + ny * bx, half_lens, h)
+    def _pieces(self) -> tuple[Curve, ...]:
+        """The half arc, counterclockwise from c - r (-by, bx) to
+        c + r (-by, bx), and the flat edge back."""
+        c, r, (bx, by) = self.center, self.radius, self.bulge
+        flat = Polyline([(c.x - r * by, c.y + r * bx), (c.x + r * by, c.y - r * bx)])
+        return CircleArc(c, r, math.atan2(by, bx) - 0.5 * math.pi, math.pi), flat
 
 
 @dataclass(frozen=True)
@@ -636,10 +644,13 @@ class SlabRegion(PlanarRegion):
         return band & (np.abs(xs) <= half)
 
     def side_moments(self, line: Line2) -> tuple[float, float]:
+        # the slab's height times the integrals over its midline, (-w/2, y) to (w/2, y)
         mids, h = self._grid()
-        half_lens = np.asarray(self.width(mids), dtype=np.float64) / 2.0
-        # slab midline at height y runs along +x from (0, y)
-        return _segment_side_moments(line.signed_distances(0.0, mids), line.normal()[0], half_lens, h)
+        half = np.asarray(self.width(mids), dtype=np.float64) / 2.0
+        keep = half > 0.0
+        mids, half = mids[keep], half[keep]
+        means = _part_means(line.signed_distances(-half, mids), line.signed_distances(half, mids), 1)
+        return tuple(ordered_sum(2.0 * half * mean * h) for mean in means)
 
 
 @dataclass(frozen=True)
@@ -866,44 +877,23 @@ def _shoelace(xy: np.ndarray) -> tuple[float, float, float]:
 # oblique-cut side moments (the moment lemma behind Guldin's theorems)
 
 
-def _clip_polygon(xy: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman clip of the ring ``xy`` to the side where the signed
-    distance ``d`` is >= 0: each vertex on that side (boundary included),
-    followed by its edge's crossing of the line when there is one."""
-    x0, y0 = xy[:, 0], xy[:, 1]
-    x1, y1, d1 = _ring_next(x0), _ring_next(y0), _ring_next(d)
-    crosses = ((d > 0.0) != (d1 > 0.0)) & (d != d1)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # used only where d != d1
-        t = d / (d - d1)
-        crossing = np.column_stack((x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
-    ring = np.stack((xy, crossing), axis=1).reshape(-1, 2)
-    return ring[np.stack((d >= 0.0, crosses), axis=1).reshape(-1)]
+def _part_means(s0: np.ndarray, s1: np.ndarray, power: int) -> tuple[np.ndarray, np.ndarray]:
+    """The means over segments of max(s, 0)^power and of max(-s, 0)^power,
+    ``power`` 1 or 2, where s runs linearly from s0 to s1 along each segment.
 
-
-def _segment_side_moments(f_center, f_slope, half_len, weight: float = 1.0) -> tuple[float, float]:
-    """Positive and negative parts of the integral of an affine f over segments,
-    each segment weighted (a slab's thickness), summed in segment order.
-
-    Segment k is parametrized by t in [-half_len[k], half_len[k]] with
-    f(t) = f_center[k] + f_slope[k] * t; a segment of no length gives 0.
+    With p0, p1 the parts at the two ends, the mean over the stretch where
+    the part is positive is (p0 + p1) / 2, or (p0^2 + p0 p1 + p1^2) / 3;
+    where s changes sign, that stretch is the share (p0 + p1) / |s1 - s0| of
+    the segment.
     """
-    a, b = -half_len, half_len
-    fa = f_center + f_slope * a
-    fb = f_center + f_slope * b
-    empty = half_len <= 0.0
-    pos = np.where(empty, 0.0, _ramp_integral(a, b, fa, fb))
-    neg = np.where(empty, 0.0, _ramp_integral(a, b, -fa, -fb))
-    return ordered_sum(pos * weight, 0.0), ordered_sum(neg * weight, 0.0)
-
-
-def _ramp_integral(a, b, fa, fb):
-    """Integral of max(f, 0) over [a, b] for affine f, elementwise."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = a + (b - a) * fa / (fa - fb)  # the zero, where the signs differ
-        crossing = np.where(fa > 0.0, fa * 0.5 * (t - a), fb * 0.5 * (b - t))
-    above = (fa >= 0.0) & (fb >= 0.0)
-    below = (fa <= 0.0) & (fb <= 0.0)
-    return np.where(above, (fa + fb) * 0.5 * (b - a), np.where(below, 0.0, crossing))
+    # an overflow is part of the result, and the share is taken only where s changes sign
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        crosses = (s0 > 0.0) != (s1 > 0.0)
+        means = []
+        for p0, p1 in ((np.maximum(s0, 0.0), np.maximum(s1, 0.0)), (np.maximum(-s0, 0.0), np.maximum(-s1, 0.0))):
+            mean = (p0 + p1) / 2.0 if power == 1 else (p0 * p0 + p0 * p1 + p1 * p1) / 3.0
+            means.append(np.where(crosses, mean * ((p0 + p1) / np.abs(s1 - s0)), mean))
+    return tuple(means)
 
 
 # ---------------------------------------------------------------------------

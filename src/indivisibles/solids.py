@@ -411,7 +411,9 @@ def oblique_cut_volumes(base: PlanarRegion, cut_line: Line2, slope: float) -> tu
     ``cut_line`` rising with ``slope``; the piece above the base plane on the
     positive side and the piece below it on the negative side have volumes
     slope * (side moment), so they are equal exactly when the cut line passes
-    through the centroid of the base.
+    through the centroid of the base.  The side moments of a polygon, disk or
+    half-disk come from one boundary rule (``PlanarRegion.side_moments``);
+    those of a slab region are midpoint sums at its declared resolution.
     """
     _check_slope(slope)
     _nonzero_measures(base, "base region")

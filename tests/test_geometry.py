@@ -34,7 +34,7 @@ from indivisibles import (
 )
 from indivisibles._kernels import _BLOCK
 
-from conftest import rigid_motion, star_polygon
+from conftest import rigid_motion, scalar_side_moments, star_polygon
 
 # independent midpoint-quadrature oracle at 1e6 slabs (frozen output)
 HALFDISK_CENTROID_Y_ORACLE = 0.4244131816415467
@@ -1022,19 +1022,6 @@ def _reference_polyline_measures(curve):
     return length, mx, my
 
 
-def _reference_polyline_side_moments(curve, line):
-    """The former Polyline.side_moments: edge lengths by a per-edge loop, the
-    coordinates rebuilt from the points."""
-    seg = np.fromiter((math.hypot(q.x - p.x, q.y - p.y) for p, q in curve.edges()), dtype=np.float64)
-    xy = np.array([(p.x, p.y) for p in curve.points], dtype=np.float64)
-    nx, ny = line.normal()
-    f = nx * (xy[:, 0] - line.point.x) + ny * (xy[:, 1] - line.point.y)
-    fa, fb = (f, np.roll(f, -1)) if curve.closed else (f[:-1], f[1:])
-    keep = seg != 0.0
-    fa, fb, seg = fa[keep], fb[keep], seg[keep]
-    return geometry._segment_side_moments(0.5 * (fa + fb), (fb - fa) / seg, seg / 2.0)
-
-
 class TestArrayMeasuresMatchThePointLoops:
     """The array forms of the polyline measures and of the polygon box give
     the bits of the per-point loops they replace."""
@@ -1059,7 +1046,7 @@ class TestArrayMeasuresMatchThePointLoops:
 
     def test_side_moments(self):
         for curve, line in self.curves():
-            assert repr(curve.side_moments(line)) == repr(_reference_polyline_side_moments(curve, line))
+            assert repr(curve.side_moments(line)) == repr(scalar_side_moments(curve, line))
 
     @pytest.mark.parametrize("closed", [False, True])
     def test_products_that_overflow(self, closed):
@@ -1075,8 +1062,11 @@ class TestArrayMeasuresMatchThePointLoops:
         least = curve.min_distance(line)
         assert repr(least) == repr(min(line.signed_distance(p) for p in curve.points))
         assert math.isfinite(least) and math.isnan(line.signed_distance(curve.points[2]))
-        with np.errstate(all="ignore"):  # the moment integrals warn in both forms
-            assert repr(curve.side_moments(line)) == repr(_reference_polyline_side_moments(curve, line))
+        assert repr(curve.side_moments(line)) == repr(scalar_side_moments(curve, line))
+        # the repeated point's two distances sum to inf, so its zero-length
+        # edge would give 0 * inf = nan were it not left out
+        far = Line2(Point2(-1e308, 0.0), (0.0, 1.0))
+        assert repr(curve.side_moments(far)) == repr(scalar_side_moments(curve, far)) == repr((0.0, math.inf))
 
     def test_box_and_least_x_pick_the_first_extreme(self):
         # ties between 0.0 and -0.0 and integer coordinates: the value Python's
@@ -1109,38 +1099,6 @@ def _inline_distances(line, xs, ys):
     """The signed-distance formula as each caller wrote it before Line2 held it."""
     nx, ny = line.normal()
     return nx * (xs - line.point.x) + ny * (ys - line.point.y)
-
-
-def _inline_polygon_side_moments(poly, line):
-    xy = poly.xy()
-    (nx, ny), px, py = line.normal(), line.point.x, line.point.y
-    d = nx * (xy[:, 0] - px) + ny * (xy[:, 1] - py)
-    moments = [0.0, 0.0]
-    for side, ring in enumerate((geometry._clip_polygon(xy, d), geometry._clip_polygon(xy, -d))):
-        if len(ring) >= 3:
-            a, sx, sy = geometry._shoelace(ring)
-            moments[side] = nx * (sx - px * a) + ny * (sy - py * a)
-    return max(moments[0], 0.0), max(-moments[1], 0.0)
-
-
-def _inline_halfdisk_side_moments(half, line):
-    nx, ny = line.normal()
-    bx, by = half.bulge
-    h = half.radius / 4096
-    ts = (np.arange(4096, dtype=np.float64) + 0.5) * h
-    half_lens = np.sqrt(np.maximum(half.radius**2 - ts**2, 0.0))
-    cx = half.center.x + bx * ts
-    cy = half.center.y + by * ts
-    f_mid = nx * (cx - line.point.x) + ny * (cy - line.point.y)
-    return geometry._segment_side_moments(f_mid, nx * -by + ny * bx, half_lens, h)
-
-
-def _inline_slab_side_moments(slab, line):
-    nx, ny = line.normal()
-    mids, h = slab._grid()
-    half_lens = np.asarray(slab.width(mids), dtype=np.float64) / 2.0
-    f_mid = nx * (0.0 - line.point.x) + ny * (mids - line.point.y)
-    return geometry._segment_side_moments(f_mid, nx, half_lens, h)
 
 
 def _inline_first_moment(measures, line):
@@ -1188,7 +1146,7 @@ class TestLine2Callers:
                 pts = (_star_points(rng, int(rng.integers(3, 30))) * scale).tolist()
                 poly = Polygon(pts)
                 for line in self.lines(rng, scale):
-                    assert repr(poly.side_moments(line)) == repr(_inline_polygon_side_moments(poly, line))
+                    assert repr(poly.side_moments(line)) == repr(scalar_side_moments(poly, line))
                     assert _outcome(lambda: iv.first_moment(poly, line)) == _outcome(
                         lambda: _inline_first_moment(geometry._nonzero_measures(poly), line)
                     )
@@ -1196,9 +1154,8 @@ class TestLine2Callers:
                         curve = Polyline(pts, closed=closed)
                         with np.errstate(over="ignore", invalid="ignore"):  # as the callers hold it
                             d = _inline_distances(line, curve._xy[:, 0], curve._xy[:, 1])
-                            want = _reference_polyline_side_moments(curve, line)
                         assert repr(curve.min_distance(line)) == repr(min(d.tolist()))
-                        assert repr(curve.side_moments(line)) == repr(want)
+                        assert repr(curve.side_moments(line)) == repr(scalar_side_moments(curve, line))
                         assert _outcome(lambda: iv.first_moment_curve(curve, line)) == _outcome(
                             lambda: _inline_first_moment(geometry._nonzero_length(curve), line)
                         )
@@ -1211,9 +1168,9 @@ class TestLine2Callers:
         for scale in self.scales(rng):
             half = HalfDisk(Point2(*(rng.uniform(-1.0, 1.0, 2) * scale).tolist()), 1.5, tuple(rng.normal(size=2).tolist()))
             for line in self.lines(rng, scale):
-                assert repr(half.side_moments(line)) == repr(_inline_halfdisk_side_moments(half, line))
+                assert repr(half.side_moments(line)) == repr(scalar_side_moments(half, line))
                 assert repr(iv.first_moment(half, line)) == repr(_inline_first_moment(half.measures(), line))
-                assert repr(slab.side_moments(line)) == repr(_inline_slab_side_moments(slab, line))
+                assert repr(slab.side_moments(line)) == repr(scalar_side_moments(slab, line))
 
     def test_shear(self):
         from indivisibles.transforms import shear_region

@@ -3,6 +3,7 @@
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from indivisibles import (
     WidthFunction,
 )
 
-from conftest import star_polygon
+from conftest import scalar_side_moments, star_polygon
 
 TWO_PI = 2 * math.pi
 
@@ -277,12 +278,10 @@ class TestObliqueCutVolumes:
         assert below == pytest.approx(2 / 3, rel=1e-12)
 
     def test_unit_halfdisk_through_centroid(self):
-        # the half-disk's side moments are a midpoint sum over 4096 slabs, so
-        # the two pieces agree to about 2e-6 relative, not to rounding
         half = HalfDisk(Point2(0, 0), 1.0)
         line = Line2.vertical(4.0 / (3.0 * math.pi))
         above, below = iv.oblique_cut_volumes(half, line, 1.0)
-        assert above == pytest.approx(below, rel=1e-5)
+        assert above == pytest.approx(below, rel=1e-14)
 
     def test_square_cut_through_centroid(self):
         sq = Polygon([(0, 0), (2, 0), (2, 2), (0, 2)])
@@ -353,97 +352,9 @@ class TestObliqueCutVolumes:
             iv.oblique_cut_volumes(flat, Line2.vertical(0.0), 1.0)
 
 
-def _scalar_segment_side_moments(f_center, f_slope, half_len):
-    """The per-segment rule as a plain scalar loop body: the reference the
-    array form must match bit for bit."""
-    if half_len <= 0.0:
-        return 0.0, 0.0
-
-    def ramp_integral(a, b, fa, fb):
-        if fa >= 0.0 and fb >= 0.0:
-            return (fa + fb) * 0.5 * (b - a)
-        if fa <= 0.0 and fb <= 0.0:
-            return 0.0
-        t = a + (b - a) * fa / (fa - fb)
-        if fa > 0.0:
-            return fa * 0.5 * (t - a)
-        return fb * 0.5 * (b - t)
-
-    a, b = -half_len, half_len
-    fa = f_center + f_slope * a
-    fb = f_center + f_slope * b
-    return ramp_integral(a, b, fa, fb), ramp_integral(a, b, -fa, -fb)
-
-
-def _scalar_clip(pts, line, keep_positive):
-    """Sutherland-Hodgman clip of a vertex list to one side of ``line`` (boundary included)."""
-    nx, ny = line.normal()
-    sign = 1.0 if keep_positive else -1.0
-
-    def dist(p):
-        return sign * (nx * (p[0] - line.point.x) + ny * (p[1] - line.point.y))
-
-    out = []
-    for cur, nxt in zip(pts, pts[1:] + pts[:1]):
-        d0, d1 = dist(cur), dist(nxt)
-        if d0 >= 0.0:
-            out.append(cur)
-        if (d0 > 0.0) != (d1 > 0.0) and d0 != d1:
-            t = d0 / (d0 - d1)
-            out.append((cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1])))
-    return out
-
-
-def _scalar_cut(shape, line):
-    """Side moments of a polygon, half-disk, slab region or polyline: the
-    polygon clipped vertex by vertex, the others summed slab by slab (edge by
-    edge) in a scalar loop."""
-    nx, ny = line.normal()
-    if isinstance(shape, Polygon):
-        moments = [0.0, 0.0]
-        for side, keep_positive in enumerate((True, False)):
-            ring = _scalar_clip([(p.x, p.y) for p in shape.vertices], line, keep_positive)
-            if len(ring) >= 3:
-                a, sx, sy = iv.geometry._shoelace(np.array(ring))
-                moments[side] = nx * (sx - line.point.x * a) + ny * (sy - line.point.y * a)
-        return max(moments[0], 0.0), max(-moments[1], 0.0)
-    if isinstance(shape, Polyline):
-        pos = neg = 0.0
-        for p, q in shape.edges():
-            seg = math.hypot(q.x - p.x, q.y - p.y)
-            if seg == 0.0:
-                continue
-            fa = nx * (p.x - line.point.x) + ny * (p.y - line.point.y)
-            fb = nx * (q.x - line.point.x) + ny * (q.y - line.point.y)
-            p_part, n_part = _scalar_segment_side_moments(0.5 * (fa + fb), (fb - fa) / seg, seg / 2.0)
-            pos += p_part
-            neg += n_part
-        return pos, neg
-    if isinstance(shape, SlabRegion):
-        a, b = shape.width.domain
-        h = (b - a) / shape.quadrature_slabs
-        mids = a + (np.arange(shape.quadrature_slabs, dtype=np.float64) + 0.5) * h
-        half_lens = np.asarray(shape.width(mids), dtype=np.float64) / 2.0
-        f_mid = nx * (0.0 - line.point.x) + ny * (mids - line.point.y)
-        f_slope = np.full_like(f_mid, nx)
-    else:  # half-disk: 4096 slabs parallel to the flat edge
-        bx, by = shape.bulge
-        h = shape.radius / 4096
-        ts = (np.arange(4096, dtype=np.float64) + 0.5) * h
-        half_lens = np.sqrt(np.maximum(shape.radius**2 - ts**2, 0.0))
-        f_mid = nx * (shape.center.x + bx * ts - line.point.x) + ny * (shape.center.y + by * ts - line.point.y)
-        f_slope = np.full_like(f_mid, nx * -by + ny * bx)
-    pos = neg = 0.0
-    for fm, fs, hl in zip(f_mid.tolist(), f_slope.tolist(), half_lens.tolist()):
-        p, q = _scalar_segment_side_moments(fm, fs, hl)
-        pos += p * h
-        neg += q * h
-    return pos, neg
-
-
 class TestObliqueCutParity:
-    """The array form of the polygon clip and of the slab and polyline cuts is
-    the scalar loop, bit for bit."""
+    """The array forms of the polygon and half-disk boundary rule and of the
+    slab and polyline cuts are the scalar loop, bit for bit."""
 
     @pytest.mark.parametrize("kind", ["half-disk", "slab-region", "polyline", "polygon"])
     def test_200_seeded_lines_match_the_scalar_loop(self, kind):
@@ -474,7 +385,160 @@ class TestObliqueCutParity:
                 got = iv.oblique_cut_lateral_areas(shape, line, 1.0)
             else:
                 got = iv.oblique_cut_volumes(shape, line, 1.0)
-            assert got == _scalar_cut(shape, line), (kind, k)
+            assert got == scalar_side_moments(shape, line), (kind, k)
+
+
+def _exact_polygon_side_moments(xy, line):
+    """Both side moments of the ring ``xy`` about ``line`` in exact rationals:
+    the ring clipped to each side (Sutherland-Hodgman), then the first moment
+    of each clipped ring from its shoelace sums."""
+    nx, ny = (Fraction(v) for v in line.normal())
+    px, py = Fraction(line.point.x), Fraction(line.point.y)
+    pts = [(Fraction(x), Fraction(y)) for x, y in xy.tolist()]
+    moments = []
+    for sign in (1, -1):
+        d = [sign * (nx * (x - px) + ny * (y - py)) for x, y in pts]
+        ring = []
+        for k, (p, dp) in enumerate(zip(pts, d)):
+            q, dq = pts[k - len(pts) + 1], d[k - len(pts) + 1]
+            if dp >= 0:
+                ring.append(p)
+            if (dp > 0) != (dq > 0) and dp != dq:
+                t = dp / (dp - dq)
+                ring.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+        a = sx = sy = Fraction(0)
+        for k, (x0, y0) in enumerate(ring):
+            x1, y1 = ring[k - len(ring) + 1]
+            cross = x0 * y1 - x1 * y0
+            a, sx, sy = a + cross / 2, sx + (x0 + x1) * cross / 6, sy + (y0 + y1) * cross / 6
+        moments.append(sign * (nx * (sx - px * a) + ny * (sy - py * a)))
+    return moments
+
+
+def _halfdisk_slab_sum(half, line, slabs=1 << 20):
+    """Side moments of ``half`` by a midpoint sum over ``slabs`` slabs parallel
+    to its flat edge, each chord's integral exact: for s linear from sa to sb
+    along a chord of length 2L, the integral of |s| is L |sa + sb| when the
+    ends share a sign and L (sa^2 + sb^2) / |sb - sa| otherwise, and each
+    side takes half of that integral plus or minus the integral of s."""
+    (bx, by), r = half.bulge, half.radius
+    h = r / slabs
+    t = (np.arange(slabs) + 0.5) * h
+    chord = np.sqrt(r * r - t * t)
+    mid = line.signed_distances(half.center.x + bx * t, half.center.y + by * t)
+    slope = line.signed_distances(-by, bx) - line.signed_distances(0.0, 0.0)  # ds along (-by, bx)
+    sa, sb = mid - slope * chord, mid + slope * chord
+    same = (sa >= 0) == (sb >= 0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # taken only where the signs differ
+        absolute = chord * np.where(same, np.abs(sa + sb), (sa * sa + sb * sb) / np.abs(sb - sa))
+    signed = 2.0 * chord * mid
+    return float(np.sum(absolute + signed) / 2.0 * h), float(np.sum(absolute - signed) / 2.0 * h)
+
+
+def _disk_segment_formula(disk, line):
+    """Side moments of a disk by the circular-segment formula."""
+    r = disk.radius
+    s = line.signed_distance(disk.center)
+    if s >= r:
+        return math.pi * r * r * s, 0.0
+    if s <= -r:
+        return 0.0, math.pi * r * r * (-s)
+    d = -s
+    seg_area = r * r * math.acos(d / r) - d * math.sqrt(r * r - d * d)
+    pos = (2.0 / 3.0) * (r * r - d * d) ** 1.5 - d * seg_area
+    return pos, pos - math.pi * r * r * s
+
+
+def _close(got, want, rel):
+    return all(abs(g - w) <= rel * abs(w) for g, w in zip(got, want))
+
+
+class TestSideMomentOracles:
+    """The boundary rule for region side moments against references that
+    share none of its code."""
+
+    def test_polygon_against_the_exact_clip(self):
+        # stars moved far from the origin, cut through the centroid or next to
+        # a vertex; both pieces are large, so each is held to 1e-12 relative
+        rng = np.random.default_rng(20261025)
+        for trial in range(40):
+            n = int(rng.integers(3, 65))
+            star = star_polygon(rng, n, n, r_min=0.3, r_max=1.0)
+            c = iv.centroid_region(star)
+            for offset in (0.0, 1e3, 1e6):
+                poly = Polygon(star.xy() + offset)
+                theta = rng.uniform(0, TWO_PI)
+                through = Line2(Point2(c.x + offset, c.y + offset), (math.cos(theta), math.sin(theta)))
+                v = star.xy()[int(rng.integers(0, n))]
+                gap = 1e-6 * math.hypot(c.x - v[0], c.y - v[1])  # beside the vertex, towards the centroid
+                beside = Line2(Point2(v[0] + offset - gap * (c.y - v[1]), v[1] + offset + gap * (c.x - v[0])),
+                               (c.x - v[0], c.y - v[1]))
+                for line in (through, beside):
+                    want = _exact_polygon_side_moments(poly.xy(), line)
+                    assert _close(poly.side_moments(line), want, 1e-12), (trial, offset, line)
+
+    def test_halfdisk_against_a_fine_slab_sum(self):
+        rng = np.random.default_rng(20261026)
+        for _ in range(6):
+            angle = rng.uniform(0, TWO_PI)
+            half = HalfDisk(Point2(*rng.uniform(-1, 1, 2)), rng.uniform(0.5, 2), (math.cos(angle), math.sin(angle)))
+            c = iv.centroid_region(half)
+            theta = rng.uniform(0, TWO_PI)
+            line = Line2(Point2(*(np.array([c.x, c.y]) + rng.uniform(-0.2, 0.2, 2) * half.radius)),
+                         (math.cos(theta), math.sin(theta)))
+            assert _close(half.side_moments(line), _halfdisk_slab_sum(half, line), 2e-9)
+
+    def test_halfdisk_against_monte_carlo(self):
+        rng = np.random.default_rng(20261027)
+        half = HalfDisk(Point2(0.3, -0.2), 1.4, (0.6, -0.8))
+        (x0, x1), (y0, y1) = half.box()
+        box = (x1 - x0) * (y1 - y0)
+        xs, ys = rng.uniform(x0, x1, 1 << 20), rng.uniform(y0, y1, 1 << 20)
+        inside = half.contains(xs, ys)
+        for line in (Line2(iv.centroid_region(half), (0.8, 0.6)), Line2(Point2(0.9, 0.1), (-0.3, 1.0))):
+            s = line.signed_distances(xs, ys)
+            for got, part in zip(half.side_moments(line), (np.maximum(s, 0.0), np.maximum(-s, 0.0))):
+                values = np.where(inside, part, 0.0) * box
+                assert abs(got - values.mean()) <= 5.0 * values.std() / math.sqrt(len(values))
+
+    def test_halfdisk_centroid_cuts_give_equal_pieces(self):
+        rng = np.random.default_rng(20261028)
+        for _ in range(300):
+            scale = 10.0 ** rng.uniform(-3, 3)
+            angle, theta = rng.uniform(0, TWO_PI, 2)
+            half = HalfDisk(Point2(*(rng.uniform(-1, 1, 2) * scale)), rng.uniform(0.2, 2) * scale,
+                            (math.cos(angle), math.sin(angle)))
+            above, below = half.side_moments(Line2(iv.centroid_region(half), (math.cos(theta), math.sin(theta))))
+            assert abs(above - below) <= 1e-13 * max(above, below)
+
+    def test_disk_against_the_segment_formula(self):
+        # crossing lines keep |s| <= 0.7 r: the smaller piece of a nearly
+        # tangent cut loses relative accuracy in either formula
+        rng = np.random.default_rng(20261029)
+        for k in range(2000):
+            disk = Disk(Point2(*rng.uniform(-2, 2, 2)), rng.uniform(0.2, 2.5))
+            theta = rng.uniform(0, TWO_PI)
+            direction = (math.cos(theta), math.sin(theta))
+            offset = disk.radius * (rng.uniform(-0.7, 0.7) if k % 4 else rng.choice([-1, 1]) * rng.uniform(1.0, 3.0))
+            foot = (disk.center.x - offset * -direction[1], disk.center.y - offset * direction[0])
+            along = rng.uniform(-2, 2)
+            line = Line2(Point2(foot[0] + along * direction[0], foot[1] + along * direction[1]), direction)
+            assert _close(disk.side_moments(line), _disk_segment_formula(disk, line), 1e-13), k
+
+    def test_scaling_by_powers_of_two_is_exact(self):
+        star = star_polygon(np.random.default_rng(20261030), 40, 40)
+        shapes = [
+            (lambda f: Polygon(star.xy() * f), [(0.1, 0.2), (3.0, 0.5)]),
+            (lambda f: Disk(Point2(0.4 * f, -0.3 * f), 1.3 * f), [(0.6, -0.1), (2.0, 0.0)]),
+            (lambda f: HalfDisk(Point2(-0.2 * f, 0.5 * f), 0.9 * f, (0.6, 0.8)), [(0.0, 0.9), (-1.5, 0.0)]),
+        ]
+        for build, points in shapes:
+            for x, y in points:  # a line through the shape and one beside it
+                want = build(1.0).side_moments(Line2(Point2(x, y), (0.6, -0.8)))
+                for k in range(-300, 301, 50):
+                    f = math.ldexp(1.0, k)
+                    got = build(f).side_moments(Line2(Point2(x * f, y * f), (0.6, -0.8)))
+                    assert got == tuple(math.ldexp(m, 3 * k) for m in want), (k, x, y)
 
 
 class TestObliqueCutLateralAreas:
