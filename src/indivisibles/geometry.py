@@ -2,10 +2,11 @@
 
 Regions and curves are immutable value types; each kind holds its own facts
 as methods, and the module-level functions defer to them.  Polygons, disks
-and half-disks carry exact closed-form measures and side moments, the latter
-from one boundary rule; slab regions carry a width profile and a declared
-quadrature resolution, since no exact form exists for them.  First moments
-about a line use the left-of-direction sign convention.
+and half-disks carry exact closed-form measures, and every boundary integral
+over them reads one statement of their boundary pieces; slab regions carry a
+width profile and a declared quadrature resolution, since no exact form
+exists for them.  First moments about a line use the left-of-direction sign
+convention.
 """
 
 from __future__ import annotations
@@ -381,7 +382,8 @@ class PlanarRegion:
         return max(pos, 0.0), max(neg, 0.0)
 
     def _pieces(self) -> tuple[Curve, ...]:
-        """The boundary as counterclockwise curve pieces."""
+        """The boundary as counterclockwise curve pieces, which side moments,
+        surfaces of revolution and cylinder walls all read."""
         return (self.boundary(),)
 
     def min_rho(self) -> float:
@@ -393,10 +395,6 @@ class PlanarRegion:
 
     def boundary(self) -> Curve:
         raise UnsupportedRegion(f"no boundary curve for {type(self).__name__}")
-
-    def revolving_boundary(self) -> Curve:
-        """Boundary pieces that sweep surface when revolved about the rho=0 axis."""
-        return self.boundary()
 
     def section(self) -> WidthFunction:
         """Width profile w(y) of the horizontal chords."""
@@ -541,8 +539,8 @@ class HalfDisk(PlanarRegion):
 
     ``center`` is the midpoint of the flat edge; ``bulge`` is the outward unit
     direction of the curved side.  Exact area pi r^2 / 2 and exact centroid at
-    distance 4r/(3 pi) from the flat edge; its side moments are the boundary
-    rule's over the flat edge and the half arc.
+    distance 4r/(3 pi) from the flat edge.  Every boundary integral reads its
+    two pieces, the half arc and the flat edge: no ``boundary()`` curve.
     """
 
     center: Point2
@@ -576,14 +574,6 @@ class HalfDisk(PlanarRegion):
         dx, dy = xs - self.center.x, ys - self.center.y
         inside = dx * dx + dy * dy <= self.radius * self.radius
         return inside & (dx * self.bulge[0] + dy * self.bulge[1] >= 0.0)
-
-    def revolving_boundary(self) -> Curve:
-        """The semicircular arc alone, for a half-disk whose flat edge lies on
-        the axis (edges on the axis sweep nothing: rho = 0 there)."""
-        bx, by = self.bulge
-        if not (abs(self.center.x) <= 1e-12 and abs(by) <= 1e-12 and bx > 0.0):
-            raise UnsupportedRegion("half-disk profiles are supported only with the flat edge on the axis")
-        return CircleArc(self.center, self.radius, start_angle=-0.5 * math.pi, span=math.pi)
 
     def _pieces(self) -> tuple[Curve, ...]:
         """The half arc, counterclockwise from c - r (-by, bx) to
@@ -658,19 +648,16 @@ class Profile:
     """Meridian section of a solid of revolution.
 
     Lives in the (rho, z) half-plane: the first coordinate is the distance to
-    the revolution axis and must be >= 0 (touching the axis is allowed).
+    the revolution axis and must be >= 0 (touching the axis is allowed), as
+    decided exactly: the least rho is a vertex's, or a disk's fl(cx - r).
     """
 
     region: PlanarRegion
 
     def __post_init__(self):
         rho_min = self.region.min_rho()
-        if rho_min < -1e-12:
+        if rho_min < 0.0:
             raise AxisCrossing(f"profile reaches rho = {rho_min!r} past the revolution axis")
-
-
-def min_rho(region: PlanarRegion) -> float:
-    return region.min_rho()
 
 
 # ---------------------------------------------------------------------------
@@ -865,12 +852,16 @@ def _has_opposite_loops(xy: np.ndarray) -> bool:
 
 def _shoelace(xy: np.ndarray) -> tuple[float, float, float]:
     """(area, integral of x dA, integral of y dA) of the ring whose vertices
-    are the rows of ``xy``, each sum taken in vertex order."""
-    x0, y0 = xy[:, 0], xy[:, 1]
-    x1, y1 = _ring_next(x0), _ring_next(y0)
+    are the rows of ``xy``, each summed in vertex order relative to the first
+    vertex o, the moments adding o times the area: so moving it costs no
+    accuracy."""
+    ox, oy = xy[0].tolist()  # Python floats, so that the measures are too
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is part of the result
+        x0, y0 = xy[:, 0] - ox, xy[:, 1] - oy
+        x1, y1 = _ring_next(x0), _ring_next(y0)
         cross = x0 * y1 - x1 * y0
-        return 0.5 * ordered_sum(cross), ordered_sum((x0 + x1) * cross) / 6.0, ordered_sum((y0 + y1) * cross) / 6.0
+        a = 0.5 * ordered_sum(cross)
+        return a, ordered_sum((x0 + x1) * cross) / 6.0 + ox * a, ordered_sum((y0 + y1) * cross) / 6.0 + oy * a
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,7 @@ class Cylinder(Solid):
         return _base_area(self.base) * self.height
 
     def lateral_area(self) -> float:
-        return self.base.boundary().measures()[0] * self.height
+        return sum(piece.measures()[0] for piece in self.base._pieces()) * self.height
 
     def surface_area(self) -> float:
         return self.lateral_area() + 2.0 * _base_area(self.base)
@@ -280,7 +280,8 @@ class SolidOfRevolution(Solid):
         return guldin_volume(self.profile)
 
     def lateral_area(self) -> float:
-        return guldin_surface(self.profile.region.revolving_boundary(), _RHO_AXIS)
+        # Guldin's second theorem, piece by piece; a piece on the axis adds exactly 0
+        return TWO_PI * sum(_RHO_AXIS.first_moment(*piece.measures()) for piece in self.profile.region._pieces())
 
     surface_area = lateral_area
 
@@ -315,7 +316,7 @@ class HeightFieldCylinder(Solid):
         return self.rho_coeff * sx + self.offset * a
 
     def lateral_area(self) -> float:
-        length, mx, _ = self.base.boundary().measures()
+        length, mx, _ = map(sum, zip(*(piece.measures() for piece in self.base._pieces())))
         if length <= 0.0:
             raise DegenerateSolid("base boundary has zero length")
         self._check_nonnegative()

@@ -5,8 +5,8 @@ star, and seeded values of the numpy functions whose float64 bits IEEE 754
 does not fix, are recomputed in a subprocess that disables every dispatched
 CPU feature the host has (numpy's ``NPY_DISABLE_CPU_FEATURES``), so numpy
 runs its baseline kernels there, sort included, and compared with the same
-values computed in this process.  The golden Monte Carlo estimates are rerun
-at the baseline by a CI step that reads its feature list from here.
+values computed in this process.  The CLI byte pins and the golden Monte
+Carlo pins are rerun at the same baseline, as a pytest run in a subprocess.
 
 An AST scan keeps ``src/`` to the numpy names in ``NUMPY_NAMES``, so a
 function that is not backed here cannot slip in.  ``np.exp``, for one, gives
@@ -58,9 +58,7 @@ UNFIXED = {
 
 
 def dispatched_features() -> list[str]:
-    """The CPU features above numpy's baseline that this host has.  The CI
-    step that reruns the golden-pin tests at numpy's baseline reads its list
-    from here."""
+    """The CPU features above numpy's baseline that this host has."""
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
     return [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
@@ -113,18 +111,33 @@ def test_src_uses_only_backed_numpy_names():
     assert used == NUMPY_NAMES, f"allow-listed but unused: {sorted(NUMPY_NAMES - used)}"
 
 
-def test_pinned_values_match_at_numpy_baseline():
+def _at_numpy_baseline(*args):
+    """Python run on ``args`` with every dispatched CPU feature disabled and
+    this package importable, or a skip when numpy dispatches to none."""
     features = dispatched_features()
     if not features:
         pytest.skip("numpy dispatches to no SIMD feature this host has")
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features))
     src = str(Path(iv.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, __file__], env=env, capture_output=True, text=True, check=False, timeout=300
+    return subprocess.run(
+        [sys.executable, *args], env=env, cwd=REPO_ROOT, capture_output=True, text=True, check=False, timeout=300
     )
+
+
+def test_pinned_values_match_at_numpy_baseline():
+    proc = _at_numpy_baseline(__file__)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == pinned_values()
+
+
+def test_golden_pins_hold_at_numpy_baseline():
+    # every CLI byte pin, and each golden Monte Carlo estimate
+    proc = _at_numpy_baseline(
+        "-m", "pytest", "-q", "-p", "no:cacheprovider", "-W", "error::RuntimeWarning",
+        "tests/test_cli_bytes.py", "tests/test_oracle.py", "-k", "test_cli_bytes or golden",
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 if __name__ == "__main__":

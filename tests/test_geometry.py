@@ -146,6 +146,48 @@ class TestArea:
             assert total == pytest.approx(iv.area(poly), rel=1e-12)
 
 
+def _exact_shoelace(xy):
+    """(area, integral of x dA, integral of y dA) of the ring ``xy`` in exact
+    rational arithmetic on its float vertices."""
+    pts = [(Fraction(x), Fraction(y)) for x, y in xy.tolist()]
+    a = sx = sy = Fraction(0)
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
+        cross = x0 * y1 - x1 * y0
+        a, sx, sy = a + cross, sx + (x0 + x1) * cross, sy + (y0 + y1) * cross
+    return a / 2, sx / 6, sy / 6
+
+
+class TestShoelaceTranslation:
+    """Polygon measures do not lose accuracy when the polygon is moved far
+    from the origin: each is within a stated relative bound of the exact
+    shoelace of the same float vertices."""
+
+    @staticmethod
+    def worst(poly):
+        return max(abs(Fraction(got) / want - 1) for got, want in zip(poly.measures(), _exact_shoelace(poly.xy())))
+
+    def test_star_moved_by_a_million(self):
+        # r = 1 + 0.3 cos 5t at 64 vertices: the origin-based sums gave the area 4.4e-5 off
+        t = 2.0 * np.pi * np.arange(64) / 64
+        r = 1.0 + 0.3 * np.cos(5.0 * t)
+        star = Polygon(np.column_stack((r * np.cos(t) + 1e6, r * np.sin(t) + 1e6)))
+        assert self.worst(star) <= 1e-15
+        a, sx, sy = _exact_shoelace(star.xy())
+        c = iv.centroid_region(star)  # was 14.56 off in x and y
+        assert (c.x, c.y) == pytest.approx((float(sx / a), float(sy / a)), rel=1e-15)
+
+    def test_random_stars_far_from_the_origin(self):
+        rng = np.random.default_rng(20261020)
+        for _ in range(40):
+            n = int(round(2.0 ** rng.uniform(math.log2(3), 11)))
+            # each offset 10 to 1e12 from the origin, so no first moment is near 0
+            offset = rng.choice((-1.0, 1.0), 2) * 10.0 ** rng.uniform(1.0, 12.0, 2)
+            t = 2.0 * np.pi * (np.arange(n) + rng.uniform(0.1, 0.9, n)) / n
+            r = rng.uniform(0.5, 1.5, n)
+            star = Polygon(np.column_stack((r * np.cos(t), r * np.sin(t))) + offset)
+            assert self.worst(star) <= 1e-13, (n, offset)
+
+
 class TestPerimeter:
     def test_closed_square(self):
         assert iv.perimeter(Polyline([(0, 0), (2, 0), (2, 2), (0, 2)], closed=True)) == 8.0
@@ -358,7 +400,7 @@ class TestSlabRegionCover:
         )
         slab = SlabRegion(width)
         assert iv.bounding_box(slab) == ((-1.0, 1.0), (0.0, 1.0))
-        assert geometry.min_rho(slab) == -1.0
+        assert slab.min_rho() == -1.0
         # the tip is inside the region, and so inside its box
         assert iv.contains(slab, [0.9999], [0.3]).all()
 

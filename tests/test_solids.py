@@ -715,3 +715,77 @@ class TestGuldin:
     def test_halfdisk_revolution_lateral_is_sphere(self):
         solid = iv.SolidOfRevolution(Profile(HalfDisk(Point2(0, 0), 1.0, bulge=(1, 0))))
         assert iv.lateral_area(solid) == pytest.approx(4 * math.pi, rel=1e-12)
+        # the flat edge on the axis adds exactly 0 to the arc's surface, so these bits hold
+        for r, want in [(1.0, "12.566370614359172"), (0.5, "3.141592653589793"), (3.0, "113.09733552923255"),
+                        (1e-3, "1.2566370614359175e-05"), (1e3, "12566370.614359172")]:
+            solid = SolidOfRevolution(Profile(HalfDisk(Point2(0, 0), r)))
+            assert repr(iv.lateral_area(solid)) == repr(iv.surface_area(solid)) == want
+
+    @pytest.mark.parametrize("c", [0.0, 0.5, 3.0])
+    @pytest.mark.parametrize("r", [0.25, 1.0, 3.0, 1e3])
+    def test_halfdisk_profile_surface_closed_form(self, c, r):
+        # the arc, of centroid rho c + 2r/pi, sweeps 2 pi (pi r c + 2 r^2);
+        # the flat edge, at rho = c, sweeps 4 pi c r
+        got = iv.lateral_area(SolidOfRevolution(Profile(HalfDisk(Point2(c, 0.0), r))))
+        assert got == pytest.approx(TWO_PI * r * (math.pi * c + 2 * r) + 4 * math.pi * c * r, rel=1e-14)
+
+    @pytest.mark.parametrize("bulge", [(0.0, 1.0), (-1.0, 0.0), (0.6, 0.8), (-0.6, -0.8), (0.0, -1.0)])
+    def test_rotated_halfdisk_profile_surface_closed_form(self, bulge):
+        # at rho >= c - r >= 0: the arc's centroid sits 2r/pi along the bulge
+        c, z, r = 2.5, -0.7, 1.5
+        got = iv.surface_area(SolidOfRevolution(Profile(HalfDisk(Point2(c, z), r, bulge))))
+        want = TWO_PI * (math.pi * r * c + 2 * r * r * bulge[0] + 2 * r * c)
+        assert got == pytest.approx(want, rel=1e-14)
+
+    def test_flat_edge_below_resolution_adds_nothing(self):
+        # both ends of the flat edge round to (0, 1e10): a piece of length 0
+        solid = SolidOfRevolution(Profile(HalfDisk(Point2(0, 1e10), 1e-10)))
+        assert iv.lateral_area(solid) == pytest.approx(4 * math.pi * 1e-20, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "region",
+        [
+            HalfDisk(Point2(0, 0), 1.0),
+            HalfDisk(Point2(2.5, -0.7), 1.5, (-0.6, -0.8)),
+            Disk(Point2(3, 0), 1.0),
+            Polygon([(1, 0), (2, 0), (2, 1), (1, 1)]),
+            Polygon([(0, 0), (1, 0), (0.5, 2)]),
+        ],
+        ids=["halfdisk-on-axis", "halfdisk-rotated", "disk", "washer", "triangle-on-axis"],
+    )
+    def test_unfolded_cylinder_wall_is_the_surface(self, region):
+        profile = Profile(region)
+        assert iv.lateral_area(iv.unfold_revolution(profile)) == iv.lateral_area(SolidOfRevolution(profile))
+
+
+class TestCylinderOverHalfDisk:
+    @pytest.mark.parametrize("bulge", [(1.0, 0.0), (0.0, 1.0), (-0.6, 0.8), (0.6, -0.8)])
+    @pytest.mark.parametrize("r, h", [(1.0, 1.0), (0.3, 7.0), (2e3, 1e-3)])
+    def test_wall_is_arc_plus_diameter_times_height(self, bulge, r, h):
+        cylinder = Cylinder(HalfDisk(Point2(-1.2, 0.4), r, bulge), h)
+        assert iv.lateral_area(cylinder) == pytest.approx((math.pi + 2) * r * h, rel=1e-14)
+        assert iv.surface_area(cylinder) == pytest.approx((math.pi + 2) * r * h + math.pi * r * r, rel=1e-14)
+
+
+class TestProfileAxisRule:
+    """A profile is accepted exactly when its least rho is not negative."""
+
+    @pytest.mark.parametrize(
+        "region",
+        [
+            Disk(Point2(0.5 * 2.0**-50, 0), 2.0**-50),
+            Disk(Point2(5e-14, 0), 1e-13),
+            Polygon([(-5e-13, 0), (1e-12, 0), (1e-12, 1e-12), (-5e-13, 1e-12)]),
+        ],
+        ids=["disk-2^-50", "disk-1e-13", "square-1e-12"],
+    )
+    def test_small_crossing_profiles_raise(self, region):
+        with pytest.raises(AxisCrossing):
+            Profile(region)
+
+    def test_disk_decision_is_the_same_at_every_scale(self):
+        for k in range(-1074, 1001):
+            c = 2.0**k
+            with pytest.raises(AxisCrossing):
+                Profile(Disk(Point2(0.5 * c, 0), c))
+            Profile(Disk(Point2(c, 0), c))
