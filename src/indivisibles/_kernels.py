@@ -12,6 +12,9 @@ each piece starts changes no bit of any result, because the stream is indexed
 by value and the sum is chained.  A caller that draws the stream chunk after
 chunk passes one ``StreamBuffers`` to every ``uniform01`` call, so the chunks
 share one output and one scratch array and no call allocates a chunk's worth.
+The Monte Carlo oracle counts its chunks in one thread per CPU, and each
+thread draws its own run of chunks into its own ``StreamBuffers``; a
+``StreamBuffers`` is never shared between threads.
 """
 
 import operator

@@ -2,14 +2,19 @@
 midpoint Riemann sums and boundary quadrature.
 
 Sampling is counter-based: the i-th sample is a pure function of (seed, i),
-so estimates are reproducible bit for bit regardless of chunking, and the
-fixed-order reductions keep every result deterministic.  Membership
-predicates and integrands must be numpy-vectorized (arrays in, array out).
+so estimates are reproducible bit for bit regardless of chunking or of the
+threads that count the chunks, and the fixed-order reductions keep every
+result deterministic.  Membership predicates and integrands must be
+numpy-vectorized (arrays in, array out); membership predicates must also be
+safe to call from several threads at once.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,44 +90,101 @@ def _indicator_estimate(hits: int, samples: int, box_measure: float, seed: int) 
     )
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
 def _mc_membership(membership, bounds, samples: int, seed: int) -> Estimate:
     lows, spans, box_measure = _check_box(bounds)
     if samples < 1:
         raise ValueError("need at least one sample")
     dims = len(bounds)
     lows, spans = lows[:, None], spans[:, None]
-    buffers = StreamBuffers(dims, min(_BLOCK, samples))
-    hits = 0
-    done = 0
-    while done < samples:
-        m = min(_BLOCK, samples - done)
-        coords = uniform01(seed, done * dims, m, dims, buffers=buffers).reshape(dims, m)
-        coords *= spans
-        coords += lows
-        inside = membership(*coords)
-        if np.shape(inside) != (m,):
-            raise ValueError(
-                f"membership must return one value per sample: expected shape {(m,)}, "
-                f"got {np.shape(inside)}"
-            )
-        hits += int(np.count_nonzero(inside))
-        done += m
-    return _indicator_estimate(hits, samples, box_measure, seed)
+    # The chunks split into one contiguous run per worker: the caller counts
+    # run 0 and a thread each of the others.  numpy releases the GIL inside
+    # the stream's and most predicates' ufuncs, so the runs overlap, and the
+    # hit count is an integer, so the order in which runs finish changes no
+    # bit of the estimate.
+    chunks = -(-samples // _BLOCK)
+    workers = min(_cpu_count(), chunks)
+    edges = [chunks * w // workers for w in range(workers + 1)]
+    hits = [0] * workers
+    # The lowest chunk that failed and its exception.  That chunk's exception
+    # is the one a sequential loop would raise; a worker past it stops, one
+    # below it goes on, since it may still fail earlier.
+    failure = [chunks, None]
+    lock = threading.Lock()
+
+    def count(w):
+        buffers = StreamBuffers(dims, min(_BLOCK, samples))
+        for chunk in range(edges[w], edges[w + 1]):
+            if chunk > failure[0]:
+                return
+            try:
+                done = chunk * _BLOCK
+                m = min(_BLOCK, samples - done)
+                coords = uniform01(seed, done * dims, m, dims, buffers=buffers).reshape(dims, m)
+                coords *= spans
+                coords += lows
+                inside = membership(*coords)
+                if np.shape(inside) != (m,):
+                    raise ValueError(
+                        f"membership must return one value per sample: expected shape {(m,)}, "
+                        f"got {np.shape(inside)}"
+                    )
+                hits[w] += int(np.count_nonzero(inside))
+            except BaseException as exc:  # raised in the caller once every worker is joined
+                with lock:
+                    if chunk < failure[0]:
+                        failure[:] = chunk, exc
+                return
+
+    threads = []
+    try:
+        for w in range(1, workers):
+            # a copy of the caller's context, so that its np.errstate holds in the thread
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(count, w))
+            thread.start()
+            threads.append(thread)
+        count(0)
+        for thread in threads:
+            thread.join()
+    except BaseException:  # an interrupt, or a thread that would not start
+        with lock:
+            failure[0] = -1  # every worker stops at its next chunk
+        for thread in threads:
+            thread.join()
+        raise
+    if failure[1] is not None:
+        raise failure[1]
+    return _indicator_estimate(sum(hits), samples, box_measure, seed)
 
 
 def mc_area(membership, bbox, samples: int, seed: int = 42) -> Estimate:
     """Monte Carlo area of {membership} inside bbox ((xlo, xhi), (ylo, yhi)).
 
     ``membership(xs, ys)`` receives coordinate arrays and returns a boolean
-    array; the box must contain the region.  The arrays are rows of buffers
-    that the next chunk overwrites, so a membership that keeps them copies
-    them.
+    array; the box must contain the region.  The samples run in chunks, split
+    into one contiguous run per CPU this process may use, and each run is
+    counted in its own thread (the first in the caller's).  So membership may
+    be called from several threads at once, on different chunks, and must be
+    safe to call that way, as pure array functions such as
+    ``Polygon.contains`` are; chunks reach it in no set order.  The arrays
+    are rows of buffers that the thread's next chunk overwrites, so a
+    membership that keeps them copies them.  The estimate is the same, bit
+    for bit, at any number of CPUs, and an error is the one the first failing
+    chunk raised.
     """
     return _mc_membership(membership, tuple(bbox), samples, seed)
 
 
 def mc_volume(membership, bbox3, samples: int, seed: int = 42) -> Estimate:
-    """Monte Carlo volume; 3D analogue of mc_area with membership(xs, ys, zs)."""
+    """Monte Carlo volume; 3D analogue of mc_area with membership(xs, ys, zs),
+    which is likewise called from one thread per CPU, in no set order."""
     return _mc_membership(membership, tuple(bbox3), samples, seed)
 
 

@@ -327,8 +327,8 @@ class HeightFieldCylinder(Solid):
         (x0, x1), _ = self.base.box()
         extreme_x = x0 if self.rho_coeff >= 0.0 else x1
         h_min = self.rho_coeff * extreme_x + self.offset
-        scale = abs(self.rho_coeff) * max(abs(x0), abs(x1), 1.0) + abs(self.offset)
-        if h_min < -_HEIGHT_TOL * max(scale, 1.0):
+        scale = abs(self.rho_coeff) * max(abs(x0), abs(x1)) + abs(self.offset)
+        if h_min < -_HEIGHT_TOL * scale:
             raise DegenerateSolid(f"height field reaches {h_min!r} below the base plane")
 
 

@@ -7,6 +7,9 @@ CPU feature the host has (numpy's ``NPY_DISABLE_CPU_FEATURES``), so numpy
 runs its baseline kernels there, sort included, and compared with the same
 values computed in this process.  The CLI byte pins and the golden Monte
 Carlo pins are rerun at the same baseline, as a pytest run in a subprocess.
+The golden pins are also rerun in a subprocess pinned to one CPU, where the
+Monte Carlo oracle starts no thread, so they hold at one worker and at one
+per CPU of this host.
 
 An AST scan keeps ``src/`` to the numpy names in ``NUMPY_NAMES``, so a
 function that is not backed here cannot slip in.  ``np.exp``, for one, gives
@@ -111,18 +114,24 @@ def test_src_uses_only_backed_numpy_names():
     assert used == NUMPY_NAMES, f"allow-listed but unused: {sorted(NUMPY_NAMES - used)}"
 
 
-def _at_numpy_baseline(*args):
-    """Python run on ``args`` with every dispatched CPU feature disabled and
-    this package importable, or a skip when numpy dispatches to none."""
-    features = dispatched_features()
-    if not features:
-        pytest.skip("numpy dispatches to no SIMD feature this host has")
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features))
+def _python(*args, **env):
+    """Python run on ``args`` with ``env`` added to the environment and this
+    package importable."""
+    env = dict(os.environ, **env)
     src = str(Path(iv.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, *args], env=env, cwd=REPO_ROOT, capture_output=True, text=True, check=False, timeout=300
     )
+
+
+def _at_numpy_baseline(*args):
+    """``_python(*args)`` with every dispatched CPU feature disabled, or a
+    skip when numpy dispatches to none."""
+    features = dispatched_features()
+    if not features:
+        pytest.skip("numpy dispatches to no SIMD feature this host has")
+    return _python(*args, NPY_DISABLE_CPU_FEATURES=" ".join(features))
 
 
 def test_pinned_values_match_at_numpy_baseline():
@@ -137,6 +146,20 @@ def test_golden_pins_hold_at_numpy_baseline():
         "-m", "pytest", "-q", "-p", "no:cacheprovider", "-W", "error::RuntimeWarning",
         "tests/test_cli_bytes.py", "tests/test_oracle.py", "-k", "test_cli_bytes or golden",
     )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_golden_pins_hold_at_one_worker():
+    # The Monte Carlo oracle counts on one worker per CPU this process may
+    # use; pinned to one CPU, it counts every chunk in the caller.
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("this platform cannot pin a process to one CPU")
+    proc = _python("-c", (
+        "import os, sys, pytest\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', '-W', 'error::RuntimeWarning',"
+        " 'tests/test_oracle.py', '-k', 'golden']))"
+    ))
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 

@@ -3,14 +3,15 @@
 import json
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import indivisibles as iv
-from indivisibles import EmptyBox, SectionFunction
-from indivisibles._kernels import ordered_sum
+from indivisibles import EmptyBox, SectionFunction, oracle
+from indivisibles._kernels import ordered_sum, uniform01
 from indivisibles.oracle import _indicator_estimate
 
 from conftest import DATA_DIR
@@ -159,11 +160,12 @@ class TestMonteCarlo:
 
     def test_memory_stays_bounded(self):
         # 10^6 3-D samples hold 24 MB of coordinates; streamed in chunks of
-        # 2^14 samples the peak stays a few chunks
+        # 2^14 samples the peak stays a few chunks per worker
         def run():
             iv.mc_volume(lambda x, y, z: x * x + y * y + z * z <= 1.0, ((-1, 1), (-1, 1), (-1, 1)), 10**6)
 
-        assert _traced_peak(run) < 4 * 2**20
+        workers = min(oracle._cpu_count(), -(-(10**6) // oracle._BLOCK))
+        assert _traced_peak(run) < workers * 2 * 2**20
 
     def test_seed_independence_of_truth(self):
         # ten seeds, all estimates land within 5 stderr of the closed forms
@@ -213,13 +215,14 @@ class TestMonteCarlo:
             return inside
 
         est = iv.mc_volume(ball, box, samples, seed=5)
-        assert [len(call[0]) for call in calls] == [_BLOCK, _BLOCK, _BLOCK, 1]
+        assert sorted(len(call[0]) for call in calls) == [1, _BLOCK, _BLOCK, _BLOCK]
         # sample i, axis d is lo_d + span_d * (stream value dims*i + d), bit for bit
         u = _kernels.uniform01(5, 0, dims * samples).reshape(samples, dims)
         coords = [lo + (hi - lo) * u[:, d] for d, (lo, hi) in enumerate(box)]
-        for d in range(dims):
-            got = np.concatenate([call[d] for call in calls])
-            assert got.tobytes() == coords[d].tobytes()
+        # chunks reach the membership in no set order, so each call is matched
+        # to a chunk by its rows: every chunk is one call, bit for bit
+        chunks = [tuple(axis[i : i + _BLOCK].tobytes() for axis in coords) for i in range(0, samples, _BLOCK)]
+        assert sorted(tuple(axis.tobytes() for axis in call) for call in calls) == sorted(chunks)
         hits = int(np.count_nonzero(sum(axis * axis for axis in coords) <= 1.0))
         measure = math.prod(hi - lo for lo, hi in box)  # 16.0 for the 3-D box
         assert est.mean == measure * hits / samples
@@ -237,6 +240,152 @@ class TestMonteCarlo:
     def test_single_sample_has_zero_stderr(self):
         est = iv.mc_area(lambda x, y: x > 0, ((-1, 1), (-1, 1)), 1, seed=9)
         assert est.stderr == 0.0
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """``workers(n)`` makes the Monte Carlo oracle see n CPUs, so it splits
+    its chunks into min(n, chunks) runs."""
+
+    def see(n):
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: n)
+
+    return see
+
+
+def _chunk_index(samples, dims, seed):
+    """Map from a chunk's first coordinate to the chunk's index, for a box of
+    unit sides at the origin, where coordinates are the stream values."""
+    u = uniform01(seed, 0, dims * samples).tolist()
+    return {u[dims * start]: c for c, start in enumerate(range(0, samples, oracle._BLOCK))}
+
+
+class TestMonteCarloWorkers:
+    """One worker per CPU, each on one contiguous run of chunks; the caller
+    counts run 0."""
+
+    @pytest.mark.parametrize("name", ["disk_r1_area", "hoof_r1_h1_volume"])
+    def test_estimate_is_the_same_at_every_worker_count(self, workers, name):
+        # more workers than cores, switching threads every microsecond: a
+        # hit lost or counted twice would change the pinned bits
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for n in (1, 2, 3, 8, 100):
+                workers(n)
+                est = _golden_estimate(name)
+                assert (repr(est.mean), repr(est.stderr)) == (GOLDEN[name]["mean"], GOLDEN[name]["stderr"]), n
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_lowest_failed_chunk_raises(self, workers):
+        # four chunks in two runs, {0, 1} and {2, 3}; chunk 2 of run 1 fails
+        # first, chunk 1 of run 0 after it, and chunk 1's error is raised
+        workers(2)
+        samples = 4 * oracle._BLOCK
+        index = _chunk_index(samples, 1, 42)
+        later = threading.Event()
+        start = threading.active_count()
+
+        def membership(xs):
+            chunk = index[xs[0]]
+            if chunk == 1:
+                assert later.wait(10)
+                raise ValueError("chunk 1 of run 0")
+            if chunk == 2:
+                later.set()
+                raise ValueError("chunk 2 of run 1")
+            return xs < 0.5
+
+        with pytest.raises(ValueError, match="^chunk 1 of run 0$"):
+            iv.mc_area(membership, ((0, 1),), samples)
+        assert threading.active_count() == start
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_error_in_chunk_0_stops_the_other_runs(self, workers, n):
+        # 64 chunks; chunk 0 fails once every other run has started a chunk,
+        # and no run goes on to its end
+        workers(n)
+        samples = 64 * oracle._BLOCK
+        index = _chunk_index(samples, 1, 42)
+        firsts = {64 * w // n for w in range(1, n)}
+        together = threading.Barrier(n, timeout=10)
+        failed = threading.Event()
+        seen = []
+        start = threading.active_count()
+
+        def membership(xs):
+            chunk = index[xs[0]]
+            if chunk == 0 or chunk in firsts:
+                together.wait()
+            if chunk == 0:
+                failed.set()
+                raise KeyError("chunk 0")
+            seen.append(chunk)
+            assert failed.wait(10)
+            return xs < 0.5
+
+        with pytest.raises(KeyError, match="chunk 0"):
+            iv.mc_area(membership, ((0, 1),), samples)
+        assert threading.active_count() == start
+        # each other run saw its first chunk and stopped at most one chunk later
+        assert firsts <= set(seen) and len(seen) <= 2 * (n - 1)
+
+    def test_interrupt_in_the_caller_joins_every_worker(self, workers):
+        workers(3)
+        samples = 30 * oracle._BLOCK
+        index = _chunk_index(samples, 1, 42)
+        start = threading.active_count()
+
+        def membership(xs):
+            if index[xs[0]] == 3:  # run 0 is chunks 0 .. 9
+                raise KeyboardInterrupt
+            return xs < 0.5
+
+        with pytest.raises(KeyboardInterrupt):
+            iv.mc_area(membership, ((0, 1),), samples)
+        assert threading.active_count() == start
+
+    def test_caller_failing_outside_a_chunk_joins_every_worker(self, workers, monkeypatch):
+        # the caller's own buffers fail after the other runs' threads started
+        workers(3)
+        caller = threading.get_ident()
+        buffers = oracle.StreamBuffers
+
+        def failing(*args):
+            if threading.get_ident() == caller:
+                raise KeyboardInterrupt
+            return buffers(*args)
+
+        monkeypatch.setattr(oracle, "StreamBuffers", failing)
+        start = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            iv.mc_area(lambda xs: xs < 0.5, ((0, 1),), 30 * oracle._BLOCK)
+        assert threading.active_count() == start
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_caller_errstate_holds_in_every_worker(self, workers, n):
+        # one chunk per run; every run reaches its chunk before any overflows,
+        # and each raises FloatingPointError, as the caller asked
+        workers(n)
+        samples = n * oracle._BLOCK
+        index = _chunk_index(samples, 2, 42)
+        together = threading.Barrier(n, timeout=10)
+        raised = set()
+
+        def membership(xs, ys):
+            chunk = index[xs[0]]
+            together.wait()
+            try:
+                return xs * 1e308 * 10.0 > ys
+            except FloatingPointError:
+                raised.add(chunk)
+                raise
+
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                iv.mc_area(membership, ((0, 1), (0, 1)), samples)
+        assert raised == set(range(n))
 
 
 class TestRiemann:

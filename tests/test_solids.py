@@ -134,6 +134,18 @@ class TestVolumes:
         with pytest.raises(DegenerateSolid):
             iv.lateral_area(dipping)
 
+    @pytest.mark.parametrize("s", [1.0, 1e-8, 1e-10, 1e-200, 1e10, 1e200])
+    def test_height_field_dip_is_relative_to_its_scale(self, s):
+        # h = x is below the base plane over a third of the base, at every
+        # scale; at 1e-200 the base's area underflows to 0, which raises first
+        from indivisibles import DegenerateSolid
+
+        dipping = HeightFieldCylinder(Polygon([(-s, 0), (2 * s, 0), (2 * s, s), (-s, s)]), rho_coeff=1.0)
+        with pytest.raises(DegenerateSolid):
+            iv.volume(dipping)
+        with pytest.raises(DegenerateSolid, match="below the base plane"):
+            iv.lateral_area(dipping)
+
     def test_degenerate_cone(self):
         from indivisibles import DegenerateSolid
 
