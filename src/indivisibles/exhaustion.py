@@ -90,7 +90,7 @@ def _check_declared_shape(f: WidthFunction):
     """Spot-check monotonicity flags and nonnegativity on each piece."""
     for t0, t1, flag in f.pieces():
         ts = np.linspace(t0, t1, _MONOTONE_SAMPLES)
-        vals = np.asarray(f(ts), dtype=np.float64)
+        vals = f(ts)
         if np.any(vals < 0.0):
             raise InvalidMonotonicity(f"profile is negative on [{t0}, {t1}]")
         diffs = np.diff(vals)
@@ -137,11 +137,8 @@ def _staircase_blocks(f: WidthFunction, n: int):
     last = None
     for s in range(0, n, _BLOCK):
         edges = _block_edges(f, n, s, min(s + _BLOCK, n))
-        if last is None:
-            vals = np.asarray(f(edges), dtype=np.float64)
-        else:
-            # edge s closed the previous block, so its value is carried over
-            vals = np.concatenate(([last], np.asarray(f(edges[1:]), dtype=np.float64)))
+        # edge s closed the previous block, so its value is carried over
+        vals = f(edges) if last is None else np.concatenate(([last], f(edges[1:])))
         if np.any(vals < 0.0):
             raise InvalidMonotonicity(f"profile is negative on [{edges[0]}, {edges[-1]}]")
         last = vals[-1]

@@ -126,7 +126,7 @@ class WidthFunction:
     ``breakpoints`` are the interior piece boundaries; ``monotonicity`` gives
     one of "increasing"/"decreasing" per piece (a constant piece may declare
     either).  The evaluator must accept numpy arrays; a constant profile may
-    return one value, which is broadcast to the shape of its input.
+    return one value.  A call returns float64 values of its input's shape.
     ``enclosure_method`` names the staircase that encloses its integral.
     """
 
@@ -164,11 +164,9 @@ class WidthFunction:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=np.float64)
-        vals = self.fn(t)
-        if np.shape(vals) != t.shape:
-            # a constant profile may return one value for the whole array
-            vals = np.array(np.broadcast_to(vals, t.shape))
-        return vals
+        vals = np.asarray(self.fn(t), dtype=np.float64)
+        # a constant profile may return one value for the whole array
+        return vals if vals.shape == t.shape else np.array(np.broadcast_to(vals, t.shape))
 
     def total_variation(self) -> float:
         """Sum over pieces of |w(end) - w(start)|, from endpoint values."""
@@ -204,11 +202,10 @@ class Curve:
 class Polyline(Curve):
     """Chain of points, closed into a ring when ``closed`` is true.
 
-    Like ``Polygon``, a polyline is its read-only (n, 2) float64 coordinate
-    array, which its measures, side moments and least distance read.  It is
-    given as points (``Point2`` or pairs) or as that array, read as
-    ``Polygon`` reads its vertices, and its ``points`` are ``Point2``s of
-    floats built from the array when first read.
+    Like ``Polygon``, a polyline is its own read-only (n, 2) float64 copy of
+    the points given, which its measures, side moments and least distance
+    read, and its ``points`` are ``Point2``s of floats built from that array
+    when first read.
     """
 
     points: tuple[Point2, ...]
@@ -417,12 +414,11 @@ class Polygon(PlanarRegion):
     the sawtooth construction), are allowed.
 
     The polygon is its (n, 2) float64 array of the stored vertices, which
-    ``xy()`` returns: read-only, so copy it before writing.  Given as vertices
-    (``Point2`` or pairs), the polygon builds that array once; given the array
-    itself (2-D, two real columns), it keeps it, copied unless it is already a
-    read-only C-contiguous float64 array.  Either way the checks are the same,
-    in the same order, with the same messages, and ``vertices`` are
-    ``Point2``s of floats built from the array when first read.
+    ``xy()`` returns: read-only, so copy it before writing.  It is the
+    polygon's own copy of the vertices given (``Point2``s, pairs or an array
+    of them), checked in the same order with the same messages whatever the
+    input, and ``vertices`` are ``Point2``s of floats built from the array
+    when first read.
     """
 
     vertices: tuple[Point2, ...]
@@ -612,7 +608,7 @@ class SlabRegion(PlanarRegion):
     def measures(self) -> tuple[float, float, float]:
         """Midpoint-quadrature (area, Sx, Sy) at the declared resolution."""
         mids, h = self._grid()
-        w = np.asarray(self.width(mids), dtype=np.float64)
+        w = self.width(mids)
         area = float(np.sum(w) * h)
         # Slabs are centered on x = 0, so Sx vanishes identically.
         sy = float(np.sum(mids * w) * h)
@@ -630,13 +626,13 @@ class SlabRegion(PlanarRegion):
         band = (ys >= a) & (ys <= b)
         half = np.zeros_like(ys)
         if np.any(band):
-            half[band] = np.asarray(self.width(ys[band]), dtype=np.float64) / 2.0
+            half[band] = self.width(ys[band]) / 2.0
         return band & (np.abs(xs) <= half)
 
     def side_moments(self, line: Line2) -> tuple[float, float]:
         # the slab's height times the integrals over its midline, (-w/2, y) to (w/2, y)
         mids, h = self._grid()
-        half = np.asarray(self.width(mids), dtype=np.float64) / 2.0
+        half = self.width(mids) / 2.0
         keep = half > 0.0
         mids, half = mids[keep], half[keep]
         means = _part_means(line.signed_distances(-half, mids), line.signed_distances(half, mids), 1)
@@ -672,34 +668,35 @@ def _coords(pts: Sequence[Point2]) -> np.ndarray:
 
 
 def _read_xy(items) -> np.ndarray:
-    """The (n, 2) float64 array of a polygon or polyline given ``items``.
+    """A new (n, 2) float64 array, which nothing else holds, of ``items``.
 
-    A 2-D numpy array of two real columns is the coordinate array itself:
-    it is kept when already read-only, C-contiguous and float64 (a polygon's
-    own array) and copied as one otherwise.  A list or tuple of pairs is
-    first read as one array, each coordinate converted by ``float`` as the
-    per-point read converts it, and kept when that gives n finite pairs.
-    Anything else (``Point2``s, rows of another length, a generator, a
-    coordinate that does not convert or is not finite) is read point by
-    point, each a ``Point2`` or a pair, and the array is built from the
-    points.  So every error is the one the point-by-point read raises, among
-    them the ``Point2`` error for a coordinate that is not finite.
+    A numpy array of real kind, or a list or tuple of pairs, is read as one
+    array by one numpy call, each coordinate converted as ``float`` converts
+    it, and kept when that gives n finite pairs.  Anything else (``Point2``s,
+    rows of another length, a generator, a coordinate that does not convert
+    or is not finite) is read point by point, each a ``Point2`` or exactly
+    two coordinates, and the array is built from the points.  So every error
+    is the one the point-by-point read raises, among them the ``Point2``
+    error for a coordinate that is not finite.
     """
-    if isinstance(items, np.ndarray) and items.ndim == 2 and items.shape[1] == 2 and items.dtype.kind in "fiu":
-        xy = items
-        if xy.flags.writeable or not xy.flags.c_contiguous or xy.dtype != np.float64:
-            xy = np.array(items, dtype=np.float64, order="C")
-        if not np.isfinite(xy).all():
-            raise ValueError("coordinates must be finite")
-        return xy
-    if isinstance(items, (list, tuple)) and items and not isinstance(items[0], Point2):
+    if (isinstance(items, np.ndarray) and items.dtype.kind in "fiu"
+            or isinstance(items, (list, tuple)) and items and not isinstance(items[0], Point2)):
         try:
-            xy = np.array(items, dtype=np.float64)
+            xy = np.array(items, dtype=np.float64, order="C")
         except Exception:  # the point-by-point read below raises the error, in its order
             xy = None
         if xy is not None and xy.ndim == 2 and xy.shape[1] == 2 and np.isfinite(xy).all():
             return xy
-    return _coords([p if isinstance(p, Point2) else Point2(float(p[0]), float(p[1])) for p in items])
+    return _coords([_point(p) for p in items])
+
+
+def _point(p) -> Point2:
+    """A point given as a ``Point2`` or as exactly two coordinates."""
+    if isinstance(p, Point2):
+        return p
+    if len(p) != 2:
+        raise ValueError(f"a point is a Point2 or 2 coordinates, not {len(p)}")
+    return Point2(float(p[0]), float(p[1]))
 
 
 def _built_points(shape, field_name: str, name: str) -> tuple[Point2, ...]:

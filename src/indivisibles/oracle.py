@@ -207,7 +207,7 @@ def riemann_volume(section, n: int) -> float:
         raise ValueError("need at least one cell")
     a, b = section.domain
     h = (b - a) / n
-    return _midpoint_sum(lambda k: np.asarray(section(a + k * h), dtype=np.float64), n) * h
+    return _midpoint_sum(lambda k: section(a + k * h), n) * h
 
 
 def boundary_integral(curve: Curve, integrand, n: int) -> float:

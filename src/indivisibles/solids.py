@@ -325,11 +325,16 @@ class HeightFieldCylinder(Solid):
     def _check_nonnegative(self):
         """The affine height must not dip below zero anywhere over the base."""
         (x0, x1), _ = self.base.box()
-        extreme_x = x0 if self.rho_coeff >= 0.0 else x1
-        h_min = self.rho_coeff * extreme_x + self.offset
-        scale = abs(self.rho_coeff) * max(abs(x0), abs(x1)) + abs(self.offset)
-        if h_min < -_HEIGHT_TOL * scale:
-            raise DegenerateSolid(f"height field reaches {h_min!r} below the base plane")
+        a, b, x_max = self.rho_coeff, self.offset, max(abs(x0), abs(x1))
+        extreme_x = x0 if a >= 0.0 else x1
+        # every term scaled by 2^-e, exactly while it stays normal, to at most 2: none overflows
+        ea = math.frexp(a)[1]
+        e = ea + math.frexp(x_max)[1]
+        e = max(e, math.frexp(b)[1]) if b else e  # b = 0 has no exponent to keep in range
+        sa, sb = math.ldexp(a, -ea), math.ldexp(b, -e)
+        sx, sx_max = math.ldexp(extreme_x, ea - e), math.ldexp(x_max, ea - e)
+        if sa * sx + sb < -_HEIGHT_TOL * (abs(sa) * sx_max + abs(sb)):
+            raise DegenerateSolid(f"height field reaches {a * extreme_x + b!r} below the base plane")
 
 
 @dataclass(frozen=True)

@@ -89,8 +89,7 @@ def render_bounds(width: WidthFunction, n: int) -> str:
                 body.append(f'<rect class="{kind}" x="{sx}" y="{sy}" width="{w_px}" '
                             f'height="{_fmt(height * m.scale)}" fill="none" stroke="{stroke}"/>')
     ts = np.linspace(a, b, 257)
-    ws = np.asarray(width(ts), dtype=np.float64)
-    pts = " ".join(m.pt(float(t), float(w)) for t, w in zip(ts, ws))
+    pts = " ".join(m.pt(float(t), float(w)) for t, w in zip(ts, width(ts)))
     body.append(f'<polyline class="profile" points="{pts}" fill="none" stroke="black"/>')
     return _document(body)
 

@@ -111,19 +111,19 @@ def _teeth(sawtooth: Polygon) -> np.ndarray:
 
     Tooth k is rows 2k and 2k + 2 of the sawtooth's array, its base corners,
     then its apex, row 2k + 1; it is reversed when its shoelace sum in that
-    order is negative, as ``Polygon`` stores it.  That order runs clockwise
-    in the stored sawtooth, so a tooth is reversed unless its sum underflows.
+    order is negative, the sum ``Polygon`` takes: relative to the first
+    corner, from 0.0 in ring order.  That order runs clockwise in the stored
+    sawtooth, so a tooth is reversed unless its sum underflows.
     """
     xy = sawtooth.xy()
     if len(xy) % 2 != 1:
         raise ValueError("not a sawtooth polygon")
     teeth = np.stack((xy[0:-1:2], xy[2::2], xy[1::2]), axis=1)
-    x, y = teeth[..., 0].T, teeth[..., 1].T  # row k: corner k of every tooth
     with np.errstate(over="ignore", invalid="ignore"):  # as in Polygon's shoelace sum
+        x, y = (teeth - teeth[:, :1]).T  # row k: corner k of every tooth, less its corner 0
         cross = x * _ring_next(y) - _ring_next(x) * y
-        clockwise = 0.5 * (cross[0] + cross[1] + cross[2]) < 0.0
+        clockwise = 0.5 * (0.0 + cross[0] + cross[1] + cross[2]) < 0.0
     teeth[clockwise] = teeth[clockwise, ::-1]
-    teeth.flags.writeable = False  # so a Polygon keeps its tooth's rows uncopied
     return teeth
 
 

@@ -19,7 +19,7 @@ from indivisibles.cli import MEASURES, SHAPES, main
 from indivisibles.exhaustion import _block_edges
 from indivisibles.svg import render_bounds, render_unroll
 
-from conftest import SCRIPTS_DIR
+from conftest import REPO_ROOT, SCRIPTS_DIR
 
 
 def run_main(capsys, *argv):
@@ -69,6 +69,13 @@ def test_public_names_are_pinned():
         "sawtooth_teeth", "shear_region", "sphere_zone_vs_band", "surface_area", "twist_column",
         "unfold_revolution", "unroll_disk", "volume", "volume_bounds",
     ]
+
+
+def test_readme_quickstart_runs():
+    # the first python block of the README, run as a reader would run it
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
 
 
 class TestShapeTable:

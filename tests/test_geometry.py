@@ -460,6 +460,15 @@ class TestWidthFunction:
                 monotonicity=("increasing",) * 3,
             )
 
+    @pytest.mark.parametrize("fn", [lambda t: np.ones(t.shape, dtype=np.int64), lambda t: 1,
+                                    lambda t: np.ones(t.shape).tolist(), lambda t: np.float32(1.0)],
+                             ids=["int-array", "int", "list", "float32"])
+    def test_a_call_returns_float64_of_the_input_shape(self, fn):
+        w = WidthFunction(fn, domain=(0, 1))
+        for t in (0.5, np.linspace(0.0, 1.0, 5), [0.25, 0.75]):
+            vals = w(t)
+            assert vals.dtype == np.float64 and vals.shape == np.shape(t) and (vals == 1.0).all()
+
     def test_flag_count_must_match(self):
         with pytest.raises(ValueError):
             WidthFunction(lambda t: t, domain=(0, 1), breakpoints=(0.5,), monotonicity=("increasing",))
@@ -974,27 +983,52 @@ class TestArrayConstruction:
             assert all(type(c) is float for p in poly.vertices for c in (p.x, p.y))
 
     def test_other_inputs_keep_the_point_path(self, monkeypatch):
-        # Point2s, and an array of another shape (its first two entries of
-        # each row), are read row by row; their points are then built as
-        # floats from the array, as for any other input
+        # Point2s are read row by row, and an array of another shape is read
+        # row by row into the error of its first row that is not a pair;
+        # the points are then built as floats from the array, as for any
+        # other input
         calls = []
         coords = geometry._coords
         monkeypatch.setattr(geometry, "_coords", lambda pts: calls.append(len(pts)) or coords(pts))
         ints = Polygon([Point2(0, 0), Point2(3, 0), Point2(0, 2)])
-        wide = Polygon(np.array([[0, 0, 9], [3, 0, 9], [0, 2, 9]]))
-        assert calls == [3, 3] and _unbuilt(ints) and _unbuilt(wide)
+        with pytest.raises(ValueError, match="^a point is a Point2 or 2 coordinates, not 3$"):
+            Polygon(np.array([[0, 0, 9], [3, 0, 9], [0, 2, 9]]))
+        assert calls == [3] and _unbuilt(ints)
         assert repr(ints.box()) == repr(((0.0, 3.0), (0.0, 2.0)))
-        assert repr(ints.vertices) == repr(wide.vertices) == repr((Point2(0.0, 0.0), Point2(3.0, 0.0), Point2(0.0, 2.0)))
+        assert repr(ints.vertices) == repr((Point2(0.0, 0.0), Point2(3.0, 0.0), Point2(0.0, 2.0)))
 
-    def test_the_array_is_copied_unless_read_only(self, rng):
+    def test_the_array_is_always_copied(self, rng):
         xy = _star_points(rng, 12)
         poly = Polygon(xy)
         assert poly.xy() is not xy and xy.flags.writeable
         xy[0] = 0.0
         assert poly.xy()[0].tolist() != [0.0, 0.0]
-        assert Polygon(poly.xy()).xy() is poly.xy()
+        again = Polygon(poly.xy())
+        assert again.xy() is not poly.xy() and again.xy().tobytes() == poly.xy().tobytes()
         fortran = Polygon(np.asfortranarray(_star_points(rng, 12)))
         assert fortran.xy().flags.c_contiguous
+
+    @pytest.mark.parametrize("kind", [Polygon, Polyline])
+    def test_a_read_only_view_of_a_writable_array_is_copied(self, kind):
+        # a read-only flag on a view does not stop writes through its base
+        base = np.array([[0, 0], [2, 0], [2, 1], [0, 1]], dtype=np.float64)
+        view = base.view()
+        view.flags.writeable = False
+        shape = kind(view)
+        before = iv.area(shape) if kind is Polygon else iv.perimeter(shape)
+        base[:] = [[0, 0], [2, 1], [2, 0], [0, 1]]  # a bow-tie
+        after = iv.area(shape) if kind is Polygon else iv.perimeter(shape)
+        assert shape._xy.tolist() == [[0, 0], [2, 0], [2, 1], [0, 1]]
+        assert before == after == (2.0 if kind is Polygon else 5.0)
+
+    @pytest.mark.parametrize("kind", [Polygon, Polyline])
+    @pytest.mark.parametrize("rows, count", [([(0, 0, 7), (1, 0, 7), (0, 1, 7)], 3),
+                                             (np.array([(0, 0, 7), (1, 0, 7), (0, 1, 7)]), 3),
+                                             ([(0, 0), (3,), (0, 1)], 1), ([(0, 0), (1, 0), ()], 0)],
+                             ids=["3-tuples", "3-columns", "short-row", "empty-row"])
+    def test_a_point_is_exactly_two_coordinates(self, kind, rows, count):
+        with pytest.raises(ValueError, match=f"^a point is a Point2 or 2 coordinates, not {count}$"):
+            kind(rows)
 
     @pytest.mark.parametrize(
         "kind, rows, message",
@@ -1034,13 +1068,14 @@ class TestArrayConstruction:
         ring = poly.boundary()
         iv.oblique_cut_lateral_areas(ring, Line2(iv.centroid_curve(ring), (0.6, 0.8)), 1.5)
         assert _unbuilt(poly) and _unbuilt(shifted) and _unbuilt(ring) and calls == []
-        assert ring._xy is poly.xy() and ring.closed
+        assert ring._xy is not poly.xy() and ring._xy.tobytes() == poly.xy().tobytes() and ring.closed
         assert ring.points == poly.vertices
 
     def test_boundary_points_equal_the_vertices(self, rng):
         poly = star_polygon(rng)
         ring = poly.boundary()
-        assert ring._xy is poly.xy() and ring.points == poly.vertices
+        assert ring._xy is not poly.xy() and ring._xy.tobytes() == poly.xy().tobytes()
+        assert ring.points == poly.vertices
         assert iv.perimeter(ring) == iv.perimeter(Polyline(poly.vertices, closed=True))
 
     def test_box_reads_the_array_until_the_vertices_are_built(self):
@@ -1229,8 +1264,16 @@ class TestLine2Callers:
 def _per_point_read(items):
     """The point-by-point read of a polygon's or polyline's vertices, as
     construction read every list of pairs before it read one as a single
-    array: the points, then the array built from them."""
-    pts = tuple(p if isinstance(p, Point2) else Point2(float(p[0]), float(p[1])) for p in items)
+    array: the points, each a ``Point2`` or exactly two coordinates, then
+    the array built from them."""
+    def point(p):
+        if isinstance(p, Point2):
+            return p
+        if len(p) != 2:
+            raise ValueError(f"a point is a Point2 or 2 coordinates, not {len(p)}")
+        return Point2(float(p[0]), float(p[1]))
+
+    pts = tuple(map(point, items))
     return pts, geometry._coords(pts)
 
 

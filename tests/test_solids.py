@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 import warnings
 from fractions import Fraction
 
@@ -145,6 +146,69 @@ class TestVolumes:
             iv.volume(dipping)
         with pytest.raises(DegenerateSolid, match="below the base plane"):
             iv.lateral_area(dipping)
+
+    def test_height_field_dip_is_found_when_its_scale_overflows(self):
+        # |a| * max |x| overflows to inf, yet h = a*x is below the base plane
+        # over a third of the base
+        from indivisibles import DegenerateSolid
+
+        dipping = HeightFieldCylinder(Polygon([(-1, 0), (2, 0), (2, 1), (-1, 1)]), rho_coeff=1e308)
+        for measure in (iv.volume, iv.lateral_area):
+            with pytest.raises(DegenerateSolid, match="below the base plane"):
+                measure(dipping)
+
+    def test_height_field_dip_is_decided_alike_at_every_scale(self):
+        # a, the base and b scaled by 2^i, 2^j and 2^(i + j) scale h = a*x + b
+        # by 2^(i + j): the decision stays that of the unscaled case, and is
+        # the unscaled test's wherever all its terms are finite and normal
+        from indivisibles import DegenerateSolid
+
+        def normal(*values):
+            return all(math.isfinite(v) and (v == 0.0 or abs(v) >= sys.float_info.min) for v in values)
+
+        def mul(u, v):  # u * v, or nan where it underflows to 0
+            p = u * v
+            return p if p != 0.0 or u == 0.0 or v == 0.0 else math.nan
+
+        def scaled(v, k):  # v * 2^k, or None where that is not a normal float
+            try:
+                s = math.ldexp(v, k)
+            except OverflowError:
+                return None
+            return s if v == 0.0 or abs(s) >= sys.float_info.min else None
+
+        def dips(a, b, x0, x1):
+            base = Polygon([(x0, 0), (x1, 0), (x1, x1 - x0), (x0, x1 - x0)])
+            try:
+                HeightFieldCylinder(base, a, b)._check_nonnegative()
+            except DegenerateSolid:
+                return True
+            return False
+
+        rng = np.random.default_rng(20261020)
+        grid = range(-1000, 1001, 200)
+        seen = set()
+        for _ in range(30):
+            x0, x1 = sorted(rng.uniform(-2.0, 2.0, 2))
+            a = float(rng.uniform(-2.0, 2.0))
+            x_max = max(abs(x0), abs(x1))
+            # h's least value near -1e-9 of the scale, on either side, or b = 0
+            c = float(rng.choice((0.0, -1e-9 * rng.uniform(0.5, 1.5), rng.uniform(-1.0, 1.0))))
+            b = 0.0 if c == 0.0 else -a * (x0 if a >= 0.0 else x1) + c * abs(a) * x_max
+            want = dips(a, b, x0, x1)
+            seen.add(want)
+            for i in grid:
+                for j in grid:
+                    sa, sb, sx0, sx1 = scaled(a, i), scaled(b, i + j), scaled(x0, j), scaled(x1, j)
+                    if None in (sa, sb, sx0, sx1):
+                        continue
+                    got = dips(sa, sb, sx0, sx1)
+                    assert got == want, (a, b, x0, x1, i, j)
+                    extreme, sx_max = (sx0 if sa >= 0.0 else sx1), max(abs(sx0), abs(sx1))
+                    h_min, scale = mul(sa, extreme) + sb, mul(abs(sa), sx_max) + abs(sb)
+                    if normal(mul(sa, extreme), h_min, mul(abs(sa), sx_max), scale, mul(1e-9, scale)):
+                        assert got == (h_min < -1e-9 * scale), (a, b, x0, x1, i, j)
+        assert seen == {False, True}
 
     def test_degenerate_cone(self):
         from indivisibles import DegenerateSolid

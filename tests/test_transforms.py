@@ -23,7 +23,7 @@ from indivisibles import (
     Sphere,
     UnsupportedRegion,
 )
-from indivisibles.transforms import PRESERVED, UNROLL_BUDGET, Transform
+from indivisibles.transforms import PRESERVED, UNROLL_BUDGET, Transform, _teeth
 
 from conftest import star_polygon
 
@@ -149,6 +149,23 @@ class TestUnrollDisk:
         v = saw.vertices
         want = [Polygon([v[2 * k], v[2 * k + 2], v[2 * k + 1]]) for k in range(n)]
         assert iv.sawtooth_teeth(saw) == want
+
+    def test_teeth_are_oriented_as_polygon_orients_them(self):
+        # a thin triangle far from the origin is a sawtooth of one tooth,
+        # whose orientation is decided by the shoelace sum that Polygon takes
+        rng = np.random.default_rng(20261020)
+        n = 20_000
+        o = 10.0 ** rng.uniform(6, 12, (n, 1))
+        a, b = o + rng.uniform(-1, 1, (n, 2)), o + rng.uniform(-1, 1, (n, 2))
+        c = a + rng.uniform(0, 1, (n, 1)) * (b - a)
+        c[:, 1] += rng.choice((-1e-7, 1e-7), n)  # near the chord
+        for a, b, c in zip(a, b, c):
+            try:
+                saw = Polygon([a, c, b])
+            except ValueError:  # c rounded onto a or b
+                continue
+            tooth = _teeth(saw)[0]
+            assert np.array_equal(Polygon(tooth).xy(), tooth)  # Polygon keeps the tooth's order
 
     def test_teeth_need_an_odd_vertex_count(self):
         with pytest.raises(ValueError, match="not a sawtooth polygon"):
