@@ -101,14 +101,14 @@ def uniform01(seed, start, count, dims=1, *, buffers=None):
 
 
 def ordered_sum(values, init=0.0):
-    """Strictly sequential left-to-right sum of ``values`` starting at ``init``.
+    """Strictly sequential left-to-right sum of ``values`` from ``init`` along axis 0.
 
     This is the deterministic reduction used by the slab-sum and quadrature
     code paths: the result is a pure function of element order, regardless of
     how the elements were produced.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
-    run = np.empty(values.shape[0] + 1)
+    run = np.empty((values.shape[0] + 1, *values.shape[1:]))
     run[0] = float(init)
     run[1:] = values
     # np.add.accumulate adds strictly left to right, one rounding per element
@@ -116,4 +116,4 @@ def ordered_sum(values, init=0.0):
     # defined result, as in the loop
     with np.errstate(over="ignore", invalid="ignore"):
         np.add.accumulate(run, out=run)
-    return float(run[-1])
+    return float(run[-1]) if run.ndim == 1 else run[-1]

@@ -94,8 +94,7 @@ def _check_declared_shape(f: WidthFunction):
         if np.any(vals < 0.0):
             raise InvalidMonotonicity(f"profile is negative on [{t0}, {t1}]")
         diffs = np.diff(vals)
-        scale = max(float(np.max(np.abs(vals))), 1.0)
-        slack = 1e-12 * scale
+        slack = 1e-12 * float(np.max(np.abs(vals)))
         if flag == "increasing" and np.any(diffs < -slack):
             raise InvalidMonotonicity(f"piece [{t0}, {t1}] declared increasing but decreases")
         if flag == "decreasing" and np.any(diffs > slack):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import combinations
+from numbers import Number
 from operator import attrgetter
 from typing import Callable, Sequence
 
@@ -429,7 +429,7 @@ class Polygon(PlanarRegion):
             raise ValueError("polygon needs at least 3 vertices")
         if (xy == _ring_next(xy)).all(axis=1).any():
             raise ValueError("polygon has a repeated consecutive vertex")
-        if _shoelace(xy)[0] < 0.0:
+        if _signed_area(xy) < 0.0:
             xy = np.ascontiguousarray(xy[::-1])
         if _has_proper_self_intersection(xy) or _has_opposite_loops(xy):
             raise ValueError("polygon is self-intersecting")
@@ -609,10 +609,8 @@ class SlabRegion(PlanarRegion):
         """Midpoint-quadrature (area, Sx, Sy) at the declared resolution."""
         mids, h = self._grid()
         w = self.width(mids)
-        area = float(np.sum(w) * h)
         # Slabs are centered on x = 0, so Sx vanishes identically.
-        sy = float(np.sum(mids * w) * h)
-        return area, 0.0, sy
+        return ordered_sum(w) * h, 0.0, ordered_sum(mids * w) * h
 
     def box(self):
         # a grid plus the knots, where a piecewise-monotone width peaks
@@ -694,8 +692,9 @@ def _point(p) -> Point2:
     """A point given as a ``Point2`` or as exactly two coordinates."""
     if isinstance(p, Point2):
         return p
-    if len(p) != 2:
-        raise ValueError(f"a point is a Point2 or 2 coordinates, not {len(p)}")
+    count = "a scalar" if isinstance(p, Number) else len(p)
+    if count != 2:
+        raise ValueError(f"a point is a Point2 or 2 coordinates, not {count}")
     return Point2(float(p[0]), float(p[1]))
 
 
@@ -828,36 +827,48 @@ def _properly_cross(edges: np.ndarray, i: np.ndarray, j: np.ndarray) -> bool:
 
 
 def _has_opposite_loops(xy: np.ndarray) -> bool:
-    """True when some vertex occurs twice and splits the ring into two loops of
-    strictly opposite orientation (lobes that would cancel in the area)."""
+    """True when two copies of a point split the counterclockwise ring into
+    loops of strictly opposite sign (lobes that would cancel in the area).
+    A point's k copies cut the ring into k loops, and any two copies split it
+    into a run of these loops and the rest.  If the two differ in sign, one
+    loop is negative, so it and its own rest differ in sign: in exact arithmetic
+    the k - 1 neighbouring pairs and the first copy with the last decide as all pairs do."""
     order = np.lexsort((xy[:, 1], xy[:, 0]))
     ranked = np.take(xy, order, axis=0)
-    repeat = (ranked[1:] == ranked[:-1]).all(axis=1)  # ranked[k + 1] repeats ranked[k]
-    if not repeat.any():
-        return False
-    # the copies of one point are a run in lexicographic order, by ascending
-    # index since lexsort is stable
-    point = np.cumsum(np.concatenate(([0], ~repeat)))
-    copy = np.concatenate(([False], repeat)) | np.concatenate((repeat, [False]))
-    for copies in np.split(order[copy], np.flatnonzero(np.diff(point[copy])) + 1):
-        for i, j in combinations(copies.tolist(), 2):
-            inner, outer = _shoelace(xy[i:j])[0], _shoelace(np.concatenate((xy[j:], xy[:i])))[0]
-            if min(inner, outer) < 0.0 < max(inner, outer):
-                return True
+    # lexsort is stable: the copies of a point are ranked[first] .. ranked[last], ranked[p + 1] after ranked[p]
+    same = np.concatenate(([False], (ranked[1:] == ranked[:-1]).all(axis=1), [False]))
+    p, (first, last) = np.flatnonzero(same[1:]), np.flatnonzero(np.diff(same)).reshape(-1, 2).T
+    wide = last - first > 1  # three copies or more
+    starts, stops = order[np.concatenate((p, first[wide]))], order[np.concatenate((p + 1, last[wide]))]
+    for i, j in zip(starts.tolist(), stops.tolist()):
+        inner, outer = _signed_area(xy[i:j]), _signed_area(np.concatenate((xy[j:], xy[:i])))
+        if min(inner, outer) < 0.0 < max(inner, outer):
+            return True
     return False
 
 
-def _shoelace(xy: np.ndarray) -> tuple[float, float, float]:
-    """(area, integral of x dA, integral of y dA) of the ring whose vertices
-    are the rows of ``xy``, each summed in vertex order relative to the first
-    vertex o, the moments adding o times the area: so moving it costs no
-    accuracy."""
-    ox, oy = xy[0].tolist()  # Python floats, so that the measures are too
+def _cross_terms(xy: np.ndarray) -> tuple[np.ndarray, ...]:
+    """x0, y0, x1, y1 and x0 y1 - x1 y0 of a ring ``xy`` (n, 2), or of a stack of rings (m, n, 2),
+    in ``xy.T``'s axis order: each vertex, and the next, less the ring's first vertex."""
+    x, y = xy.T
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is part of the result
-        x0, y0 = xy[:, 0] - ox, xy[:, 1] - oy
+        x0, y0 = x - x[0], y - y[0]
         x1, y1 = _ring_next(x0), _ring_next(y0)
-        cross = x0 * y1 - x1 * y0
-        a = 0.5 * ordered_sum(cross)
+        return x0, y0, x1, y1, x0 * y1 - x1 * y0
+
+
+def _signed_area(xy: np.ndarray):
+    """Signed area of a ring ``xy`` (n, 2), or the areas of a stack (m, n, 2): half the cross terms
+    summed in ring order from 0.0.  Every ring orientation and loop sign is this sum's sign."""
+    return 0.5 * ordered_sum(_cross_terms(xy)[-1])
+
+
+def _shoelace(xy: np.ndarray) -> tuple[float, float, float]:
+    """(area, integral of x dA, integral of y dA) of the ring ``xy``: its ``_signed_area``, and the
+    moments summed relative to its first vertex o, plus o times the area, so moving o costs no accuracy."""
+    ox, oy = xy[0].tolist()  # Python floats, so that the measures are too
+    a, (x0, y0, x1, y1, cross) = _signed_area(xy), _cross_terms(xy)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is part of the result
         return a, ordered_sum((x0 + x1) * cross) / 6.0 + ox * a, ordered_sum((y0 + y1) * cross) / 6.0 + oy * a
 
 

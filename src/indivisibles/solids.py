@@ -455,11 +455,11 @@ def guldin_surface(profile_boundary: Curve, axis: Line2) -> float:
     """Surface of revolution: boundary length times its centroid circumference.
 
     The axis is explicit so open arcs (sphere zones) work; every point of the
-    curve must satisfy rho >= 0 (distance measured on the positive side).
+    curve must satisfy rho >= -1e-12 * its length, rho measured on the positive side.
     """
-    _nonzero_length(profile_boundary, "profile boundary")
+    length, _, _ = _nonzero_length(profile_boundary, "profile boundary")
     rho_min = profile_boundary.min_distance(axis)
-    if rho_min < -1e-12:
+    if rho_min < -1e-12 * length:
         raise AxisCrossing(f"curve reaches rho = {rho_min!r} past the revolution axis")
     moment = first_moment_curve(profile_boundary, axis)
     return TWO_PI * moment  # = 2*pi * rho_bar_curve * length

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ApexHeightChanged, UnsupportedRegion
-from .geometry import TWO_PI, Disk, Line2, PlanarRegion, Polygon, Profile, _ring_next
+from .geometry import TWO_PI, Disk, Line2, PlanarRegion, Polygon, Profile, _signed_area
 from .solids import Cone, Cylinder, DoubleHoof, HeightFieldCylinder, Point3, Solid, Sphere, TwistedColumn
 
 # What each construction preserves (the discretized ones preserve their
@@ -71,7 +71,7 @@ def move_apex(cone: Cone, new_apex: Point3) -> Cone:
     same; a height change is rejected.
     """
     h_old, h_new = cone.apex.z, new_apex.z
-    if abs(h_new - h_old) > 1e-12 * max(abs(h_old), abs(h_new), 1.0):
+    if abs(h_new - h_old) > 1e-12 * max(abs(h_old), abs(h_new)):
         raise ApexHeightChanged(f"apex height changed from {h_old!r} to {h_new!r}")
     return Cone(cone.base, new_apex)
 
@@ -107,22 +107,14 @@ def unroll_disk(disk: Disk, n: int) -> Polygon:
 
 
 def _teeth(sawtooth: Polygon) -> np.ndarray:
-    """The (n, 3, 2) tooth triangles of a sawtooth.
-
-    Tooth k is rows 2k and 2k + 2 of the sawtooth's array, its base corners,
-    then its apex, row 2k + 1; it is reversed when its shoelace sum in that
-    order is negative, the sum ``Polygon`` takes: relative to the first
-    corner, from 0.0 in ring order.  That order runs clockwise in the stored
-    sawtooth, so a tooth is reversed unless its sum underflows.
-    """
+    """The (n, 3, 2) tooth triangles of a sawtooth: tooth k is rows 2k, 2k + 2 and 2k + 1 of its
+    array, a clockwise order, reversed where its ``_signed_area`` is negative, as ``Polygon`` would
+    reverse it: every tooth but those whose area underflows to 0."""
     xy = sawtooth.xy()
     if len(xy) % 2 != 1:
         raise ValueError("not a sawtooth polygon")
     teeth = np.stack((xy[0:-1:2], xy[2::2], xy[1::2]), axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):  # as in Polygon's shoelace sum
-        x, y = (teeth - teeth[:, :1]).T  # row k: corner k of every tooth, less its corner 0
-        cross = x * _ring_next(y) - _ring_next(x) * y
-        clockwise = 0.5 * (0.0 + cross[0] + cross[1] + cross[2]) < 0.0
+    clockwise = _signed_area(teeth) < 0.0
     teeth[clockwise] = teeth[clockwise, ::-1]
     return teeth
 

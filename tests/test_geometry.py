@@ -5,9 +5,11 @@ import dataclasses
 import math
 import pickle
 import re
+import time
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -631,6 +633,90 @@ class TestSimplicityCheck:
         assert got.tobytes() == expected.tobytes()
 
 
+def _all_pairs_opposite_loops(xy):
+    """The loop check as it tested every pair of copies of a point: for
+    copies i < j, the loop from i up to j against the rest of the ring."""
+    order = np.lexsort((xy[:, 1], xy[:, 0]))
+    ranked = xy[order]
+    repeat = (ranked[1:] == ranked[:-1]).all(axis=1)
+    if not repeat.any():
+        return False
+    point = np.cumsum(np.concatenate(([0], ~repeat)))
+    copy = np.concatenate(([False], repeat)) | np.concatenate((repeat, [False]))
+    for copies in np.split(order[copy], np.flatnonzero(np.diff(point[copy])) + 1):
+        for i, j in combinations(copies.tolist(), 2):
+            inner, outer = geometry._signed_area(xy[i:j]), geometry._signed_area(np.concatenate((xy[j:], xy[:i])))
+            if min(inner, outer) < 0.0 < max(inner, outer):
+                return True
+    return False
+
+
+def _petals(rng, m, flip):
+    """m petals (0, 0), p, q round the origin, p and q at random radii and
+    angles inside the petal's sector, each reversed with probability flip."""
+    a = 2.0 * math.pi * (np.arange(m)[:, None] + np.sort(rng.uniform(0.05, 0.95, (m, 2)), axis=1)) / m
+    r = rng.uniform(0.5, 2.0, (m, 2))
+    tips = np.stack((r * np.cos(a), r * np.sin(a)), axis=2)
+    back = rng.random(m) < flip
+    tips[back] = tips[back, ::-1]
+    return np.concatenate((np.zeros((m, 1, 2)), tips), axis=1).reshape(-1, 2)
+
+
+def _flower(m):
+    """The ring of m petals (0, 0), (cos a0, sin a0), (cos a1, sin a1), with
+    a0 = 2 pi (i + 0.1) / m and a1 = 2 pi (i + 0.9) / m: the origin m times."""
+    a0, a1 = (2.0 * math.pi * (np.arange(m) + f) / m for f in (0.1, 0.9))
+    tips = np.stack((np.cos(a0), np.sin(a0), np.cos(a1), np.sin(a1)), axis=1).reshape(m, 2, 2)
+    return np.concatenate((np.zeros((m, 1, 2)), tips), axis=1).reshape(-1, 2)
+
+
+class TestLoopCheck:
+    """``_has_opposite_loops`` tests k loops per point repeated k times, and
+    every ring sign is ``_signed_area``'s."""
+
+    def test_decides_like_every_pair_of_copies(self):
+        rng = np.random.default_rng(20261021)
+        rings = []
+        while len(rings) < 10_000:
+            kind = len(rings) % 3
+            if kind == 0:  # a walk on a 4x4 grid that never stays put
+                n = int(rng.integers(5, 17))
+                cells = (int(rng.integers(16)) + np.cumsum(rng.integers(1, 16, n))) % 16
+                if cells[0] == cells[-1] or len(set(cells.tolist())) == n:
+                    continue
+                xy = np.column_stack(divmod(cells, 4)).astype(np.float64)
+            else:  # a flower, or a figure-eight: two petals
+                xy = _petals(rng, int(rng.integers(2, 9)), 0.15) if kind == 1 else _petals(rng, 2, 0.5)
+            rings.append(np.ascontiguousarray(xy[::-1]) if geometry._signed_area(xy) < 0.0 else xy)
+        rejected = [0, 0, 0]
+        for k, xy in enumerate(rings):
+            want = _all_pairs_opposite_loops(xy)
+            assert geometry._has_opposite_loops(xy) == want, xy.tolist()
+            rejected[k % 3] += want
+        assert all(1000 < r < 2500 for r in rejected)  # both decisions are well represented
+
+    def test_a_point_repeated_200_times_is_checked_in_linear_time(self):
+        # all pairs of the 200 copies took about a second
+        xy = _flower(200)
+        start = time.perf_counter()
+        poly = Polygon(xy)
+        assert time.perf_counter() - start < 0.5
+        assert poly.xy().tobytes() == xy.tobytes()  # counterclockwise as given
+
+    def test_a_stack_of_triangles_sums_as_each_ring(self):
+        rng = np.random.default_rng(20261022)
+        tri = rng.uniform(-1.0, 1.0, (6000, 3, 2)) * 10.0 ** rng.integers(-3, 4, (6000, 1, 1))
+        tri[:1000] *= 1e-170  # sums that underflow, to zeros of either sign
+        tri[1000:2000] *= 1e200  # and that overflow
+        tri[2000:3000, 2] = tri[2000:3000, 0] + rng.uniform(0, 1, (1000, 1)) * (tri[2000:3000, 1] - tri[2000:3000, 0])
+        tri[3000:3500, 1:] = tri[3000:3500, :1]  # every corner the same
+        want = np.array([geometry._shoelace(t)[0] for t in tri])
+        got = geometry._signed_area(tri)
+        assert got.shape == (6000,) and got.tobytes() == want.tobytes()
+        assert {np.signbit(a) for a in got[got == 0.0]} == {False}  # a sum from 0.0 is never -0.0
+        assert np.isnan(got).any() and np.isinf(got).any() and (got == 0.0).sum() > 500
+
+
 class TestPolygonArray:
     """``Polygon.xy()`` is the array built once at construction: read-only,
     bit for bit the stored vertices, and invisible to the dataclass."""
@@ -1024,8 +1110,11 @@ class TestArrayConstruction:
     @pytest.mark.parametrize("kind", [Polygon, Polyline])
     @pytest.mark.parametrize("rows, count", [([(0, 0, 7), (1, 0, 7), (0, 1, 7)], 3),
                                              (np.array([(0, 0, 7), (1, 0, 7), (0, 1, 7)]), 3),
-                                             ([(0, 0), (3,), (0, 1)], 1), ([(0, 0), (1, 0), ()], 0)],
-                             ids=["3-tuples", "3-columns", "short-row", "empty-row"])
+                                             ([(0, 0), (3,), (0, 1)], 1), ([(0, 0), (1, 0), ()], 0),
+                                             (np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0]), "a scalar"),
+                                             ([1, 2, 3], "a scalar"), ([(0, 0), Fraction(1, 3), (0, 1)], "a scalar")],
+                             ids=["3-tuples", "3-columns", "short-row", "empty-row", "flat-array", "ints",
+                                  "fraction-row"])
     def test_a_point_is_exactly_two_coordinates(self, kind, rows, count):
         with pytest.raises(ValueError, match=f"^a point is a Point2 or 2 coordinates, not {count}$"):
             kind(rows)

@@ -156,6 +156,18 @@ def test_pure_ordered_sum_matches_the_loop_across_blocks():
             assert _bits(_kernels.ordered_sum(vals, init)) == _bits(_loop_sum(vals, init))
 
 
+def test_ordered_sum_of_rows_sums_each_column_in_order():
+    rng = np.random.default_rng(12)
+    vals = rng.standard_normal((300, 7)) * 10.0 ** rng.uniform(-12, 12, (300, 7))
+    vals[:, 0] = [1e16, 1.0, -1e16] * 100
+    vals[:, 1] = -0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sums = _kernels.ordered_sum(vals, -0.0)
+    assert sums.shape == (7,)
+    assert sums.tobytes() == b"".join(_bits(_loop_sum(column, -0.0)) for column in vals.T)
+
+
 def test_ordered_sum_init_chains_chunks():
     vals = _kernels.uniform01(3, 0, 1000)
     whole = _kernels.ordered_sum(vals)

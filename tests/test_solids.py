@@ -865,3 +865,43 @@ class TestProfileAxisRule:
             with pytest.raises(AxisCrossing):
                 Profile(Disk(Point2(0.5 * c, 0), c))
             Profile(Disk(Point2(c, 0), c))
+
+
+def _decision(call) -> str:
+    """The type name of the GeometryError ``call()`` raises, or "accepted"."""
+    try:
+        call()
+    except iv.GeometryError as exc:
+        return type(exc).__name__
+    return "accepted"
+
+
+class TestTolerancesScaleWithTheShape:
+    """``move_apex``'s height test, ``guldin_surface``'s axis slack and the
+    monotonicity slack that ``area_bounds`` checks are relative: a shape
+    scaled by 2^k, which is exact, is decided as at k = 0."""
+
+    def test_each_decision_is_the_same_at_every_scale(self):
+        rng = np.random.default_rng(20261023)
+        cases = []
+        for _ in range(8):
+            r, h, a = rng.uniform(0.5, 2.0, 3)
+            x, y = rng.uniform(-1.0, 1.0, 2)
+            # the apex moved off its height by a relative 0, 1e-13, 1e-11 or 1
+            for dh in (0.0, 1e-13, -1e-13, 1e-11, -1e-11, 1.0):
+                cases.append(lambda c, r=r, h=h, x=x, y=y, dh=dh: iv.move_apex(
+                    Cone(Disk(Point2(0, 0), r * c), Point3(0, 0, h * c)), Point3(x * c, y * c, h * (1 + dh) * c)))
+            # circles and arcs that clear, touch, graze, cross or miss the axis
+            arcs = [(r, 0.0, TWO_PI), (0.0, 1.5 * math.pi, math.pi), (-2 * r, 0.0, TWO_PI), (3 * r, 1.0, 2.0)]
+            arcs += [(r * (1 - f), 0.0, TWO_PI) for f in (1e-14, 1e-11, 0.5)]
+            for cx, start, span in arcs:
+                cases.append(lambda c, cx=cx, r=r, start=start, span=span: iv.guldin_surface(
+                    CircleArc(Point2(cx * c, 0), r * c, start, span), iv.rho_axis()))
+            # a profile declared increasing that rises, is flat, or falls by a relative 1e-14, 1e-11 or 1
+            for slope in (1.0, 0.0, -1e-14 * a, -1e-11 * a, -a):
+                cases.append(lambda c, a=a, slope=slope: iv.area_bounds(
+                    WidthFunction(lambda t: c * (a + slope * t), (0.0, 1.0)), 16))
+        decided = [_decision(lambda: case(1.0)) for case in cases]
+        assert {"accepted", "ApexHeightChanged", "AxisCrossing", "InvalidMonotonicity"} == set(decided)
+        for k in range(-240, 241, 40):
+            assert [_decision(lambda: case(2.0**k)) for case in cases] == decided, k
