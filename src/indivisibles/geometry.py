@@ -835,11 +835,18 @@ def _has_opposite_loops(xy: np.ndarray) -> bool:
     the k - 1 neighbouring pairs and the first copy with the last decide as all pairs do."""
     order = np.lexsort((xy[:, 1], xy[:, 0]))
     ranked = np.take(xy, order, axis=0)
-    # lexsort is stable: the copies of a point are ranked[first] .. ranked[last], ranked[p + 1] after ranked[p]
-    same = np.concatenate(([False], (ranked[1:] == ranked[:-1]).all(axis=1), [False]))
-    p, (first, last) = np.flatnonzero(same[1:]), np.flatnonzero(np.diff(same)).reshape(-1, 2).T
-    wide = last - first > 1  # three copies or more
-    starts, stops = order[np.concatenate((p, first[wide]))], order[np.concatenate((p + 1, last[wide]))]
+    repeat = (ranked[1:] == ranked[:-1]).all(axis=1)  # ranked[p + 1] repeats ranked[p]
+    if not repeat.any():
+        return False
+    # lexsort is stable, so the copies of one point are a run of ranked, by ascending index
+    pairs = np.flatnonzero(repeat)  # ranked[p] and ranked[p + 1] are neighbouring copies
+    starts, stops = order[pairs], order[pairs + 1]
+    # a run of three copies or more also gives the pair (its first copy, its last copy)
+    first = np.flatnonzero(repeat & ~np.concatenate(([False], repeat[:-1])))
+    last = np.flatnonzero(repeat & ~np.concatenate((repeat[1:], [False]))) + 1
+    wide = last - first > 1
+    starts = np.concatenate((starts, order[first[wide]]))
+    stops = np.concatenate((stops, order[last[wide]]))
     for i, j in zip(starts.tolist(), stops.tolist()):
         inner, outer = _signed_area(xy[i:j]), _signed_area(np.concatenate((xy[j:], xy[:i])))
         if min(inner, outer) < 0.0 < max(inner, outer):
@@ -867,7 +874,8 @@ def _shoelace(xy: np.ndarray) -> tuple[float, float, float]:
     """(area, integral of x dA, integral of y dA) of the ring ``xy``: its ``_signed_area``, and the
     moments summed relative to its first vertex o, plus o times the area, so moving o costs no accuracy."""
     ox, oy = xy[0].tolist()  # Python floats, so that the measures are too
-    a, (x0, y0, x1, y1, cross) = _signed_area(xy), _cross_terms(xy)
+    x0, y0, x1, y1, cross = _cross_terms(xy)
+    a = 0.5 * ordered_sum(cross)  # _signed_area(xy), from the terms the moments read too
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is part of the result
         return a, ordered_sum((x0 + x1) * cross) / 6.0 + ox * a, ordered_sum((y0 + y1) * cross) / 6.0 + oy * a
 

@@ -31,7 +31,6 @@ from .geometry import (
     Point2,
     Profile,
     SectionFunction,
-    first_moment_curve,
     _finite_nonzero,
     _nonzero_length,
     _nonzero_measures,
@@ -455,11 +454,11 @@ def guldin_surface(profile_boundary: Curve, axis: Line2) -> float:
     """Surface of revolution: boundary length times its centroid circumference.
 
     The axis is explicit so open arcs (sphere zones) work; every point of the
-    curve must satisfy rho >= -1e-12 * its length, rho measured on the positive side.
+    curve must satisfy rho >= -1e-12 * its mean rho (measured on the positive side).
     """
-    length, _, _ = _nonzero_length(profile_boundary, "profile boundary")
+    length, mx, my = _nonzero_length(profile_boundary, "profile boundary")
+    moment = axis.first_moment(length, mx, my)  # = rho_bar * length
     rho_min = profile_boundary.min_distance(axis)
-    if rho_min < -1e-12 * length:
+    if rho_min < -1e-12 * (moment / length):
         raise AxisCrossing(f"curve reaches rho = {rho_min!r} past the revolution axis")
-    moment = first_moment_curve(profile_boundary, axis)
-    return TWO_PI * moment  # = 2*pi * rho_bar_curve * length
+    return TWO_PI * moment

@@ -905,3 +905,21 @@ class TestTolerancesScaleWithTheShape:
         assert {"accepted", "ApexHeightChanged", "AxisCrossing", "InvalidMonotonicity"} == set(decided)
         for k in range(-240, 241, 40):
             assert [_decision(lambda: case(2.0**k)) for case in cases] == decided, k
+
+    def test_axis_slack_follows_the_distance_across_the_axis(self):
+        # segments and a thin ring 1e10 times longer along the axis than across it
+        long = 1e10
+        expected = {
+            ((-1e-3, 0), (-1e-3, long)): "AxisCrossing",  # parallel to the axis, past it
+            ((-1e-13, 0), (-1e-13, long)): "AxisCrossing",
+            ((0, 0), (0, long)): "accepted",  # on it
+            ((1e-3, 0), (1e-3, long)): "accepted",  # beside it
+            ((-1e-14 * long, 0), (long, long)): "accepted",  # tilted, from a relative 1e-14 past it
+            ((-1e-11 * long, 0), (long, long)): "AxisCrossing",
+            ((-2e-3, 0), (-1e-3, 0), (-1e-3, long), (-2e-3, long)): "AxisCrossing",
+        }
+        for k in range(-240, 241, 40):
+            c = 2.0**k
+            for points, decision in expected.items():
+                curve = Polyline([(x * c, y * c) for x, y in points], closed=len(points) > 2)
+                assert _decision(lambda: iv.guldin_surface(curve, iv.rho_axis())) == decision, (k, points)
