@@ -692,7 +692,10 @@ def _point(p) -> Point2:
     """A point given as a ``Point2`` or as exactly two coordinates."""
     if isinstance(p, Point2):
         return p
-    count = "a scalar" if isinstance(p, Number) else len(p)
+    try:
+        count = len(p)
+    except TypeError:  # a row with no length: a number, None, ...
+        count = "a scalar" if isinstance(p, Number) else type(p).__name__
     if count != 2:
         raise ValueError(f"a point is a Point2 or 2 coordinates, not {count}")
     return Point2(float(p[0]), float(p[1]))

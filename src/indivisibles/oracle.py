@@ -14,7 +14,6 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,32 +98,35 @@ def _cpu_count() -> int:
 
 
 def _mc_membership(membership, bounds, samples: int, seed: int) -> Estimate:
+    # imported here: at module top its logging import would load on every CLI start
+    from concurrent.futures import ThreadPoolExecutor
+
     lows, spans, box_measure = _check_box(bounds)
     if samples < 1:
         raise ValueError("need at least one sample")
     dims = len(bounds)
     lows, spans = lows[:, None], spans[:, None]
     # The chunks split into one contiguous run per worker: the caller counts
-    # run 0 and a thread each of the others.  numpy releases the GIL inside
-    # the stream's and most predicates' ufuncs, so the runs overlap, and the
-    # hit count is an integer, so the order in which runs finish changes no
-    # bit of the estimate.
+    # run 0 and a pool thread each of the others.  numpy releases the GIL
+    # inside the stream's and most predicates' ufuncs, so the runs overlap,
+    # and the hit count is an integer, so the order in which runs finish
+    # changes no bit of the estimate.
     chunks = -(-samples // _BLOCK)
     workers = min(_cpu_count(), chunks)
     edges = [chunks * w // workers for w in range(workers + 1)]
-    hits = [0] * workers
-    # The lowest chunk that failed and its exception.  That chunk's exception
-    # is the one a sequential loop would raise; a worker past it stops, one
-    # below it goes on, since it may still fail earlier.
-    failure = [chunks, None]
-    lock = threading.Lock()
+    # A failed chunk: runs past it stop early, runs below it go on, as they
+    # may still fail earlier.  The runs' returns, not this value, decide the
+    # error, so it needs no lock: a lost update only costs chunks.
+    stop = [chunks]
 
     def count(w):
-        buffers = StreamBuffers(dims, min(_BLOCK, samples))
-        for chunk in range(edges[w], edges[w + 1]):
-            if chunk > failure[0]:
-                return
-            try:
+        """Run w's hit count, or (chunk, exception) for its first failed chunk."""
+        hits, chunk = 0, edges[w]
+        try:
+            buffers = StreamBuffers(dims, min(_BLOCK, samples))
+            for chunk in range(edges[w], edges[w + 1]):
+                if chunk > stop[0]:
+                    break
                 done = chunk * _BLOCK
                 m = min(_BLOCK, samples - done)
                 coords = uniform01(seed, done * dims, m, dims, buffers=buffers).reshape(dims, m)
@@ -136,32 +138,25 @@ def _mc_membership(membership, bounds, samples: int, seed: int) -> Estimate:
                         f"membership must return one value per sample: expected shape {(m,)}, "
                         f"got {np.shape(inside)}"
                     )
-                hits[w] += int(np.count_nonzero(inside))
-            except BaseException as exc:  # raised in the caller once every worker is joined
-                with lock:
-                    if chunk < failure[0]:
-                        failure[:] = chunk, exc
-                return
+                hits += int(np.count_nonzero(inside))
+        except BaseException as exc:  # raised in the caller once every run is joined
+            stop[0] = min(stop[0], chunk)
+            return chunk, exc
+        return hits
 
-    threads = []
-    try:
-        for w in range(1, workers):
-            # a copy of the caller's context, so that its np.errstate holds in the thread
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(count, w))
-            thread.start()
-            threads.append(thread)
-        count(0)
-        for thread in threads:
-            thread.join()
-    except BaseException:  # an interrupt, or a thread that would not start
-        with lock:
-            failure[0] = -1  # every worker stops at its next chunk
-        for thread in threads:
-            thread.join()
-        raise
-    if failure[1] is not None:
-        raise failure[1]
-    return _indicator_estimate(sum(hits), samples, box_measure, seed)
+    # leaving the pool joins every thread
+    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
+        try:
+            # a copy of the caller's context each, so that its np.errstate holds in the thread
+            runs = [pool.submit(contextvars.copy_context().run, count, w) for w in range(1, workers)]
+            results = [count(0)] + [run.result() for run in runs]
+        except BaseException:  # an interrupt, or a thread that would not start
+            stop[0] = -1  # every run stops at its next chunk
+            raise
+    failures = [result for result in results if isinstance(result, tuple)]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return _indicator_estimate(sum(results), samples, box_measure, seed)
 
 
 def mc_area(membership, bbox, samples: int, seed: int = 42) -> Estimate:
@@ -176,8 +171,9 @@ def mc_area(membership, bbox, samples: int, seed: int = 42) -> Estimate:
     ``Polygon.contains`` are; chunks reach it in no set order.  The arrays
     are rows of buffers that the thread's next chunk overwrites, so a
     membership that keeps them copies them.  The estimate is the same, bit
-    for bit, at any number of CPUs, and an error is the one the first failing
-    chunk raised.
+    for bit, at any number of CPUs.  Once every thread has ended, the error
+    raised is the lowest failed chunk's; a run fails at its first chunk if
+    its buffers fail.
     """
     return _mc_membership(membership, tuple(bbox), samples, seed)
 

@@ -220,6 +220,18 @@ def test_profile_line_numbers_are_those_of_the_file(scratch):
     assert messages == ["PATH:5: point line needs two coordinates"] * 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("name\npoint 1 0\npoint 2 0\npoint 2 1\n", ":1: name line needs a value"),
+    ("point 1 0\npoint 1 x\npoint 2 1\n", ":2: bad coordinate"),
+    ("point 1 0\nvertex 1 0\npoint 2 1\n", ":2: expected 'name' or 'point', got 'vertex'"),
+    ("name pair\npoint 1 0\npoint 2 1\n", ": a profile needs at least 3 points"),
+], ids=["name-without-value", "bad-coordinate", "unknown-keyword", "two-points"])
+def test_bad_profile_exits_four(scratch, text, message):
+    profile = scratch / "bad.profile"
+    profile.write_text(text)
+    assert _run(["guldin", str(profile)]) == (4, "", f"error: {profile}{message}\n")
+
+
 # --- deep scripts and tolerances -------------------------------------------------
 
 

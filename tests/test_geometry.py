@@ -10,6 +10,7 @@ import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
+from numbers import Number
 
 import numpy as np
 import pytest
@@ -1112,9 +1113,10 @@ class TestArrayConstruction:
                                              (np.array([(0, 0, 7), (1, 0, 7), (0, 1, 7)]), 3),
                                              ([(0, 0), (3,), (0, 1)], 1), ([(0, 0), (1, 0), ()], 0),
                                              (np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0]), "a scalar"),
-                                             ([1, 2, 3], "a scalar"), ([(0, 0), Fraction(1, 3), (0, 1)], "a scalar")],
+                                             ([1, 2, 3], "a scalar"), ([(0, 0), Fraction(1, 3), (0, 1)], "a scalar"),
+                                             ([(0, 0), None, (0, 1)], "NoneType")],
                              ids=["3-tuples", "3-columns", "short-row", "empty-row", "flat-array", "ints",
-                                  "fraction-row"])
+                                  "fraction-row", "none-row"])
     def test_a_point_is_exactly_two_coordinates(self, kind, rows, count):
         with pytest.raises(ValueError, match=f"^a point is a Point2 or 2 coordinates, not {count}$"):
             kind(rows)
@@ -1358,8 +1360,12 @@ def _per_point_read(items):
     def point(p):
         if isinstance(p, Point2):
             return p
-        if len(p) != 2:
-            raise ValueError(f"a point is a Point2 or 2 coordinates, not {len(p)}")
+        try:
+            count = len(p)
+        except TypeError:
+            count = "a scalar" if isinstance(p, Number) else type(p).__name__
+        if count != 2:
+            raise ValueError(f"a point is a Point2 or 2 coordinates, not {count}")
         return Point2(float(p[0]), float(p[1]))
 
     pts = tuple(map(point, items))

@@ -363,6 +363,24 @@ class TestMonteCarloWorkers:
             iv.mc_area(lambda xs: xs < 0.5, ((0, 1),), 30 * oracle._BLOCK)
         assert threading.active_count() == start
 
+    def test_worker_failing_before_its_first_chunk_raises(self, workers, monkeypatch):
+        # run 1's buffers fail in its thread, before its first chunk: the call
+        # raises that error rather than counting run 1's chunks as misses
+        workers(2)
+        caller = threading.get_ident()
+        buffers = oracle.StreamBuffers
+
+        def failing(*args):
+            if threading.get_ident() != caller:
+                raise MemoryError("buffers of run 1")
+            return buffers(*args)
+
+        monkeypatch.setattr(oracle, "StreamBuffers", failing)
+        start = threading.active_count()
+        with pytest.raises(MemoryError, match="^buffers of run 1$"):
+            iv.mc_area(lambda x, y: x * x + y * y <= 1.0, ((-1, 1), (-1, 1)), 10**6, seed=7)
+        assert threading.active_count() == start
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_caller_errstate_holds_in_every_worker(self, workers, n):
         # one chunk per run; every run reaches its chunk before any overflows,

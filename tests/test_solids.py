@@ -923,3 +923,35 @@ class TestTolerancesScaleWithTheShape:
             for points, decision in expected.items():
                 curve = Polyline([(x * c, y * c) for x, y in points], closed=len(points) > 2)
                 assert _decision(lambda: iv.guldin_surface(curve, iv.rho_axis())) == decision, (k, points)
+
+
+_TRIANGLE = Polygon([(1, 0), (2, 0), (2, 1)])
+_ORIGIN = np.zeros(1)
+
+# Library errors that no other test raises: each call, its error and message.
+LIBRARY_ERRORS = {
+    "halfdisk-boundary": (lambda: iv.boundary(HalfDisk(Point2(0, 0), 1.0)),
+                          iv.UnsupportedRegion, "no boundary curve for HalfDisk"),
+    "polygon-section": (lambda: _TRIANGLE.section(), iv.UnsupportedRegion, "no width profile for Polygon"),
+    "revolved-polygon-section": (lambda: SolidOfRevolution(Profile(_TRIANGLE)).section(),
+                                 iv.UnsupportedRegion, "no revolved section for Polygon"),
+    "cylinder-section": (lambda: Cylinder(_TRIANGLE, 1.0).section(),
+                         UnsupportedSolid, "no section rule for Cylinder"),
+    "cylinder-contains": (lambda: Cylinder(_TRIANGLE, 1.0).contains(_ORIGIN, _ORIGIN, _ORIGIN),
+                          UnsupportedSolid, "no membership rule for Cylinder"),
+    "cylinder-box": (lambda: Cylinder(_TRIANGLE, 1.0).box(), UnsupportedSolid, "no bounding box rule for Cylinder"),
+    "area-bounds-no-slab": (lambda: iv.area_bounds(Disk(Point2(0, 0), 1.0).section(), 0),
+                            ValueError, "slab count must be positive"),
+    "rising-declared-decreasing": (
+        lambda: iv.area_bounds(WidthFunction(lambda t: t, domain=(0.0, 1.0), monotonicity=("decreasing",)), 8),
+        iv.InvalidMonotonicity, "piece [0.0, 1.0] declared decreasing but increases"),
+    "bare-curve": (lambda: iv.boundary_integral(iv.Curve(), lambda x, y: x, 4), TypeError, "unknown curve kind Curve"),
+    "riemann-no-cell": (lambda: iv.riemann_volume(Sphere(1.0).section(), 0), ValueError, "need at least one cell"),
+    "reversed-interval": (lambda: iv.MeasureInterval(2.0, 1.0, 1, "m"), ValueError, "interval must satisfy lo <= hi"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", LIBRARY_ERRORS.values(), ids=LIBRARY_ERRORS.keys())
+def test_library_error(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
