@@ -40,15 +40,15 @@ def _require_finite(*values):
 
 
 def _unit(direction, what: str):
-    """``direction`` checked finite and nonzero (else ValueError naming
-    ``what``), divided by its length when that is off 1 by more than 1e-12,
-    and returned as given otherwise."""
-    dx, dy = direction
+    """``direction``, two components read with ``float``, checked finite and
+    nonzero (else ValueError naming ``what``), as a tuple of two floats:
+    divided by its length when that is off 1 by more than 1e-12, else as read."""
+    dx, dy = map(float, direction)
     _require_finite(dx, dy)
     norm = math.hypot(dx, dy)
     if norm == 0.0:
         raise ValueError(f"{what} direction must be nonzero")
-    return (dx / norm, dy / norm) if abs(norm - 1.0) > 1e-12 else direction
+    return (dx / norm, dy / norm) if abs(norm - 1.0) > 1e-12 else (dx, dy)
 
 
 @dataclass(frozen=True)
@@ -431,7 +431,8 @@ class Polygon(PlanarRegion):
             raise ValueError("polygon has a repeated consecutive vertex")
         if _signed_area(xy) < 0.0:
             xy = np.ascontiguousarray(xy[::-1])
-        if _has_proper_self_intersection(xy) or _has_opposite_loops(xy):
+        # a triangle has no two non-adjacent edges, and no repeat but a consecutive one
+        if len(xy) > 3 and (_has_proper_self_intersection(xy) or _has_opposite_loops(xy)):
             raise ValueError("polygon is self-intersecting")
         xy.flags.writeable = False
         object.__setattr__(self, "_xy", xy)
@@ -740,12 +741,13 @@ def _has_proper_self_intersection(xy: np.ndarray) -> bool:
     whose lowest x lies inside its own closed x range, so every pair with
     overlapping x ranges is visited once; these candidates are enumerated
     ``_kernels._BLOCK`` at a time.  In each step, pairs whose y ranges are
-    disjoint are dropped, then pairs of ring neighbours, found from the sweep
-    positions of each edge's two neighbours; no step leaves sweep order.  The
-    step's survivors go to ``_properly_cross`` in one call, each pair as
-    (earlier edge, later edge) in sweep order, and the first crossing ends the
-    check.  That test is staged: it takes two orientations for every pair and
-    the other two only for the few pairs the first two leave open.
+    disjoint are dropped, then pairs of ring neighbours, whose ring indices
+    (``order`` at their sweep positions) differ by 1 or n - 1; no step leaves
+    sweep order.  The step's survivors go to ``_properly_cross`` in one call,
+    each pair as (earlier edge, later edge) in sweep order, and the first
+    crossing ends the check.  That test is staged: it takes two orientations
+    for every pair and the other two only for the few pairs the first two
+    leave open.
 
     So the pairs tested are exactly the non-adjacent pairs whose closed
     bounding boxes overlap, each once, and each is decided by the same float
@@ -754,18 +756,11 @@ def _has_proper_self_intersection(xy: np.ndarray) -> bool:
     wrong sign, so a crossing at that scale can be missed or invented.
     """
     n = len(xy)
-    if n < 4:
-        return False  # no two edges of a triangle are non-adjacent
     x = xy[:, 0]
     xlo = np.minimum(x, _ring_next(x))
-    order = np.argsort(xlo, kind="stable")
-    ends = order + 1  # the end vertex of each edge, in sweep order, before wrapping
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
-    # sweep position of the edge before and after each one on the ring
-    before, after = rank[order - 1], np.take(rank, ends, mode="wrap")
+    order = np.argsort(xlo, kind="stable")  # the ring index of the edge at each sweep position
     edges = np.empty((6, n))  # rows px, py, qx, qy, ex, ey
-    edges[0:2], edges[2:4] = np.take(xy, order, axis=0).T, np.take(xy, ends, axis=0, mode="wrap").T
+    edges[0:2], edges[2:4] = np.take(xy, order, axis=0).T, np.take(xy, order + 1, axis=0, mode="wrap").T
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is part of the decision
         np.subtract(edges[2:4], edges[0:2], out=edges[4:6])
     # bounding boxes in sweep order; edge a overlaps edges a+1 .. end[a]-1 in x
@@ -787,7 +782,8 @@ def _has_proper_self_intersection(xy: np.ndarray) -> bool:
         b = np.arange(start, stop) + shift[a]
         near = np.flatnonzero((ylo[a] <= yhi[b]) & (ylo[b] <= yhi[a]))
         a, b = a[near], b[near]
-        apart = np.flatnonzero((b != before[a]) & (b != after[a]))
+        gap = np.abs(order[a] - order[b])
+        apart = np.flatnonzero((gap != 1) & (gap != n - 1))
         if len(apart) and _properly_cross(edges, a[apart], b[apart]):
             return True
     return False

@@ -61,8 +61,7 @@ def _check_box(bounds):
     # float64 even for integer sides, whose int64 product would wrap
     lows = np.array([lo for lo, _ in bounds], dtype=np.float64)
     spans = np.array([hi - lo for lo, hi in bounds], dtype=np.float64)
-    with np.errstate(over="ignore"):
-        measure = float(np.prod(spans))
+    measure = math.prod(spans.tolist())  # multiplied in order, so no reduction order to choose
     if not math.isfinite(measure):
         raise EmptyBox(f"the measure of the box {tuple(bounds)!r} is not finite at these dimensions")
     if measure == 0.0:

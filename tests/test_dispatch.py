@@ -44,18 +44,16 @@ NUMPY_NAMES = frozenset({
     "ascontiguousarray", "bitwise_xor", "broadcast_shapes", "broadcast_to", "column_stack",
     "concatenate", "cos", "count_nonzero", "cumsum", "diff", "divmod", "empty", "empty_like",
     "errstate", "flatnonzero", "float64", "fromiter", "hypot", "int64", "intp", "isfinite",
-    "lexsort", "linspace", "max", "maximum", "min", "minimum", "multiply", "ndarray", "prod",
+    "lexsort", "linspace", "max", "maximum", "min", "minimum", "multiply", "ndarray",
     "repeat", "result_type", "right_shift", "searchsorted", "shape", "sin", "sort", "sqrt",
     "stack", "subtract", "take", "uint64", "where", "zeros", "zeros_like",
 })
 # sin, cos and hypot are approximations whose last bit is the library's
-# choice; prod reduces in an order that numpy picks.  Each is taken over
-# seeded x and y.
+# choice.  Each is taken over seeded x and y.
 UNFIXED = {
     "sin": lambda x, y: np.sin(x),
     "cos": lambda x, y: np.cos(x),
     "hypot": np.hypot,
-    "prod": lambda x, y: np.prod(x.reshape(-1, 8), axis=1),
 }
 
 
