@@ -72,7 +72,6 @@ from .solids import (
     volume,
 )
 from .transforms import (
-    Transform,
     meridian_unfold,
     move_apex,
     sawtooth_teeth,

@@ -249,19 +249,21 @@ def cmd_guldin(args) -> int:
         ("volume", vol),
         ("surface", surf),
     ]
+    verified = True
     if args.verify:
         est = mc_volume(solid.contains, solid.box(), samples=args.samples, seed=args.seed)
         err = abs(est.mean - vol)
+        verified = err <= 5.0 * est.stderr
         pairs += [
             ("verify_samples", est.samples),
             ("verify_seed", est.seed),
             ("verify_mean", est.mean),
             ("verify_stderr", est.stderr),
             ("verify_abs_error", err),
-            ("verify_within_5_stderr", "true" if err <= 5.0 * est.stderr else "false"),
+            ("verify_within_5_stderr", "true" if verified else "false"),
         ]
     sys.stdout.write(_emit(pairs))
-    return EXIT_OK
+    return EXIT_OK if verified else EXIT_ASSERTION
 
 
 # --- oracle -----------------------------------------------------------------

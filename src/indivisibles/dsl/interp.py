@@ -250,8 +250,8 @@ _CALLS = {
 
 
 class _Evaluator:
-    def __init__(self, env: dict | None = None):
-        self.env = dict(env or {})
+    def __init__(self):
+        self.env = {}
 
     # construction values -------------------------------------------------
 
@@ -379,9 +379,9 @@ class _Evaluator:
         return RunReport(tuple(records))
 
 
-def evaluate(script: Script, env: dict | None = None) -> RunReport:
+def evaluate(script: Script) -> RunReport:
     """Execute a parsed script; returns the per-assertion report."""
-    return _Evaluator(env).run(script)
+    return _Evaluator().run(script)
 
 
 def run_script(source: str) -> RunReport:

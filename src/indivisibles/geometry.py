@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Number
 from operator import attrgetter
 from typing import Callable, Sequence
@@ -84,6 +84,7 @@ class Line2:
     direction: tuple[float, float]
 
     def __post_init__(self):
+        object.__setattr__(self, "point", _point(self.point))
         object.__setattr__(self, "direction", _unit(self.direction, "line"))
 
     @staticmethod
@@ -132,7 +133,7 @@ class WidthFunction:
 
     enclosure_method = "inner-outer-rectangles"
 
-    fn: Callable[[np.ndarray], np.ndarray] = field(compare=False)
+    fn: Callable[[np.ndarray], np.ndarray]
     domain: tuple[float, float] = (0.0, 1.0)
     breakpoints: tuple[float, ...] = ()
     monotonicity: tuple[str, ...] = ("increasing",)
@@ -283,15 +284,12 @@ class CircleArc(Curve):
     span: float = TWO_PI
 
     def __post_init__(self):
+        object.__setattr__(self, "center", _point(self.center))
         _require_finite(self.radius, self.start_angle, self.span)
         if self.radius <= 0.0:
             raise ValueError("arc radius must be positive")
         if not 0.0 < self.span <= TWO_PI:
             raise ValueError("arc span must lie in (0, 2*pi]")
-
-    @property
-    def closed(self) -> bool:
-        return self.span == TWO_PI
 
     def measures(self) -> tuple[float, float, float]:
         length = self.radius * self.span
@@ -493,6 +491,7 @@ class Disk(PlanarRegion):
     radius: float
 
     def __post_init__(self):
+        object.__setattr__(self, "center", _point(self.center))
         _require_finite(self.radius)
         if self.radius <= 0.0:
             raise ValueError("disk radius must be positive")
@@ -545,6 +544,7 @@ class HalfDisk(PlanarRegion):
     bulge: tuple[float, float] = (1.0, 0.0)
 
     def __post_init__(self):
+        object.__setattr__(self, "center", _point(self.center))
         _require_finite(self.radius, *self.bulge)
         if self.radius <= 0.0:
             raise ValueError("half-disk radius must be positive")

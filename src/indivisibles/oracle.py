@@ -183,9 +183,10 @@ def mc_volume(membership, bbox3, samples: int, seed: int = 42) -> Estimate:
     return _mc_membership(membership, tuple(bbox3), samples, seed)
 
 
-def _midpoint_sum(values_at, n: int, total: float = 0.0) -> float:
-    """``ordered_sum`` of ``values_at(k + 0.5)`` over k = 0 .. n-1, chained from
-    ``total`` through pieces of ``_BLOCK`` cells."""
+def _midpoint_sum(values_at, n: int) -> float:
+    """``ordered_sum`` of ``values_at(k + 0.5)`` over k = 0 .. n-1, chained
+    through pieces of ``_BLOCK`` cells."""
+    total = 0.0
     for done in range(0, n, _BLOCK):
         mids = np.arange(done, min(done + _BLOCK, n), dtype=np.float64) + 0.5
         total = ordered_sum(values_at(mids), total)

@@ -1,16 +1,15 @@
 """Measure-preserving figure transforms.
 
-Each construction is an explicit figure-to-figure map with a declared set of
-preserved quantities.  Shears, apex moves, twists and the revolution unfolding
-preserve their measures exactly; the two discretized constructions (circle
-unrolling, meridian unfolding) return explicit discrete geometry together
-with a documented convergence rate instead of pretending to be exact.
+Each construction is an explicit figure-to-figure map whose docstring names
+the measure it preserves.  Shears, apex moves, twists and the revolution
+unfolding preserve their measures exactly; the two discretized constructions
+(circle unrolling, meridian unfolding) return explicit discrete geometry
+together with a documented convergence rate instead of pretending to be exact.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,36 +17,9 @@ from .errors import ApexHeightChanged, UnsupportedRegion
 from .geometry import TWO_PI, Disk, Line2, PlanarRegion, Polygon, Profile, _signed_area
 from .solids import Cone, Cylinder, DoubleHoof, HeightFieldCylinder, Point3, Solid, Sphere, TwistedColumn
 
-# What each construction preserves (the discretized ones preserve their
-# measures only in the n -> infinity limit; see the convergence notes below).
-PRESERVED = {
-    "shear2d": frozenset({"area"}),
-    "move-apex": frozenset({"volume"}),
-    "unroll-disk": frozenset({"area"}),
-    "twist-column": frozenset({"volume"}),
-    "meridian-unfold": frozenset({"volume", "lateral-area"}),
-    "unfold-revolution": frozenset({"volume", "lateral-area"}),
-}
-
 # The most slices ``unroll_disk`` takes: at 2**16 the sawtooth is about 0.1 s
 # and 26 MB, and its SVG about 8 MB.
 UNROLL_BUDGET = 2**16
-
-
-@dataclass(frozen=True)
-class Transform:
-    """A named construction with its preserved-quantity set."""
-
-    kind: str
-    parameters: dict
-
-    def __post_init__(self):
-        if self.kind not in PRESERVED:
-            raise ValueError(f"unknown transform kind {self.kind!r}")
-
-    @property
-    def preserves(self) -> frozenset[str]:
-        return PRESERVED[self.kind]
 
 
 def shear_region(region: PlanarRegion, base: Line2, shift_per_unit_distance: float) -> Polygon:

@@ -60,7 +60,7 @@ def test_public_names_are_pinned():
         "Estimate", "GeometryError", "HalfDisk", "HeightFieldCylinder", "Hoof", "InvalidMonotonicity",
         "Line2", "MeasureInterval", "PlanarRegion", "Point2", "Point3", "Polygon", "Polyline", "Profile",
         "SectionFunction", "SlabOutOfRange", "SlabRegion", "Solid", "SolidOfRevolution", "Sphere",
-        "TangentPolyhedron", "ToleranceNotReached", "Transform", "TwistedColumn", "UnsupportedExact",
+        "TangentPolyhedron", "ToleranceNotReached", "TwistedColumn", "UnsupportedExact",
         "UnsupportedRegion", "UnsupportedSolid", "WidthFunction", "area", "area_bounds", "boundary",
         "boundary_integral", "bounding_box", "centroid_curve", "centroid_region", "contains",
         "first_moment", "first_moment_curve", "guldin_surface", "guldin_volume", "lateral_area",
@@ -374,6 +374,15 @@ class TestGuldin:
         report = _report_dict(out)
         assert report["verify_within_5_stderr"] == "true"
         assert report["verify_seed"] == "42"
+
+    def test_verify_that_fails_exits_one(self, capsys, square_profile):
+        # one sample hits: its mean 16 (the box) misses the volume 3 pi by
+        # more than 5 standard errors of 0; the report is printed in full
+        code, out, err = run_main(capsys, "guldin", str(square_profile), "--verify", "--samples", "1")
+        assert code == 1
+        assert err == ""
+        assert out.endswith("verify_mean 16.0\nverify_stderr 0.0\nverify_abs_error 6.575222039230621\n"
+                            "verify_within_5_stderr false\n")
 
 
     def test_verify_on_a_box_whose_measure_overflows_exits_three(self, capsys, tmp_path):

@@ -403,6 +403,24 @@ class TestLine2:
         direction = getattr(got, field)
         assert type(direction) is tuple and [type(c) for c in direction] == [float, float]
 
+    @pytest.mark.parametrize("p", [(0.5, -2), [0.5, -2.0], np.array([0.5, -2.0])], ids=["tuple", "list", "ndarray"])
+    @pytest.mark.parametrize("build, field", [(lambda p: Line2(p, (1.0, 0.0)), "point"),
+                                              (lambda p: Disk(p, 1.0), "center"),
+                                              (lambda p: HalfDisk(p, 1.0), "center"),
+                                              (lambda p: CircleArc(p, 1.0), "center")],
+                             ids=["line", "disk", "half-disk", "arc"])
+    def test_a_point_field_is_read_as_a_polygon_vertex(self, build, field, p):
+        # two coordinates become a Point2 of floats, equal to and hashing like
+        # the same shape given that Point2; a Point2 is kept as given
+        got, want = build(p), build(Point2(0.5, -2.0))
+        assert got == want and hash(got) == hash(want)
+        point = getattr(got, field)
+        assert type(point) is Point2 and [type(c) for c in (point.x, point.y)] == [float, float]
+        given = Point2(1, 2)
+        assert getattr(build(given), field) is given
+        with pytest.raises(ValueError, match="^a point is a Point2 or 2 coordinates, not 3$"):
+            build((0.0, 0.0, 0.0))
+
 
 class TestSlabRegionCover:
     def test_box_and_min_rho_reach_a_peak_at_a_breakpoint(self):

@@ -23,7 +23,7 @@ from indivisibles import (
     Sphere,
     UnsupportedRegion,
 )
-from indivisibles.transforms import PRESERVED, UNROLL_BUDGET, Transform, _teeth
+from indivisibles.transforms import UNROLL_BUDGET, _teeth
 
 from conftest import star_polygon
 
@@ -384,12 +384,3 @@ class TestUnfoldRevolution:
             iv.guldin_surface(iv.boundary(poly), iv.rho_axis()), rel=1e-12
         )
 
-
-def test_declared_preserved_sets():
-    assert PRESERVED["shear2d"] == {"area"}
-    assert PRESERVED["twist-column"] == {"volume"}
-    assert PRESERVED["meridian-unfold"] == {"volume", "lateral-area"}
-    t = Transform("unroll-disk", {"n": 64})
-    assert t.preserves == {"area"}
-    with pytest.raises(ValueError):
-        Transform("fold-space", {})
