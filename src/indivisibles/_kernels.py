@@ -15,6 +15,12 @@ share one output and one scratch array and no call allocates a chunk's worth.
 The Monte Carlo oracle counts its chunks in one thread per CPU, and each
 thread draws its own run of chunks into its own ``StreamBuffers``; a
 ``StreamBuffers`` is never shared between threads.
+
+``ordered_sum`` of two columns chains both in one pass: the ``(m, 2)`` float64
+rows are viewed as m complex128 values, and a complex add is an IEEE add of
+each part, so each column's sum is bit for bit its own left-to-right chain.
+A caller that chains pairs block after block passes one ``run`` array, with
+the values already written into its rows 1.., so no call allocates or copies.
 """
 
 import operator
@@ -100,20 +106,38 @@ def uniform01(seed, start, count, dims=1, *, buffers=None):
     return out.reshape(-1) if dims == 1 else out
 
 
-def ordered_sum(values, init=0.0):
+def ordered_sum(values, init=0.0, run=None):
     """Strictly sequential left-to-right sum of ``values`` from ``init`` along axis 0.
 
     This is the deterministic reduction used by the slab-sum and quadrature
     code paths: the result is a pure function of element order, regardless of
-    how the elements were produced.
+    how the elements were produced.  A 1-D ``values`` gives a float; an
+    ``(m, k)`` one gives the k column sums as a new array, and ``init`` may
+    then be a scalar or one running sum per column.  Two columns are chained
+    as one complex128 column, each part bit for bit its own chain.
+
+    ``run``, a caller-owned C-contiguous float64 array of at least
+    ``len(values) + 1`` rows of ``values``' row shape, already holds
+    ``values`` in rows ``1 .. len(values)``: ``values`` is then only read for
+    its length, no array is allocated and nothing is copied.  Row 0 and the
+    rows of ``values`` are overwritten by the running sums.
     """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    run = np.empty((values.shape[0] + 1, *values.shape[1:]))
-    run[0] = float(init)
-    run[1:] = values
+    if run is None:
+        values = np.ascontiguousarray(values, dtype=np.float64)
+        run = np.empty((values.shape[0] + 1, *values.shape[1:]))
+        run[1:] = values
+    else:
+        run = run[: len(values) + 1]
     # np.add.accumulate adds strictly left to right, one rounding per element
     # (np.sum is pairwise); inf - inf and overflow are part of the sum's
     # defined result, as in the loop
+    if run.ndim == 1:
+        run[0] = float(init)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.accumulate(run, out=run)
+        return float(run[-1])
+    run[0] = init
+    chain = run.view(np.complex128)[:, 0] if run.shape[1] == 2 else run
     with np.errstate(over="ignore", invalid="ignore"):
-        np.add.accumulate(run, out=run)
-    return float(run[-1]) if run.ndim == 1 else run[-1]
+        np.add.accumulate(chain, out=chain)
+    return run[-1].copy()

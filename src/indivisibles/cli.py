@@ -172,6 +172,7 @@ def cmd_bounds(args) -> int:
     kind, shape, closed = _named_shape(args.shape, args)
     _, bounds, _ = MEASURES[kind]
     interval = bounds(shape.section(), args.slices)
+    encloses = closed in interval
     pairs = [("command", "bounds"), ("shape", args.shape)]
     pairs += [(dim, float(getattr(args, dim))) for dim in SHAPES[args.shape][1]]
     pairs += [
@@ -183,10 +184,10 @@ def cmd_bounds(args) -> int:
         ("hi", interval.hi),
         ("width", interval.width),
         ("closed_form", closed),
-        ("encloses_closed_form", "true" if closed in interval else "false"),
+        ("encloses_closed_form", "true" if encloses else "false"),
     ]
     sys.stdout.write(_emit(pairs))
-    return EXIT_OK
+    return EXIT_OK if encloses else EXIT_ASSERTION
 
 
 # --- guldin -----------------------------------------------------------------
@@ -279,8 +280,10 @@ def cmd_oracle(args) -> int:
         ("target", args.target),
         ("method", args.method),
     ]
+    passed = True
     if args.method == "mc":
         est = mc(shape.contains, shape.box(), args.samples, args.seed)
+        passed = abs(est.mean - closed) <= 5.0 * est.stderr
         pairs += [
             ("samples", est.samples),
             ("seed", est.seed),
@@ -288,7 +291,7 @@ def cmd_oracle(args) -> int:
             ("stderr", est.stderr),
             ("closed_form", closed),
             ("abs_error", abs(est.mean - closed)),
-            ("within_5_stderr", "true" if abs(est.mean - closed) <= 5.0 * est.stderr else "false"),
+            ("within_5_stderr", "true" if passed else "false"),
         ]
     else:  # riemann
         value = riemann_volume(shape.section(), args.cells)
@@ -299,7 +302,7 @@ def cmd_oracle(args) -> int:
             ("abs_error", abs(value - closed)),
         ]
     sys.stdout.write(_emit(pairs))
-    return EXIT_OK
+    return EXIT_OK if passed else EXIT_ASSERTION
 
 
 # --- svg --------------------------------------------------------------------

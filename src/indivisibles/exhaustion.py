@@ -8,9 +8,12 @@ sound and gives the total-variation width bound TV(f) * (b - a) / n.
 The staircase is one streaming pass over blocks of ``_kernels._BLOCK`` (2^14)
 slabs: each block computes its own edges, evaluates the profile at the edges
 it has not seen (its first edge closed the previous block), and chains its
-lower and upper products into two running ``ordered_sum`` values.  Edges and
-products are elementwise and ``ordered_sum`` chains bit for bit, so the sums
-equal those of one full-length pass while memory stays bounded at any n.
+lower and upper products into two running sums.  The products are written as
+(lower, upper) pairs into one run array per staircase, half a block at a
+time, and each half is reduced by one two-column ``ordered_sum`` call that
+chains both sums at once.  Edges and products are elementwise and
+``ordered_sum`` chains bit for bit, so the sums equal those of one
+full-length pass while memory stays bounded at any n.
 
 Floats: the slab sums are reduced strictly sequentially in slab order (so the
 result is independent of any evaluation parallelism).  Each of the m terms
@@ -19,7 +22,8 @@ more, and every term is nonnegative (edges increase, and every profile value
 read is checked to be nonnegative), so the computed sum s of the exact
 staircase sum S satisfies |s - S| <= gamma(m+1) * S, with
 gamma(k) = k*u / (1 - k*u) and u = 2^-53 (Higham, Accuracy and Stability of
-Numerical Algorithms, 2nd ed., sections 3.1 and 4.2).  Since
+Numerical Algorithms, 2nd ed., sections 3.1 and 4.2).  Each component of the
+paired sum is that same sequential sum, so the bound holds for both.  Since
 S <= s / (1 - gamma(m+1)), S lies within s * gamma(m+1) / (1 - gamma(m+1))
 of s.  Each bound is widened outward by that amount, or by a relative 1e-12
 where that is larger by a margin that covers the widening's own rounding
@@ -146,14 +150,21 @@ def _staircase_blocks(f: WidthFunction, n: int):
 
 def _staircase_sums(f: WidthFunction, n: int) -> tuple[float, float, int]:
     """Computed lower and upper staircase sums over the n-slab grid, and its slab count."""
-    lo = hi = 0.0
+    # the running (lower, upper) pair in row 0, then the product pairs of the
+    # larger half of any block
+    run = np.empty(((min(n, _BLOCK) + len(f.breakpoints)) // 2 + 2, 2))
+    sums = 0.0
     slabs = 0
     for edges, lower, upper in _staircase_blocks(f, n):
         widths = np.diff(edges)
-        lo = ordered_sum(np.multiply(lower, widths, out=lower), lo)
-        hi = ordered_sum(np.multiply(upper, widths, out=upper), hi)
-        slabs += len(widths)
-    return lo, hi, slabs
+        m = len(widths)
+        for half in (slice(0, m - m // 2), slice(m - m // 2, m)):
+            k = half.stop - half.start
+            np.multiply(lower[half], widths[half], out=run[1 : k + 1, 0])
+            np.multiply(upper[half], widths[half], out=run[1 : k + 1, 1])
+            sums = ordered_sum(run[1 : k + 1], sums, run)
+        slabs += m
+    return float(sums[0]), float(sums[1]), slabs
 
 
 def _staircase_bounds(f: WidthFunction, n: int, method: str) -> MeasureInterval:

@@ -187,6 +187,16 @@ class TestBounds:
         assert float(report["lo"]) <= 4 * math.pi / 3 <= float(report["hi"])
         assert report["method"] == "inner-outer-disks"
 
+    def test_closed_form_outside_the_enclosure_exits_one(self, capsys, monkeypatch):
+        # a closed form 4.0 above the disk's enclosure [3.137..., 3.145...];
+        # the report is printed in full
+        _, bounds, mc = MEASURES["area"]
+        monkeypatch.setitem(MEASURES, "area", (lambda shape: 4.0, bounds, mc))
+        code, out, err = run_main(capsys, "bounds", "--shape", "disk", "--r", "1", "--slices", "1000")
+        assert code == 1
+        assert err == ""
+        assert out.endswith("closed_form 4.0\nencloses_closed_form false\n")
+
     def test_unknown_shape_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["bounds", "--shape", "pyramid"])
@@ -403,6 +413,15 @@ class TestOracle:
         assert code == 0
         report = _report_dict(out)
         assert report["within_5_stderr"] == "true"
+
+    def test_mc_that_misses_the_closed_form_exits_one(self, capsys):
+        # one sample hits: its mean 4 (the box) misses pi by more than 5
+        # standard errors of 0; the report is printed in full
+        code, out, err = run_main(capsys, "oracle", "--target", "disk", "--samples", "1")
+        assert code == 1
+        assert err == ""
+        assert out.endswith("mean 4.0\nstderr 0.0\nclosed_form 3.141592653589793\n"
+                            "abs_error 0.8584073464102069\nwithin_5_stderr false\n")
 
     def test_riemann_hoof(self, capsys):
         code, out, _ = run_main(

@@ -37,12 +37,14 @@ from conftest import REPO_ROOT, star_polygon
 # (indexing, integer and comparison functions, dtypes), one IEEE 754 operation
 # per element (arithmetic, sqrt), or a fixed sequence of those (cumsum,
 # add.accumulate, linspace, divmod), except those in UNFIXED, which
-# pinned_values hashes at both dispatch levels.  Add a name only with that
-# backing.
+# pinned_values hashes at both dispatch levels.  complex128 only views pairs
+# of float64 as one value: a complex add is an IEEE add of each part, so a
+# complex add.accumulate is its two float64 chains bit for bit at every
+# dispatch level.  Add a name only with that backing.
 NUMPY_NAMES = frozenset({
     "abs", "add", "add.accumulate", "any", "arange", "argmax", "argsort", "array", "asarray",
     "ascontiguousarray", "bitwise_xor", "broadcast_shapes", "broadcast_to", "column_stack",
-    "concatenate", "cos", "count_nonzero", "cumsum", "diff", "divmod", "empty", "empty_like",
+    "complex128", "concatenate", "cos", "count_nonzero", "cumsum", "diff", "divmod", "empty", "empty_like",
     "errstate", "flatnonzero", "float64", "fromiter", "hypot", "int64", "intp", "isfinite",
     "lexsort", "linspace", "max", "maximum", "min", "minimum", "multiply", "ndarray",
     "repeat", "result_type", "right_shift", "searchsorted", "shape", "sin", "sort", "sqrt",

@@ -20,8 +20,9 @@ from indivisibles import (
     refine_until,
     volume_bounds,
 )
+from indivisibles import exhaustion
 from indivisibles._kernels import _BLOCK, ordered_sum
-from indivisibles.exhaustion import _INFLATION, _staircase_bounds, _staircase_sums, _widen
+from indivisibles.exhaustion import _INFLATION, _staircase_blocks, _staircase_bounds, _staircase_sums, _widen
 
 # slack factor covering the documented 1e-12 outward inflation of the bounds
 INFLATION_SLACK = 1.0 + 1e-9
@@ -441,6 +442,55 @@ class TestStreamingStaircase:
         assert slabs == n + 1
         assert sum(seen) == slabs + 1
         assert len(seen) == 4
+
+    def rise_then_fall(self, n):
+        """A profile that peaks on the n-slab grid, at edge n // 2, with a
+        second breakpoint off the grid, halfway between two edges past it;
+        with one slab the peak is that off-grid breakpoint alone."""
+        off = self.grid(2 * n, 2 * (n - n // 4) - 1)
+        if n == 1:
+            peak, bps = off, (off,)
+        else:
+            peak = self.grid(n, n // 2)
+            bps = (peak, off)
+        return WidthFunction(
+            lambda t: 2.0 - (t - peak) ** 2,
+            domain=self.DOMAIN,
+            breakpoints=bps,
+            monotonicity=("increasing",) + ("decreasing",) * len(bps),
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 1])
+    def test_paired_sums_equal_one_chain_per_sum(self, n):
+        # each block's lower and upper products reduced by one single-column
+        # ordered_sum each, chained from block to block
+        f = self.rise_then_fall(n)
+        lo = hi = 0.0
+        slabs = 0
+        for edges, lower, upper in _staircase_blocks(f, n):
+            widths = np.diff(edges)
+            lo = ordered_sum(lower * widths, lo)
+            hi = ordered_sum(upper * widths, hi)
+            slabs += len(widths)
+        assert _staircase_sums(f, n) == (lo, hi, slabs)
+
+    @pytest.mark.parametrize("n", [1, 2, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 1])
+    def test_each_block_is_two_kernel_calls_of_at_most_a_block(self, n, monkeypatch):
+        # the benchmark counts the staircase's steps and values from these calls
+        sizes = []
+
+        def counting(values, init=0.0, run=None):
+            sizes.append(np.size(values))
+            return ordered_sum(values, init, run)
+
+        monkeypatch.setattr(exhaustion, "ordered_sum", counting)
+        f = self.rise_then_fall(n)
+        _, _, slabs = _staircase_sums(f, n)
+        inserted = slabs - n
+        assert len(sizes) == 2 * -(-n // _BLOCK)
+        assert sum(sizes) == 2 * slabs
+        # a call sums whole (lower, upper) pairs, so its bound is rounded up to even
+        assert max(sizes) <= _BLOCK + inserted + inserted % 2
 
     def test_negative_value_between_spot_points_rejected(self):
         # negative only near t = 0.3, which none of the 17 spot points hits

@@ -135,9 +135,17 @@ def _bits(x):
     return struct.pack("<d", x)
 
 
+def _pair_loop_bits(values, init):
+    """The bits of each column's loop over two-column ``values``, from ``init``
+    (one start or one per column)."""
+    inits = np.broadcast_to(init, 2)
+    return b"".join(_bits(_loop_sum(values[:, c], inits[c])) for c in range(2))
+
+
 def test_pure_ordered_sum_matches_the_loop_across_blocks():
     block = _kernels._BLOCK
     rng = np.random.default_rng(11)
+    tiny = 5e-324
     cases = [
         (np.empty(0), 0.0),
         (np.empty(0), -0.0),
@@ -145,27 +153,70 @@ def test_pure_ordered_sum_matches_the_loop_across_blocks():
         (np.array([np.inf, -np.inf]), 0.0),
         (np.array([1.0, np.nan, 2.0]), 0.5),
         (np.array([1.7e308, 1.7e308, -1.0]), 0.0),
+        # two columns, each its own chain: signed zeros, subnormals, inf - inf,
+        # nan, overflow to inf in one column only, and a pair init
+        (np.empty((0, 2)), (-0.0, 0.0)),
+        (np.array([[-0.0, 0.0], [-0.0, -0.0]]), (-0.0, -0.0)),
+        (np.array([[tiny, -tiny], [1e-310, 2.5e-320], [-tiny, tiny]]), (-0.0, 0.0)),
+        (np.array([[np.inf, 1.0], [-np.inf, 2.0]]), (0.0, -0.0)),
+        (np.array([[1.0, np.nan], [2.0, -np.inf]]), 0.5),
+        (np.array([[1.7e308, -1.0], [1.7e308, 2.0], [-1.0, 3.0]]), (0.0, 1e300)),
+        (np.array([[1.7e308, -1.7e308], [1.7e308, -1.7e308]]), (1.0, -1.0)),
     ]
     for n in (1, block - 1, block, block + 1, 3 * block + 5):
         vals = rng.standard_normal(n) * 10.0 ** rng.uniform(-12, 12, n)
         for init in (0.0, -0.0, 1e12):
             cases.append((vals, init))
+        pairs = rng.standard_normal((n, 2)) * 10.0 ** rng.uniform(-12, 12, (n, 2))
+        for init in (0.0, (1e12, -0.0)):
+            cases.append((pairs, init))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for vals, init in cases:
-            assert _bits(_kernels.ordered_sum(vals, init)) == _bits(_loop_sum(vals, init))
+            if vals.ndim == 1:
+                assert _bits(_kernels.ordered_sum(vals, init)) == _bits(_loop_sum(vals, init))
+            else:
+                sums = _kernels.ordered_sum(vals, init)
+                assert sums.tobytes() == _pair_loop_bits(vals, init), (len(vals), init)
 
 
-def test_ordered_sum_of_rows_sums_each_column_in_order():
+@pytest.mark.parametrize("columns", [2, 7])
+def test_ordered_sum_of_rows_sums_each_column_in_order(columns):
     rng = np.random.default_rng(12)
-    vals = rng.standard_normal((300, 7)) * 10.0 ** rng.uniform(-12, 12, (300, 7))
+    vals = rng.standard_normal((300, columns)) * 10.0 ** rng.uniform(-12, 12, (300, columns))
     vals[:, 0] = [1e16, 1.0, -1e16] * 100
     vals[:, 1] = -0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sums = _kernels.ordered_sum(vals, -0.0)
-    assert sums.shape == (7,)
-    assert sums.tobytes() == b"".join(_bits(_loop_sum(column, -0.0)) for column in vals.T)
+        # rows that are not contiguous are copied into the kernel's own run
+        strided = _kernels.ordered_sum(np.asfortranarray(vals), -0.0)
+    assert sums.shape == (columns,)
+    want = b"".join(_bits(_loop_sum(column, -0.0)) for column in vals.T)
+    assert sums.tobytes() == want and strided.tobytes() == want
+
+
+def test_ordered_sum_in_a_caller_owned_run():
+    block = _kernels._BLOCK
+    rng = np.random.default_rng(14)
+    run = np.full((block // 2 + 2, 2), np.nan)
+    first = rng.standard_normal((7, 2))
+    run[1:8] = first
+    sums = _kernels.ordered_sum(run[1:8], (0.25, -0.0), run)
+    assert sums.shape == (2,)
+    assert sums.tobytes() == _pair_loop_bits(first, (0.25, -0.0))
+    kept = sums.tobytes()
+    # a longer run of values in the same array, over the rows the first call
+    # summed in, chained from the first sums, which it leaves as they were
+    second = rng.standard_normal((block // 2 + 1, 2))
+    run[1:] = second
+    chained = _kernels.ordered_sum(run[1:], sums, run)
+    assert sums.tobytes() == kept
+    assert chained.tobytes() == _pair_loop_bits(np.concatenate([first, second]), (0.25, -0.0))
+    # a 1-D run is chained the same way
+    flat = np.full(10, np.nan)
+    flat[1:5] = first[:4, 0]
+    assert _bits(_kernels.ordered_sum(flat[1:5], -0.5, flat)) == _bits(_loop_sum(first[:4, 0], -0.5))
 
 
 def test_ordered_sum_init_chains_chunks():
