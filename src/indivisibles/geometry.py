@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Number
 from operator import attrgetter
 from typing import Callable, Sequence
@@ -57,7 +58,9 @@ class Point2:
 
     A polygon's or polyline's points are not kept from its input: they are
     built from its coordinate array, as ``Point2``s of floats, when
-    ``vertices`` or ``points`` is first read.  The class defines its own
+    ``vertices`` or ``points`` is first read.  Those points skip ``__init__``,
+    since the array is already checked finite, and equal, hash, repr and
+    pickle as points made by ``Point2(x, y)``.  The class defines its own
     ``__init__`` (the dataclass keeps it): it checks finiteness inline and
     sets both fields, with no ``__post_init__`` call.
     """
@@ -207,6 +210,12 @@ class Polyline(Curve):
     the points given, which its measures, side moments and least distance
     read, and its ``points`` are ``Point2``s of floats built from that array
     when first read.
+
+    Its edge arrays (``_segments()``, read-only) and its ``measures()`` are
+    kept too, on the instance but not as fields, the first time they are
+    asked for: equality, hash, repr, ``replace()``, copies and pickles never
+    see them, and a copy starts without them.  Threads that race on a first
+    read may each compute a fact; they compute the same value.
     """
 
     points: tuple[Point2, ...]
@@ -235,16 +244,26 @@ class Polyline(Curve):
         """``values``, one per point, at the start and at the end of each edge."""
         return (values, _ring_next(values)) if self.closed else (values[:-1], values[1:])
 
-    def _segments(self):
-        """(x0, y0, x1, y1, length) of the edges, as arrays in edge order."""
+    def _segments(self) -> tuple[np.ndarray, ...]:
+        """(x0, y0, x1, y1, length) of the edges, as read-only arrays in edge order."""
+        return self._kept_segments
+
+    @cached_property
+    def _kept_segments(self) -> tuple[np.ndarray, ...]:
         (x0, x1), (y0, y1) = self._edge_ends(self._xy[:, 0]), self._edge_ends(self._xy[:, 1])
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is part of the result
             dx, dy = x1 - x0, y1 - y0
         # math.hypot, not np.hypot, which can differ in the last bit
         seg = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), dtype=np.float64, count=len(dx))
+        for a in (x1, y1, seg):  # x0 and y0 are views of the read-only array; so are x1, y1 of an open chain
+            a.flags.writeable = False
         return x0, y0, x1, y1, seg
 
     def measures(self) -> tuple[float, float, float]:
+        return self._kept_measures
+
+    @cached_property
+    def _kept_measures(self) -> tuple[float, float, float]:
         x0, y0, x1, y1, seg = self._segments()
         with np.errstate(over="ignore", invalid="ignore"):
             return ordered_sum(seg), ordered_sum(seg * 0.5 * (x0 + x1)), ordered_sum(seg * 0.5 * (y0 + y1))
@@ -417,6 +436,15 @@ class Polygon(PlanarRegion):
     of them), checked in the same order with the same messages whatever the
     input, and ``vertices`` are ``Point2``s of floats built from the array
     when first read.
+
+    ``measures()``, ``box()`` and ``boundary()`` are kept on the instance, but
+    not as fields, the first time they are asked for, and the boundary
+    polyline shares the polygon's array: equality, hash, repr, ``replace()``,
+    copies and pickles never see them, and a copy starts without them.
+    Threads that race on a first read may each compute a fact; they compute
+    the same value.  A copy or a pickle keeps the array without checking it
+    again (``_trusted``): unpickling already runs code of the pickle maker's
+    choice, so this lowers no bar.
     """
 
     vertices: tuple[Point2, ...]
@@ -439,16 +467,24 @@ class Polygon(PlanarRegion):
         return _built_points(self, "vertices", name)
 
     def __reduce__(self):
-        # copies and pickles rebuild the read-only array through __init__
-        return type(self), (self._xy,)
+        # the array was checked when this polygon was made
+        return _trusted, (type(self), self._xy)
 
     def xy(self) -> np.ndarray:
         return self._xy
 
     def measures(self) -> tuple[float, float, float]:
-        return _shoelace(self.xy())
+        return self._kept_measures
+
+    @cached_property
+    def _kept_measures(self) -> tuple[float, float, float]:
+        return _shoelace(self._xy)
 
     def box(self):
+        return self._kept_box
+
+    @cached_property
+    def _kept_box(self):
         x, y = self._xy.T
         return (_first(x, np.min), _first(x, np.max)), (_first(y, np.min), _first(y, np.max))
 
@@ -482,7 +518,11 @@ class Polygon(PlanarRegion):
         return out.reshape(shape)
 
     def boundary(self) -> Curve:
-        return Polyline(self._xy, closed=True)
+        return self._kept_boundary
+
+    @cached_property
+    def _kept_boundary(self) -> Polyline:
+        return _trusted(Polyline, self._xy, closed=True)
 
 
 @dataclass(frozen=True)
@@ -702,16 +742,35 @@ def _point(p) -> Point2:
     return Point2(float(p[0]), float(p[1]))
 
 
+def _trusted(cls, xy: np.ndarray, **fields):
+    """A ``cls`` (``Polygon`` or ``Polyline``) that is ``xy``, with ``fields``,
+    made with no check.  ``xy`` must be a C-contiguous (n, 2) float64 array
+    that the library has just made or checked as that shape's constructor
+    checks it, and that nothing will write: it is marked read-only and kept,
+    not copied.  Never pass it a caller's array."""
+    shape = object.__new__(cls)
+    xy.flags.writeable = False
+    object.__setattr__(shape, "_xy", xy)
+    for name, value in fields.items():
+        object.__setattr__(shape, name, value)
+    return shape
+
+
 def _built_points(shape, field_name: str, name: str) -> tuple[Point2, ...]:
     """``shape.__getattr__(name)``: the points field ``field_name`` of a
     polygon or polyline, built from its array ``_xy`` (not a field, so
     equality, hash, repr and replace() see the points alone) on first read
     and kept, one ``Point2`` of Python floats per row.  The field has no
-    class default, so only an unbuilt field gets here."""
+    class default, so only an unbuilt field gets here.  The array is finite,
+    so each point's fields are set without ``Point2.__init__``'s check."""
     if name != field_name:
         raise AttributeError(f"{type(shape).__name__!r} object has no attribute {name!r}")
     xy = shape._xy
-    pts = tuple(map(Point2, xy[:, 0].tolist(), xy[:, 1].tolist()))
+    pts = tuple(map(Point2.__new__, [Point2] * len(xy)))
+    set_field = object.__setattr__  # as the frozen dataclass sets them
+    for p, x, y in zip(pts, xy[:, 0].tolist(), xy[:, 1].tolist()):
+        set_field(p, "x", x)
+        set_field(p, "y", y)
     object.__setattr__(shape, field_name, pts)
     return pts
 
@@ -831,13 +890,16 @@ def _has_opposite_loops(xy: np.ndarray) -> bool:
     A point's k copies cut the ring into k loops, and any two copies split it
     into a run of these loops and the rest.  If the two differ in sign, one
     loop is negative, so it and its own rest differ in sign: in exact arithmetic
-    the k - 1 neighbouring pairs and the first copy with the last decide as all pairs do."""
-    order = np.lexsort((xy[:, 1], xy[:, 0]))
-    ranked = np.take(xy, order, axis=0)
-    repeat = (ranked[1:] == ranked[:-1]).all(axis=1)  # ranked[p + 1] repeats ranked[p]
+    the k - 1 neighbouring pairs and the first copy with the last decide as all pairs do.
+    ``xy`` is C-contiguous: each row is viewed as one complex128 x + iy, which numpy orders by x,
+    then by y, with -0.0 equal to 0.0, as ``np.lexsort((y, x))`` orders the rows."""
+    points = xy.view(np.complex128)[:, 0]
+    order = np.argsort(points, kind="stable")
+    ranked = points[order]
+    repeat = ranked[1:] == ranked[:-1]  # ranked[p + 1] repeats ranked[p]
     if not repeat.any():
         return False
-    # lexsort is stable, so the copies of one point are a run of ranked, by ascending index
+    # the sort is stable, so the copies of one point are a run of ranked, by ascending index
     pairs = np.flatnonzero(repeat)  # ranked[p] and ranked[p + 1] are neighbouring copies
     starts, stops = order[pairs], order[pairs + 1]
     # a run of three copies or more also gives the pair (its first copy, its last copy)

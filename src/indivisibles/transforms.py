@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import ApexHeightChanged, UnsupportedRegion
-from .geometry import TWO_PI, Disk, Line2, PlanarRegion, Polygon, Profile, _signed_area
+from .geometry import TWO_PI, Disk, Line2, PlanarRegion, Polygon, Profile, _signed_area, _trusted
 from .solids import Cone, Cylinder, DoubleHoof, HeightFieldCylinder, Point3, Solid, Sphere, TwistedColumn
 
 # The most slices ``unroll_disk`` takes: at 2**16 the sawtooth is about 0.1 s
@@ -92,8 +92,18 @@ def _teeth(sawtooth: Polygon) -> np.ndarray:
 
 
 def sawtooth_teeth(sawtooth: Polygon) -> list[Polygon]:
-    """Split an unrolled sawtooth back into its n tooth triangles."""
-    return [Polygon(tooth) for tooth in _teeth(sawtooth)]
+    """Split an unrolled sawtooth back into its n tooth triangles.
+
+    The teeth are checked and oriented as ``Polygon(tooth)`` checks and orients each one, all in
+    one pass over the stack, with the same error; a triangle has no ring check, so each tooth is
+    then kept as it stands."""
+    teeth = _teeth(sawtooth)
+    if (teeth == np.take(teeth, (1, 2, 0), axis=1)).all(axis=2).any():
+        raise ValueError("polygon has a repeated consecutive vertex")
+    clockwise = _signed_area(teeth) < 0.0
+    teeth[clockwise] = teeth[clockwise, ::-1]
+    teeth.flags.writeable = False
+    return [_trusted(Polygon, tooth) for tooth in teeth]
 
 
 def twist_column(cyl: Cylinder, twist: float) -> Solid:

@@ -46,7 +46,7 @@ NUMPY_NAMES = frozenset({
     "ascontiguousarray", "bitwise_xor", "broadcast_shapes", "broadcast_to", "column_stack",
     "complex128", "concatenate", "cos", "count_nonzero", "cumsum", "diff", "divmod", "empty", "empty_like",
     "errstate", "flatnonzero", "float64", "fromiter", "hypot", "int64", "intp", "isfinite",
-    "lexsort", "linspace", "max", "maximum", "min", "minimum", "multiply", "ndarray",
+    "linspace", "max", "maximum", "min", "minimum", "multiply", "ndarray",
     "repeat", "result_type", "right_shift", "searchsorted", "shape", "sin", "sort", "sqrt",
     "stack", "subtract", "take", "uint64", "where", "zeros", "zeros_like",
 })

@@ -1215,13 +1215,13 @@ class TestArrayConstruction:
         ring = poly.boundary()
         iv.oblique_cut_lateral_areas(ring, Line2(iv.centroid_curve(ring), (0.6, 0.8)), 1.5)
         assert _unbuilt(poly) and _unbuilt(shifted) and _unbuilt(ring) and calls == []
-        assert ring._xy is not poly.xy() and ring._xy.tobytes() == poly.xy().tobytes() and ring.closed
+        assert ring._xy is poly.xy() and ring._xy.tobytes() == poly.xy().tobytes() and ring.closed
         assert ring.points == poly.vertices
 
     def test_boundary_points_equal_the_vertices(self, rng):
         poly = star_polygon(rng)
         ring = poly.boundary()
-        assert ring._xy is not poly.xy() and ring._xy.tobytes() == poly.xy().tobytes()
+        assert ring._xy is poly.xy() and ring._xy.tobytes() == poly.xy().tobytes()
         assert ring.points == poly.vertices
         assert iv.perimeter(ring) == iv.perimeter(Polyline(poly.vertices, closed=True))
 
@@ -1565,3 +1565,118 @@ def test_ring_successors_are_the_rows_rolled_back_one(shape):
     a = np.arange(math.prod(shape), dtype=np.float64).reshape(shape)
     got = geometry._ring_next(a)
     assert got.shape == a.shape and got.tobytes() == np.roll(a, -1, axis=0).tobytes()
+
+
+def _kept(shape) -> set[str]:
+    """The names of the facts a polygon or polyline has kept."""
+    return {name for name in vars(shape) if name.startswith("_kept_")}
+
+
+class TestKeptFacts:
+    """A validated ring derives each of its facts once, on first read, and
+    keeps it on the instance, outside its fields."""
+
+    def test_each_fact_is_derived_once_per_shape(self, rng, monkeypatch):
+        shoelaces, segments = [], []
+        shoelace, derive = geometry._shoelace, Polyline._kept_segments.func
+        monkeypatch.setattr(geometry, "_shoelace", lambda xy: shoelaces.append(xy) or shoelace(xy))
+        monkeypatch.setattr(Polyline._kept_segments, "func", lambda curve: segments.append(curve) or derive(curve))
+        poly = Polygon(_star_points(rng, 64))
+        profile = Profile(Polygon(_star_points(rng, 64) + (3.0, 0.0)))
+        for _ in range(3):
+            c = iv.centroid_region(poly)
+            line = Line2(c, (0.6, 0.8))
+            iv.area(poly), iv.first_moment(poly, line), iv.oblique_cut_volumes(poly, line, 1.5)
+            ring = iv.boundary(poly)
+            iv.perimeter(ring), iv.oblique_cut_lateral_areas(ring, Line2(iv.centroid_curve(ring), (0.6, 0.8)), 1.5)
+            section = iv.boundary(profile.region)
+            iv.guldin_volume(profile), iv.guldin_surface(section, iv.rho_axis())
+            iv.lateral_area(iv.unfold_revolution(profile))
+        assert len(shoelaces) == 2 and shoelaces[0] is poly.xy() and shoelaces[1] is profile.region.xy()
+        assert len(segments) == 2 and segments[0] is ring and segments[1] is section
+        assert ring is poly.boundary() and ring._xy is poly.xy()
+
+    def test_a_copy_or_a_replacement_starts_with_no_kept_fact(self, rng):
+        poly = Polygon(_star_points(rng, 40))
+        curve = Polyline(_star_points(rng, 40), closed=True)
+        poly.measures(), poly.box(), poly.boundary().measures(), curve.measures()
+        assert _kept(poly) == {"_kept_measures", "_kept_box", "_kept_boundary"}
+        assert _kept(curve) == {"_kept_measures", "_kept_segments"}
+        for shape in (poly, curve):
+            for copied in (copy.copy(shape), copy.deepcopy(shape), pickle.loads(pickle.dumps(shape)),
+                           dataclasses.replace(shape)):
+                assert copied == shape and not _kept(copied)
+                assert copied.measures() == shape.measures()
+        assert not _kept(copy.copy(poly).boundary())
+
+    def test_kept_arrays_are_read_only(self, rng):
+        xy = _star_points(rng, 40)
+        saw = iv.unroll_disk(Disk(Point2(0, 0), 1), 16)
+        curves = (Polyline(xy), Polyline(xy, closed=True), Polygon(xy).boundary(), saw.boundary())
+        for curve in curves:
+            arrays = curve._segments()
+            assert len(arrays) == 5 and not any(a.flags.writeable for a in arrays)
+            assert not curve._xy.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arrays[-1][0] = 0.0
+        for tooth in iv.sawtooth_teeth(saw):
+            assert not tooth.xy().flags.writeable and not tooth.xy().base.flags.writeable
+
+    def test_a_copy_shares_the_array_it_was_checked_with(self, rng):
+        poly = Polygon(_star_points(rng, 2048))
+        assert copy.copy(poly).xy() is poly.xy()
+        for copied in (copy.deepcopy(poly), pickle.loads(pickle.dumps(poly))):
+            assert copied.xy().tobytes() == poly.xy().tobytes() and not copied.xy().flags.writeable
+            assert copied.xy().dtype == np.float64 and copied.xy().flags.c_contiguous
+
+
+def _repeat_rings(rng):
+    """Seeded rings whose rows repeat and tie: signed zeros, ties in x, two
+    and three copies of a vertex, sawtooth rings and grid rings."""
+    for _ in range(200):
+        n = int(rng.integers(3, 40))
+        yield rng.choice([-0.0, 0.0, -1.0, 1.0], (n, 2))
+        yield np.column_stack((rng.integers(0, 3, n).astype(np.float64), rng.uniform(-1, 1, n)))
+        xy = _star_points(rng, n)
+        for copies in (2, 3):
+            at = rng.integers(0, n, copies - 1)
+            yield np.insert(xy, at, xy[int(rng.integers(n))], axis=0)
+        yield rng.integers(0, 5, (n, 2)).astype(np.float64)
+    for m in (3, 8, 64):
+        saw = iv.unroll_disk(Disk(Point2(0, 0), 1), m).xy()
+        yield saw
+        yield np.ascontiguousarray(saw[::-1] * (-1.0, 1.0))
+
+
+class TestRepeatOrder:
+    def test_the_complex_view_sorts_rows_as_lexsort_does(self):
+        rings = list(_repeat_rings(np.random.default_rng(20261022)))
+        for xy in rings:
+            got = np.argsort(xy.view(np.complex128)[:, 0], kind="stable")
+            assert np.array_equal(got, np.lexsort((xy[:, 1], xy[:, 0]))), xy.tolist()
+        zeros = [xy[xy == 0.0] for xy in rings]
+        assert any(np.signbit(z).any() and not np.signbit(z).all() for z in zeros)  # both signed zeros tie
+
+    def test_the_loop_check_decides_as_every_pair_of_copies(self):
+        for xy in _repeat_rings(np.random.default_rng(20261023)):
+            if geometry._signed_area(xy) < 0.0:
+                xy = np.ascontiguousarray(xy[::-1])
+            assert geometry._has_opposite_loops(xy) == _all_pairs_opposite_loops(xy), xy.tolist()
+
+
+class TestBuiltPoints:
+    ROWS = [(-0.0, 5e-324), (1e308, -0.0), (-1e308, 2.2250738585072014e-308), (1e-310, 1e308), (0.0, -1e308)]
+
+    @pytest.mark.parametrize("make", [
+        lambda rows: Polyline(rows).points,
+        lambda rows: Polyline(np.array(rows), closed=True).points,
+        lambda rows: Polygon([(-0.0, -0.0), (1e308, 5e-324), (1e308, 1e308), (-1e308, 1e308)]).vertices,
+    ], ids=["polyline", "closed-polyline", "polygon"])
+    def test_they_are_the_points_of_the_floats(self, make):
+        got = make(self.ROWS)
+        xy = np.array([(p.x, p.y) for p in got])
+        want = tuple(map(Point2, xy[:, 0].tolist(), xy[:, 1].tolist()))
+        assert all(type(p) is Point2 for p in got)
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert pickle.dumps(got) == pickle.dumps(want)
+        assert [tuple(map(float.hex, (p.x, p.y))) for p in got] == [tuple(map(float.hex, (p.x, p.y))) for p in want]

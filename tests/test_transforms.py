@@ -23,6 +23,7 @@ from indivisibles import (
     Sphere,
     UnsupportedRegion,
 )
+from indivisibles import geometry
 from indivisibles.transforms import UNROLL_BUDGET, _teeth
 
 from conftest import star_polygon
@@ -167,6 +168,39 @@ class TestUnrollDisk:
             tooth = _teeth(saw)[0]
             assert np.array_equal(Polygon(tooth).xy(), tooth)  # Polygon keeps the tooth's order
 
+    def test_teeth_are_the_polygons_of_the_tooth_arrays(self):
+        # odd stars, either way round and far from the origin, whose teeth
+        # take either orientation; each is the polygon Polygon makes of it
+        rng = np.random.default_rng(20261022)
+        for k in range(300):
+            n = 2 * int(rng.integers(1, 20)) + 1
+            a = 2.0 * math.pi * (np.arange(n) + rng.uniform(0.1, 0.9, n)) / n
+            r = rng.uniform(0.5, 2.0, n)
+            xy = np.column_stack((r * np.cos(a), r * np.sin(a))) * 10.0 ** rng.uniform(-3, 3)
+            xy += 10.0 ** rng.uniform(0, 10) * (k % 3 == 0)
+            saw = Polygon(xy[::-1] if k % 2 else xy)
+            got, want = iv.sawtooth_teeth(saw), [Polygon(tooth) for tooth in _teeth(saw)]
+            assert got == want
+            assert [t.xy().tobytes() for t in got] == [t.xy().tobytes() for t in want]
+
+    def test_a_tooth_that_polygon_turns_back_is_turned_back(self):
+        # nearly flat: _teeth orients it by one shoelace sum, and the sum of
+        # the reversed ring is negative too, so Polygon reverses it again
+        saw = Polygon([(1.5493591960724962, 0.35228381590714886), (0.919907333987418, 1.045273350289783),
+                       (1.5104031397990756, 0.395172146094744)])
+        tooth = _teeth(saw)[0]
+        want = Polygon(tooth)
+        assert not np.array_equal(want.xy(), tooth)
+        assert iv.sawtooth_teeth(saw)[0].xy().tobytes() == want.xy().tobytes()
+
+    def test_a_repeated_tooth_vertex_is_rejected_as_polygon_rejects_it(self):
+        # rows 0 and 2 coincide, which the ring allows and a tooth does not
+        saw = Polygon([(0, 0), (1, 0), (0, 0), (-1, 1), (-1, 0)])
+        with pytest.raises(ValueError, match="^polygon has a repeated consecutive vertex$"):
+            [Polygon(tooth) for tooth in _teeth(saw)]
+        with pytest.raises(ValueError, match="^polygon has a repeated consecutive vertex$"):
+            iv.sawtooth_teeth(saw)
+
     def test_teeth_need_an_odd_vertex_count(self):
         with pytest.raises(ValueError, match="not a sawtooth polygon"):
             iv.sawtooth_teeth(Polygon([(0, 0), (1, 0), (1, 1), (0, 1)]))
@@ -238,13 +272,19 @@ class TestArrayTransformsMatchThePointLoops:
         disk, poly = Disk(Point2(0.0, 0.0), 1.0), star_polygon(rng, n_min=512, n_max=512)
         base = Line2(Point2(0.0, 0.3), (0.6, 0.8))
         built = []
-        init = Point2.__init__
+        init, build = Point2.__init__, geometry._built_points
 
         def spy(self, x, y):
             built.append((x, y))
             init(self, x, y)
 
+        def build_spy(shape, field_name, name):  # points built from an array skip __init__
+            pts = build(shape, field_name, name)
+            built.extend(pts)
+            return pts
+
         monkeypatch.setattr(Point2, "__init__", spy)
+        monkeypatch.setattr(geometry, "_built_points", build_spy)
         saw = iv.unroll_disk(disk, 4096)
         sheared = iv.shear_region(poly, base, 0.7)
         assert iv.area(saw) > 0.0 and iv.area(sheared) > 0.0

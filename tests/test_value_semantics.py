@@ -110,3 +110,27 @@ def test_profiles_with_different_functions_are_unequal():
     assert sphere != on_axis_disk
     narrow, wide = (iv.SlabRegion(iv.WidthFunction(fn)) for fn in (np.sqrt, np.square))
     assert narrow != wide
+
+
+# Reads every fact a polygon or polyline keeps on the instance.
+READ_FACTS = {
+    iv.Polygon: lambda p: (p.measures(), p.box(), p.boundary().measures(), p.vertices),
+    iv.Polyline: lambda c: (c.measures(), c._segments(), c.points),
+}
+
+
+def _kept(shape):
+    return {name for name in vars(shape) if name.startswith("_kept_")}
+
+
+@pytest.mark.parametrize("cls", READ_FACTS, ids=lambda cls: cls.__name__)
+def test_a_shape_whose_facts_were_read_is_the_same_value(cls):
+    read, fresh = EXAMPLES[cls](), EXAMPLES[cls]()
+    READ_FACTS[cls](read)
+    assert _kept(read) and not _kept(fresh)
+    assert pickle.dumps(read) == pickle.dumps(fresh)
+    assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
+    for copied in (copy.copy(read), copy.deepcopy(read), pickle.loads(pickle.dumps(read)),
+                   dataclasses.replace(read)):
+        assert not _kept(copied)
+        assert copied == fresh and hash(copied) == hash(fresh) and repr(copied) == repr(fresh)
