@@ -13,7 +13,11 @@ lower and upper products into two running sums.  The products are written as
 time, and each half is reduced by one two-column ``ordered_sum`` call that
 chains both sums at once.  Edges and products are elementwise and
 ``ordered_sum`` chains bit for bit, so the sums equal those of one
-full-length pass while memory stays bounded at any n.
+full-length pass while memory stays bounded at any n.  The edges, the lower
+and upper heights, the widths and the run are buffers made once per call and
+refilled in place, so no block allocates a float array but the profile's
+values (and the edges of a block that takes in a breakpoint).  The profile
+is called on views of the edge buffer, which the next block overwrites.
 
 Floats: the slab sums are reduced strictly sequentially in slab order (so the
 result is independent of any evaluation parallelism).  Each of the m terms
@@ -105,20 +109,6 @@ def _check_declared_shape(f: WidthFunction):
             raise InvalidMonotonicity(f"piece [{t0}, {t1}] declared decreasing but increases")
 
 
-def _block_edges(f: WidthFunction, n: int, s: int, e: int) -> np.ndarray:
-    """Edges s..e of the uniform n-slab grid over f's domain, with edge n set
-    to b and each declared breakpoint strictly between edges s and e that is
-    not already an edge inserted in order."""
-    a, b = f.domain
-    edges = a + (b - a) * np.arange(s, e + 1, dtype=np.float64) / n
-    if e == n:
-        edges[-1] = b
-    inside = [t for t in f.breakpoints if edges[0] < t < edges[-1] and not np.any(edges == t)]
-    if inside:
-        edges = np.sort(np.concatenate([edges, inside]))
-    return edges
-
-
 def _widen(lo: float, hi: float, slabs: int) -> tuple[float, float]:
     """Bounds that contain the exact sums of which lo and hi are the computed ones."""
     k = slabs + 1
@@ -136,28 +126,58 @@ def _staircase_blocks(f: WidthFunction, n: int):
     """The n-slab staircase, one block of ``_BLOCK`` slabs at a time: each
     block's edges and the lower and upper heights of its slabs, the lesser and
     the greater profile value at their two edges.  Each edge is evaluated once;
-    a negative value raises InvalidMonotonicity."""
+    a negative value raises InvalidMonotonicity.
+
+    The edges and heights are views of buffers made once per call, which the
+    next block overwrites: a caller that keeps a block copies it.  Edges s..e
+    of the uniform grid are ``a + (b - a) * k / n`` for k = s..e, with edge n
+    set to b; each declared breakpoint strictly between edges s and e that is
+    not already an edge is inserted in order."""
+    a, b = f.domain
+    size = min(n, _BLOCK)
+    counts = np.arange(size + 1, dtype=np.float64)
+    grid = np.empty(size + 1)
+    lower = np.empty(size + len(f.breakpoints))
+    upper = np.empty_like(lower)
     last = None
     for s in range(0, n, _BLOCK):
-        edges = _block_edges(f, n, s, min(s + _BLOCK, n))
+        e = min(s + _BLOCK, n)
+        # counts + s is k exactly below 2^53, so each edge rounds as the formula does
+        edges = np.add(counts[: e - s + 1], s, out=grid[: e - s + 1])
+        edges *= b - a
+        edges /= n
+        edges += a
+        if e == n:
+            edges[-1] = b
+        inside = [t for t in f.breakpoints if edges[0] < t < edges[-1] and not (edges == t).any()]
+        if inside:
+            edges = np.sort(np.concatenate([edges, inside]))
+        m = len(edges) - 1
         # edge s closed the previous block, so its value is carried over
-        vals = f(edges) if last is None else np.concatenate(([last], f(edges[1:])))
-        if np.any(vals < 0.0):
+        j = 0 if last is None else 1
+        vals = f(edges[j:])
+        if (vals < 0.0).any():
             raise InvalidMonotonicity(f"profile is negative on [{edges[0]}, {edges[-1]}]")
+        if j:
+            lower[0], upper[0] = np.minimum(last, vals[0]), np.maximum(last, vals[0])
+        np.minimum(vals[:-1], vals[1:], out=lower[j:m])
+        np.maximum(vals[:-1], vals[1:], out=upper[j:m])
         last = vals[-1]
-        yield edges, np.minimum(vals[:-1], vals[1:]), np.maximum(vals[:-1], vals[1:])
+        yield edges, lower[:m], upper[:m]
 
 
 def _staircase_sums(f: WidthFunction, n: int) -> tuple[float, float, int]:
     """Computed lower and upper staircase sums over the n-slab grid, and its slab count."""
+    block = min(n, _BLOCK) + len(f.breakpoints)
+    widths = np.empty(block)
     # the running (lower, upper) pair in row 0, then the product pairs of the
     # larger half of any block
-    run = np.empty(((min(n, _BLOCK) + len(f.breakpoints)) // 2 + 2, 2))
+    run = np.empty((block // 2 + 2, 2))
     sums = 0.0
     slabs = 0
     for edges, lower, upper in _staircase_blocks(f, n):
-        widths = np.diff(edges)
-        m = len(widths)
+        m = len(edges) - 1
+        np.subtract(edges[1:], edges[:-1], out=widths[:m])
         for half in (slice(0, m - m // 2), slice(m - m // 2, m)):
             k = half.stop - half.start
             np.multiply(lower[half], widths[half], out=run[1 : k + 1, 0])

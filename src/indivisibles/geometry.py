@@ -132,6 +132,8 @@ class WidthFunction:
     either).  The evaluator must accept numpy arrays; a constant profile may
     return one value.  A call returns float64 values of its input's shape.
     ``enclosure_method`` names the staircase that encloses its integral.
+    The staircase calls the evaluator on views of a buffer that its next
+    block overwrites, so an evaluator that keeps its argument copies it.
     """
 
     enclosure_method = "inner-outer-rectangles"

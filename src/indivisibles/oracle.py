@@ -184,13 +184,35 @@ def mc_volume(membership, bbox3, samples: int, seed: int = 42) -> Estimate:
 
 
 def _midpoint_sum(values_at, n: int) -> float:
-    """``ordered_sum`` of ``values_at(k + 0.5)`` over k = 0 .. n-1, chained
-    through pieces of ``_BLOCK`` cells."""
+    """``ordered_sum`` of the values at midpoints k + 0.5 over k = 0 .. n-1,
+    chained through pieces of ``_BLOCK`` cells.  ``values_at(mids, out)``
+    writes the values at one piece's midpoints into ``out``: rows of the run
+    that ``ordered_sum`` then chains in place.  The midpoints and the run are
+    made once per call, so no piece allocates them."""
+    size = min(n, _BLOCK)
+    mids = np.arange(size, dtype=np.float64)
+    mids += 0.5
+    run = np.empty(size + 1)
     total = 0.0
     for done in range(0, n, _BLOCK):
-        mids = np.arange(done, min(done + _BLOCK, n), dtype=np.float64) + 0.5
-        total = ordered_sum(values_at(mids), total)
+        m = min(_BLOCK, n - done)
+        values_at(mids[:m], run[1 : m + 1])
+        total = ordered_sum(run[1 : m + 1], total, run)
+        mids += _BLOCK  # exact while the midpoints stay below 2^52
     return total
+
+
+def _cell_values(values, cells: int) -> np.ndarray:
+    """An integrand's values at ``cells`` cells as float64: one value per
+    cell, or one value that stands for every cell."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.size == 1:
+        return values.reshape(())
+    if values.shape != (cells,):
+        raise ValueError(
+            f"integrand must return one value per cell: expected shape {(cells,)}, got {values.shape}"
+        )
+    return values
 
 
 def riemann_volume(section, n: int) -> float:
@@ -203,16 +225,22 @@ def riemann_volume(section, n: int) -> float:
         raise ValueError("need at least one cell")
     a, b = section.domain
     h = (b - a) / n
-    return _midpoint_sum(lambda k: section(a + k * h), n) * h
+
+    def values_at(k, out):
+        out[...] = section(a + k * h)
+
+    return _midpoint_sum(values_at, n) * h
 
 
 def boundary_integral(curve: Curve, integrand, n: int) -> float:
     """Composite midpoint rule for an arclength integral along a curve.
 
-    ``integrand(xs, ys)`` is vectorized; n is the subdivision count per
-    segment (polyline edge of nonzero length) or per arc.  A polyline's
-    midpoints run edge after edge in one flat sequence of cells, so its
-    integrand sees them in pieces of ``_BLOCK`` that may span several edges.
+    ``integrand(xs, ys)`` is vectorized and returns one value per cell, or
+    one value that stands for every cell; any other shape raises
+    ValueError.  n is the subdivision count per segment (polyline edge of
+    nonzero length) or per arc.  A polyline's midpoints run edge after edge
+    in one flat sequence of cells, so its integrand sees them in pieces of
+    ``_BLOCK`` that may span several edges.
     """
     if n < 1:
         raise ValueError("need at least one subdivision")
@@ -224,23 +252,23 @@ def boundary_integral(curve: Curve, integrand, n: int) -> float:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is part of the result
             dx, dy, ds = x1 - x0, y1 - y0, seg / n
 
-        def values_at(k):
+        def values_at(k, out):
             # flat midpoint k of the kept edges' n cells each: kept edge k // n, at ts * n = k % n
             edge, ts = np.divmod(k, n)
             edge, ts = keep[edge.astype(np.intp)], ts / n
             xs = x0[edge] + dx[edge] * ts
             ys = y0[edge] + dy[edge] * ts
-            return np.asarray(integrand(xs, ys), dtype=np.float64) * ds[edge]
+            np.multiply(_cell_values(integrand(xs, ys), len(k)), ds[edge], out=out)
 
         return _midpoint_sum(values_at, len(keep) * n)
     if isinstance(curve, CircleArc):
         ds = curve.radius * curve.span / n
 
-        def values_at(k):
+        def values_at(k, out):
             thetas = curve.start_angle + curve.span * k / n
             xs = curve.center.x + curve.radius * np.cos(thetas)
             ys = curve.center.y + curve.radius * np.sin(thetas)
-            return np.asarray(integrand(xs, ys), dtype=np.float64) * ds
+            np.multiply(_cell_values(integrand(xs, ys), len(k)), ds, out=out)
 
         return _midpoint_sum(values_at, n)
     raise TypeError(f"unknown curve kind {type(curve).__name__}")

@@ -77,7 +77,8 @@ def render_unroll(r: float, n: int) -> str:
 def render_bounds(width: WidthFunction, n: int) -> str:
     """Inner and outer staircase rectangles bracketing a width profile, as
     ``exhaustion`` reads them off the n-slab grid."""
-    blocks = list(_staircase_blocks(width, n))
+    # each block is a view of buffers that the next one overwrites
+    blocks = [(edges.copy(), lower.copy(), upper.copy()) for edges, lower, upper in _staircase_blocks(width, n)]
     a, b = width.domain
     m = _Mapper(a, b, 0.0, float(np.max(np.concatenate([upper for *_, upper in blocks]))))
     body = []

@@ -16,7 +16,6 @@ import indivisibles
 from indivisibles import riemann_volume, svg
 from indivisibles._kernels import _BLOCK
 from indivisibles.cli import MEASURES, SHAPES, main
-from indivisibles.exhaustion import _block_edges
 from indivisibles.svg import render_bounds, render_unroll
 
 from conftest import REPO_ROOT, SCRIPTS_DIR
@@ -443,9 +442,13 @@ class TestOracle:
 def _one_block_bounds(width, n):
     """``render_bounds`` over one block of all n slabs: the profile at every
     edge, and each slab's rectangles from the lesser and greater of its two."""
-    edges = _block_edges(width, n, 0, n)
-    vals = np.asarray(width(edges), dtype=np.float64)
     a, b = width.domain
+    edges = a + (b - a) * np.arange(n + 1, dtype=np.float64) / n
+    edges[-1] = b
+    extra = [t for t in width.breakpoints if not np.any(edges == t)]
+    if extra:
+        edges = np.sort(np.concatenate([edges, extra]))
+    vals = np.asarray(width(edges), dtype=np.float64)
     m = svg._Mapper(a, b, 0.0, float(np.max(vals)))
     body = []
     for i in range(len(edges) - 1):
@@ -517,6 +520,18 @@ class TestSvg:
             monotonicity=("increasing",) * 3,
         )
         assert render_bounds(width, n) == _one_block_bounds(width, n)
+
+    def test_bounds_bytes_are_pinned_past_two_blocks(self):
+        # the blocks share buffers that the next overwrites, so the drawing
+        # keeps copies; the digest was taken when each block had arrays of its own
+        hoof = indivisibles.WidthFunction(
+            lambda y: 2.0 * y * np.sqrt(np.maximum(1.0 - y * y, 0.0)),
+            domain=(0.0, 1.0),
+            breakpoints=(1.0 / math.sqrt(2.0),),
+            monotonicity=("increasing", "decreasing"),
+        )
+        digest = hashlib.sha256(render_bounds(hoof, 2 * _BLOCK + 3).encode()).hexdigest()
+        assert digest == "707e2b209a6864a7da28ca0654e5e7b97c1b504c80fa8e7cc2aeaca32b5d7651"
 
     def test_bounds_structure(self, tmp_path, capsys):
         out_path = tmp_path / "bounds.svg"

@@ -516,6 +516,123 @@ class TestStreamingStaircase:
         assert peak < 4 * 2**20
 
 
+def allocating_staircase_blocks(f, n):
+    """The staircase blocks as each block once allocated them: fresh edges,
+    values and heights per block, the carried value joined on by
+    concatenation.  The reference that the buffered blocks match bit for bit."""
+    a, b = f.domain
+    last = None
+    for s in range(0, n, _BLOCK):
+        e = min(s + _BLOCK, n)
+        edges = a + (b - a) * np.arange(s, e + 1, dtype=np.float64) / n
+        if e == n:
+            edges[-1] = b
+        inside = [t for t in f.breakpoints if edges[0] < t < edges[-1] and not np.any(edges == t)]
+        if inside:
+            edges = np.sort(np.concatenate([edges, inside]))
+        vals = f(edges) if last is None else np.concatenate(([last], f(edges[1:])))
+        if np.any(vals < 0.0):
+            raise InvalidMonotonicity(f"profile is negative on [{edges[0]}, {edges[-1]}]")
+        last = vals[-1]
+        yield edges, np.minimum(vals[:-1], vals[1:]), np.maximum(vals[:-1], vals[1:])
+
+
+def allocating_staircase_sums(f, n):
+    """The sums over ``allocating_staircase_blocks``, with fresh widths per block."""
+    run = np.empty(((min(n, _BLOCK) + len(f.breakpoints)) // 2 + 2, 2))
+    sums = 0.0
+    slabs = 0
+    for edges, lower, upper in allocating_staircase_blocks(f, n):
+        widths = np.diff(edges)
+        m = len(widths)
+        for half in (slice(0, m - m // 2), slice(m - m // 2, m)):
+            k = half.stop - half.start
+            np.multiply(lower[half], widths[half], out=run[1 : k + 1, 0])
+            np.multiply(upper[half], widths[half], out=run[1 : k + 1, 1])
+            sums = ordered_sum(run[1 : k + 1], sums, run)
+        slabs += m
+    return float(sums[0]), float(sums[1]), slabs
+
+
+def outcome(run):
+    """``run()``'s result, or the type and message of what it raised."""
+    try:
+        return run()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestBufferedStaircase:
+    """The staircase refills buffers made once per call; every bit, slab count
+    and error is that of the loop that allocated each block afresh."""
+
+    DOMAIN = (-0.38, 0.95)
+    COUNTS = [1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 1, 10**6]
+
+    def grid(self, n, k):
+        a, b = self.DOMAIN
+        return a + (b - a) * k / n
+
+    def bounds_both_ways(self, f, n, monkeypatch):
+        got = outcome(lambda: area_bounds(f, n))
+        with monkeypatch.context() as m:
+            m.setattr(exhaustion, "_staircase_sums", allocating_staircase_sums)
+            want = outcome(lambda: area_bounds(f, n))
+        return got, want
+
+    @pytest.mark.parametrize("n", COUNTS)
+    def test_sums_and_slabs_equal_the_allocating_loop(self, n):
+        wavy = lambda t: 2.0 + np.sin(7.0 * t)  # noqa: E731
+        # off the grid in the first block; an edge of the grid; off the grid in the last block
+        off_first = self.grid(n, min(n, _BLOCK) * 0.37 + 0.21)
+        cases = [(), (off_first,), (off_first, self.grid(2 * n, 2 * n - 1))]
+        if n > 2:
+            cases.append((off_first, self.grid(n, n // 2), self.grid(2 * n, 2 * n - 1)))
+        for bps in cases:
+            bps = tuple(sorted(set(bps)))
+            f = WidthFunction(wavy, domain=self.DOMAIN, breakpoints=bps, monotonicity=("increasing",) * (len(bps) + 1))
+            assert _staircase_sums(f, n) == allocating_staircase_sums(f, n), (n, bps)
+
+    @pytest.mark.parametrize("n", COUNTS)
+    def test_profile_returning_its_own_argument(self, n, monkeypatch):
+        # the values are then the edge buffer itself
+        f = WidthFunction(lambda t: t, domain=(0.25, 1.5))
+        assert _staircase_sums(f, n) == allocating_staircase_sums(f, n)
+        got, want = self.bounds_both_ways(f, n, monkeypatch)
+        assert isinstance(got, MeasureInterval) and got == want
+
+    @pytest.mark.parametrize("n", [_BLOCK + 1, 3 * _BLOCK + 1])
+    def test_nan_at_a_block_edge_raises_the_same_error(self, n, monkeypatch):
+        edge = self.grid(n, _BLOCK)  # closes the first block and opens the second
+        f = WidthFunction(lambda t: np.where(t == edge, np.nan, 1.0 + t), domain=self.DOMAIN)
+        got, want = self.bounds_both_ways(f, n, monkeypatch)
+        assert got == want == (GeometryError, "the enclosure is not finite at these dimensions")
+
+    @pytest.mark.parametrize("n", [_BLOCK + 7, 3 * _BLOCK + 1])
+    def test_negative_value_in_the_second_block_raises_the_same_error(self, n, monkeypatch):
+        # negative at one edge of the second block only, which no spot point hits
+        edge = self.grid(n, _BLOCK + 5)
+        f = WidthFunction(lambda t: np.where(t == edge, -1.0, 1.0 + t), domain=self.DOMAIN)
+        got, want = self.bounds_both_ways(f, n, monkeypatch)
+        assert got == want
+        assert got[0] is InvalidMonotonicity and got[1].startswith(f"profile is negative on [{self.grid(n, _BLOCK)}, ")
+
+    def test_consecutive_blocks_hand_the_profile_views_of_one_buffer(self):
+        seen = []
+
+        def keeping(t):
+            seen.append(t)  # kept uncopied on purpose, to see the buffer
+            return 1.0 + t
+
+        n = 3 * _BLOCK + 1
+        blocks = [edges for edges, _, _ in _staircase_blocks(WidthFunction(keeping), n)]
+        assert len(seen) == len(blocks) == 4
+        for earlier, later in zip(seen, seen[1:]):
+            assert np.shares_memory(earlier, later)
+        for earlier, later in zip(blocks, blocks[1:]):
+            assert np.shares_memory(earlier, later)
+
+
 class TestRoundingBound:
     @pytest.mark.parametrize(
         "b,c,n",

@@ -11,7 +11,7 @@ import pytest
 
 import indivisibles as iv
 from indivisibles import EmptyBox, SectionFunction, oracle
-from indivisibles._kernels import ordered_sum, uniform01
+from indivisibles._kernels import _BLOCK, ordered_sum, uniform01
 from indivisibles.oracle import _indicator_estimate
 
 from conftest import DATA_DIR
@@ -571,6 +571,121 @@ class TestPolylineBoundaryIntegral:
         curve = iv.Polyline([(1.0, 2.0), (1.0, 2.0), (1.0, 2.0)], closed=closed)
         with pytest.raises(iv.DegenerateCurve):
             iv.boundary_integral(curve, _wavy, 4)
+
+
+def allocating_midpoint_sum(values_at, n):
+    """The midpoint sum as each piece once allocated it: fresh midpoints, and
+    values that ``ordered_sum`` copies into a run of its own."""
+    total = 0.0
+    for done in range(0, n, _BLOCK):
+        mids = np.arange(done, min(done + _BLOCK, n), dtype=np.float64) + 0.5
+        total = ordered_sum(values_at(mids), total)
+    return total
+
+
+def allocating_riemann_volume(section, n):
+    a, b = section.domain
+    h = (b - a) / n
+    return allocating_midpoint_sum(lambda k: section(a + k * h), n) * h
+
+
+def allocating_boundary_integral(curve, integrand, n):
+    """``boundary_integral`` over ``allocating_midpoint_sum``, for integrands
+    that return one value per cell."""
+    if isinstance(curve, iv.Polyline):
+        x0, y0, x1, y1, seg = curve._segments()
+        keep = np.flatnonzero(seg)
+        dx, dy, ds = x1 - x0, y1 - y0, seg / n
+
+        def values_at(k):
+            edge, ts = np.divmod(k, n)
+            edge, ts = keep[edge.astype(np.intp)], ts / n
+            xs = x0[edge] + dx[edge] * ts
+            ys = y0[edge] + dy[edge] * ts
+            return np.asarray(integrand(xs, ys), dtype=np.float64) * ds[edge]
+
+        return allocating_midpoint_sum(values_at, len(keep) * n)
+    ds = curve.radius * curve.span / n
+
+    def values_at(k):
+        thetas = curve.start_angle + curve.span * k / n
+        xs = curve.center.x + curve.radius * np.cos(thetas)
+        ys = curve.center.y + curve.radius * np.sin(thetas)
+        return np.asarray(integrand(xs, ys), dtype=np.float64) * ds
+
+    return allocating_midpoint_sum(values_at, n)
+
+
+MIDPOINT_COUNTS = [1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 1, 10**6]
+
+
+class TestBufferedMidpointSum:
+    """The midpoint sums refill one midpoint array and one run per call; every
+    bit is that of the loop that allocated each piece afresh."""
+
+    @pytest.mark.parametrize("n", MIDPOINT_COUNTS)
+    def test_riemann_equals_the_allocating_loop(self, n):
+        hoof = SectionFunction(
+            lambda y: 2.0 * y * np.sqrt(np.maximum(1.0 - y * y, 0.0)),
+            domain=(0.0, 1.0),
+            breakpoints=(1 / math.sqrt(2),),
+            monotonicity=("increasing", "decreasing"),
+        )
+        own = SectionFunction(lambda t: t, domain=(0.25, 1.5))  # returns its own argument
+        for section in (hoof, own):
+            assert iv.riemann_volume(section, n) == allocating_riemann_volume(section, n)
+
+    @pytest.mark.parametrize("n", MIDPOINT_COUNTS)
+    def test_boundary_equals_the_allocating_loop(self, n):
+        arc = iv.CircleArc(iv.Point2(0.3, -1.1), 1.7, start_angle=0.2, span=5.0)
+        polyline = iv.Polyline([(0.0, 0.0), (1.0, 0.5), (2.5, -0.25)])
+        for curve in (arc, polyline):
+            assert iv.boundary_integral(curve, _wavy, n) == allocating_boundary_integral(curve, _wavy, n)
+
+    def test_every_piece_is_chained_in_the_same_run(self, monkeypatch):
+        runs = []
+
+        def recording(values, init=0.0, run=None):
+            runs.append(run)
+            return ordered_sum(values, init, run)
+
+        monkeypatch.setattr(oracle, "ordered_sum", recording)
+        n = 3 * _BLOCK + 1
+        iv.riemann_volume(SectionFunction(lambda t: 1.0 + t), n)
+        iv.boundary_integral(iv.CircleArc(iv.Point2(0.0, 0.0), 1.0), _wavy, n)
+        assert len(runs) == 8
+        for call in (runs[:4], runs[4:]):
+            assert call[0] is not None and all(run is call[0] for run in call)
+
+
+class TestIntegrandShape:
+    """An integrand returns one value per cell, or one value for every cell."""
+
+    ARC = iv.CircleArc(iv.Point2(0.0, 0.0), 1.0)
+    POLYLINE = iv.Polyline([(0.0, 0.0), (1.0, 0.5), (2.5, -0.25)])
+
+    @pytest.mark.parametrize("one", [1.0, np.ones(1), np.ones((1, 1))], ids=["scalar", "(1,)", "(1, 1)"])
+    @pytest.mark.parametrize("curve", [ARC, POLYLINE], ids=["arc", "polyline"])
+    def test_one_value_stands_for_every_cell(self, curve, one):
+        ones = iv.boundary_integral(curve, lambda xs, ys: np.ones_like(xs), 1000)
+        assert iv.boundary_integral(curve, lambda xs, ys: one, 1000) == ones
+
+    def test_constant_on_the_arc_gives_its_length(self):
+        assert iv.boundary_integral(self.ARC, lambda xs, ys: 1.0, 1000) == pytest.approx(2 * math.pi, rel=1e-12)
+
+    @pytest.mark.parametrize("curve,cells", [(ARC, 1000), (POLYLINE, 2000)], ids=["arc", "polyline"])
+    @pytest.mark.parametrize(
+        "shape",
+        [lambda m: (m, 1), lambda m: (1, m), lambda m: (m - 1,), lambda m: (2,)],
+        ids=["column", "row", "short", "two"],
+    )
+    def test_any_other_shape_raises(self, curve, cells, shape):
+        expected = shape(cells)
+        with pytest.raises(ValueError) as raised:
+            iv.boundary_integral(curve, lambda xs, ys: np.ones(shape(len(xs))), 1000)
+        assert str(raised.value) == (
+            f"integrand must return one value per cell: expected shape {(cells,)}, got {expected}"
+        )
 
 
 def test_estimate_validation():
